@@ -43,9 +43,13 @@ from .errors import CapExceededError, InvalidParameterError, ParseError
 from .linalg import RowReducer
 from .partitions import (
     DWeightedPartition,
+    _compositions,
+    block_offsets,
     enumerate_set_partitions,
     integer_partitions,
+    merge_offsets,
     parse_block,
+    rebase_offsets,
     relabel,
     set_partition_shape_count,
     validate_permutation,
@@ -152,6 +156,14 @@ class NormalMonomial:
         if any(e < 0 for e in exponents):
             raise InvalidParameterError("exponents must be >= 0")
 
+    @classmethod
+    def _trusted(cls, partition, exponents):
+        """Build from a tuple of nonnegative ints, one per block, without checks."""
+        monomial = object.__new__(cls)
+        object.__setattr__(monomial, "partition", partition)
+        object.__setattr__(monomial, "exponents", exponents)
+        return monomial
+
     @property
     def degree(self):
         base = sum(
@@ -213,11 +225,12 @@ class AlgebraElement:
 
 
 def all_singleton_partition(r, group):
-    return DWeightedPartition(group, tuple(((i,), ()) for i in range(1, r + 1)))
+    blocks = tuple(((i,), ()) for i in range(1, r + 1))
+    return DWeightedPartition._trusted(group, blocks)
 
 
 def unit_monomial(r, group):
-    return NormalMonomial(all_singleton_partition(r, group), (0,) * r)
+    return NormalMonomial._trusted(all_singleton_partition(r, group), (0,) * r)
 
 
 def multiply(spec, x, y, rng=None):
@@ -242,13 +255,11 @@ def multiply(spec, x, y, rng=None):
         if mon.partition.group != group:
             raise InvalidParameterError("monomial group does not match spec")
 
-    items = []
-    for mon in (x, y):
-        for (idx, weights), exponent in zip(mon.partition.blocks, mon.exponents):
-            offsets = {idx[0]: group.identity()}
-            for j, w in enumerate(weights):
-                offsets[idx[j + 1]] = w
-            items.append((offsets, exponent))
+    items = [
+        (block_offsets(group, idx, weights), exponent)
+        for mon in (x, y)
+        for (idx, weights), exponent in zip(mon.partition.blocks, mon.exponents)
+    ]
 
     while True:
         overlaps = []
@@ -259,31 +270,20 @@ def multiply(spec, x, y, rng=None):
         if not overlaps:
             break
         a, b = overlaps[0] if rng is None else overlaps[rng.randrange(len(overlaps))]
-        off_a, exp_a = items[a]
-        off_b, exp_b = items[b]
-        common = sorted(off_a.keys() & off_b.keys())
-        pin = common[0]
-        shift = group.add(off_a[pin], group.negate(off_b[pin]))
-        for q in common:
-            if off_a[q] != group.add(off_b[q], shift):
-                return AlgebraElement.zero()
-        merged = dict(off_a)
-        for k, v in off_b.items():
-            if k not in merged:
-                merged[k] = group.add(v, shift)
-        exponent = exp_a + exp_b + len(common) - 1
+        (off_a, exp_a), (off_b, exp_b) = items[a], items[b]
+        merged = merge_offsets(group, off_a, off_b)
+        if merged is None:
+            return AlgebraElement.zero()
+        exponent = exp_a + exp_b + len(off_a.keys() & off_b.keys()) - 1
         items = [it for i, it in enumerate(items) if i not in (a, b)]
         items.append((merged, exponent))
 
-    blocks = []
-    for offsets, exponent in items:
-        idx = tuple(sorted(offsets))
-        neg_base = group.negate(offsets[idx[0]])
-        weights = tuple(group.add(offsets[i], neg_base) for i in idx[1:])
-        blocks.append(((idx, weights), exponent))
-    blocks.sort(key=lambda be: be[0][0][0])
-    partition = DWeightedPartition(group, tuple(b for b, _ in blocks))
-    monomial = NormalMonomial(partition, tuple(e for _, e in blocks))
+    blocks = sorted(
+        ((rebase_offsets(group, offsets), exponent) for offsets, exponent in items),
+        key=lambda be: be[0][0][0],
+    )
+    partition = DWeightedPartition._trusted(group, tuple(b for b, _ in blocks))
+    monomial = NormalMonomial._trusted(partition, tuple(e for _, e in blocks))
     assert monomial.degree == x.degree + y.degree
     return AlgebraElement.of_monomial(monomial)
 
@@ -309,7 +309,7 @@ def relabel_monomial(monomial, sigma):
         image = tuple(sorted(sigma[i - 1] for i in idx))
         exp_by_block[image] = e
     exponents = tuple(exp_by_block[idx] for idx, _ in new_partition.blocks)
-    return NormalMonomial(new_partition, exponents)
+    return NormalMonomial._trusted(new_partition, exponents)
 
 
 def in_subspace(spec, monomial):
@@ -365,16 +365,6 @@ def graded_dimension(spec, degree):
     return IntPoly(coeffs) if symbolic else total
 
 
-def _compositions(total, parts):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def basis(spec, degree, cap=DEFAULT_ENUMERATION_CAP, degree_cap=DEFAULT_BASIS_DEGREE_CAP):
     """All normal monomials of the given degree, in deterministic order."""
     if degree < 0:
@@ -400,13 +390,12 @@ def basis(spec, degree, cap=DEFAULT_ENUMERATION_CAP, degree_cap=DEFAULT_BASIS_DE
             itertools.product(elements, repeat=len(blk) - 1) for blk in sp.blocks
         ]
         for assignment in itertools.product(*weight_choices):
-            partition = DWeightedPartition(
-                group,
-                tuple((blk, tuple(ws)) for blk, ws in zip(sp.blocks, assignment)),
+            partition = DWeightedPartition._trusted(
+                group, tuple(zip(sp.blocks, assignment))
             )
             for extra in _compositions(t, sp.num_blocks):
                 exponents = tuple(m0 + e for m0, e in zip(mins, extra))
-                result.append(NormalMonomial(partition, exponents))
+                result.append(NormalMonomial._trusted(partition, exponents))
     assert len(result) == count
     return result
 
@@ -454,31 +443,6 @@ def _monomials_of_degree(gens, degree):
     return out
 
 
-def _merge_weighted_subsets(group, key_a, key_b):
-    """Union of two weighted subsets; None when weights contradict."""
-    (sa, wa), (sb, wb) = key_a, key_b
-    off_a = {sa[0]: group.identity()}
-    for j, w in enumerate(wa):
-        off_a[sa[j + 1]] = w
-    off_b = {sb[0]: group.identity()}
-    for j, w in enumerate(wb):
-        off_b[sb[j + 1]] = w
-    common = sorted(off_a.keys() & off_b.keys())
-    pin = common[0]
-    shift = group.add(off_a[pin], group.negate(off_b[pin]))
-    for q in common:
-        if off_a[q] != group.add(off_b[q], shift):
-            return None, len(common)
-    merged = dict(off_a)
-    for k, v in off_b.items():
-        if k not in merged:
-            merged[k] = group.add(v, shift)
-    idx = tuple(sorted(merged))
-    neg_base = group.negate(merged[idx[0]])
-    weights = tuple(group.add(merged[i], neg_base) for i in idx[1:])
-    return (idx, weights), len(common)
-
-
 def _oracle_relations(r, gens, group):
     """Homogeneous relation elements as lists of (coeff, exponent tuple)."""
     index_of = {key: i for i, (key, _) in enumerate(gens)}
@@ -503,16 +467,20 @@ def _oracle_relations(r, gens, group):
         for ib in range(ia, len(a_gens)):
             gi_a, key_a = a_gens[ia]
             gi_b, key_b = a_gens[ib]
-            if not (set(key_a[0]) & set(key_b[0])):
+            shared = set(key_a[0]) & set(key_b[0])
+            if not shared:
                 continue
             degree = (2 * len(key_a[0]) - 2) + (2 * len(key_b[0]) - 2)
             lhs = expvec([(gi_a, 1), (gi_b, 1)])
-            merged, overlap = _merge_weighted_subsets(group, key_a, key_b)
+            merged = merge_offsets(
+                group, block_offsets(group, *key_a), block_offsets(group, *key_b)
+            )
             if merged is None:
                 relations.append((degree, [(1, lhs)]))
             else:
-                v_index = index_of[("v", min(set(key_a[0]) & set(key_b[0])))]
-                rhs = expvec([(v_index, overlap - 1), (index_of[("a", merged)], 1)])
+                v_index = index_of[("v", min(shared))]
+                a_index = index_of[("a", rebase_offsets(group, merged))]
+                rhs = expvec([(v_index, len(shared) - 1), (a_index, 1)])
                 relations.append((degree, [(1, lhs), (-1, rhs)]))
     return relations
 

@@ -26,7 +26,6 @@ from .errors import (
     CapExceededError,
     InvalidParameterError,
     OracleMismatchError,
-    ParseError,
     PrymAlgError,
 )
 from .polynomial import IntPoly
@@ -55,7 +54,6 @@ EXIT_CAP_EXCEEDED = 3
 EXIT_ORACLE_MISMATCH = 4
 
 _ERROR_KINDS = (
-    (ParseError, "invalid-config", EXIT_INVALID_CONFIG),
     (InvalidParameterError, "invalid-config", EXIT_INVALID_CONFIG),
     (CapExceededError, "cap-exceeded", EXIT_CAP_EXCEEDED),
     (OracleMismatchError, "oracle-mismatch", EXIT_ORACLE_MISMATCH),
@@ -202,10 +200,7 @@ def _resolve_group(cfg, for_variant=None):
     )
 
 
-def _variant_from(cfg, default=None, allowed=None):
-    text = cfg.get_str("variant", default)
-    if text is None:
-        raise InvalidParameterError("missing required option --variant")
+def _variant_from(text, allowed=None):
     try:
         variant = Variant(text)
     except ValueError:
@@ -227,7 +222,7 @@ def _variant_from(cfg, default=None, allowed=None):
 
 
 def cmd_dims(cfg):
-    variant = _variant_from(cfg)
+    variant = _variant_from(cfg.get_str("variant", required=True))
     r = cfg.get_int("r", required=True)
     group = _resolve_group(cfg, for_variant=variant) if variant.twisted else None
     degree = cfg.get_int("degree")
@@ -369,8 +364,7 @@ def cmd_gap(cfg):
 
 def cmd_character(cfg):
     variant = _variant_from(
-        cfg,
-        default="level-prime",
+        cfg.get_str("variant", "level-prime"),
         allowed=(Variant.LEVEL_PRIME, Variant.LEVEL_FULL),
     )
     r = cfg.get_int("r", required=True)
@@ -430,6 +424,8 @@ def cmd_commutant(cfg):
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise InvalidParameterError("cannot read generators file: %s" % exc)
+        if not isinstance(data, list):
+            raise InvalidParameterError("generators file must hold a list of matrices")
         action = AbelianSymplecticAction(
             SymplecticSpace(h), tuple(as_matrix(mat) for mat in data)
         )
@@ -471,9 +467,7 @@ def cmd_oracle_check(cfg):
     groups = [parse_group_literal(tok) for tok in groups_text.split(",") if tok.strip()]
     variants_text = cfg.get_str("variants")
     if variants_text:
-        variants = [
-            _variant_from_text(tok.strip()) for tok in variants_text.split(",")
-        ]
+        variants = [_variant_from(tok.strip()) for tok in variants_text.split(",")]
     else:
         variants = list(Variant)
 
@@ -525,18 +519,10 @@ def cmd_oracle_check(cfg):
     return text, None, EXIT_OK
 
 
-def _variant_from_text(text):
-    try:
-        return Variant(text)
-    except ValueError:
-        raise InvalidParameterError(
-            "unknown variant %r; choose from %s"
-            % (text, ", ".join(v.value for v in Variant))
-        )
-
-
 def cmd_strata(cfg):
     r = cfg.get_int("r", required=True)
+    if r < 0:
+        raise InvalidParameterError("r must be >= 0")
     literal = cfg.get_str("group")
     group = parse_group_literal(literal) if literal else None
     level = cfg.get_int("level")

@@ -11,6 +11,12 @@ Three flavours are modeled:
 Within a block S = {i1 < i2 < ...} the base point is always the minimal
 index i1 and the j-th weight relates point i_{j+1} to i1.  The empty
 weight list belongs to singleton blocks.
+
+One kernel owns that convention for relabeling, the algebra product and
+the oracle: ``block_offsets``, ``merge_offsets`` and ``rebase_offsets``
+turn a block into an offset dict, unite two of them (or report that they
+contradict), and re-base one on its minimal index.  Parsers and public
+constructors validate; ``DWeightedPartition._trusted`` does not.
 """
 
 from __future__ import annotations
@@ -139,6 +145,15 @@ class DWeightedPartition:
                 if w != self.group.element(w.residues):
                     raise InvalidParameterError("weight %s is not reduced" % (w,))
 
+    @classmethod
+    def _trusted(cls, group, blocks):
+        """Build without checks from blocks that __post_init__ would accept
+        unchanged: (index tuple, reduced weight tuple) pairs by minimum."""
+        partition = object.__new__(cls)
+        object.__setattr__(partition, "group", group)
+        object.__setattr__(partition, "blocks", blocks)
+        return partition
+
     @property
     def r(self):
         return sum(len(idx) for idx, _ in self.blocks)
@@ -255,13 +270,7 @@ def enumerate_d_weighted_partitions(r, group, cap=DEFAULT_ENUMERATION_CAP):
         ]
         for assignment in itertools.product(*weight_choices):
             result.append(
-                DWeightedPartition(
-                    group,
-                    tuple(
-                        (block, tuple(ws))
-                        for block, ws in zip(sp.blocks, assignment)
-                    ),
-                )
+                DWeightedPartition._trusted(group, tuple(zip(sp.blocks, assignment)))
             )
     return result
 
@@ -276,7 +285,8 @@ def enumerate_weighted_partitions(r, max_total_weight):
         budget = max_total_weight - sum(mins)
         if budget < 0:
             continue
-        for extra in _bounded_compositions(budget, len(sp.blocks)):
+        # the last part of each composition is the unused slack
+        for extra in _compositions(budget, len(sp.blocks) + 1):
             weights = [m + e for m, e in zip(mins, extra)]
             result.append(
                 WeightedPartition(tuple(zip(sp.blocks, weights)))
@@ -284,13 +294,14 @@ def enumerate_weighted_partitions(r, max_total_weight):
     return result
 
 
-def _bounded_compositions(bound, parts):
-    """All tuples of `parts` nonnegative ints with sum <= bound."""
+def _compositions(total, parts):
+    """All tuples of `parts` nonnegative ints summing to total, lexicographic."""
     if parts == 0:
-        yield ()
+        if total == 0:
+            yield ()
         return
-    for first in range(bound + 1):
-        for rest in _bounded_compositions(bound - first, parts - 1):
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
             yield (first,) + rest
 
 
@@ -299,6 +310,40 @@ def validate_permutation(sigma, r):
     if sorted(sigma) != list(range(1, r + 1)):
         raise InvalidParameterError("not a permutation of 1..%d: %r" % (r, sigma))
     return sigma
+
+
+def block_offsets(group, idx, weights):
+    """Offset of every index of a block, the base point at the identity."""
+    offsets = {idx[0]: group.identity()}
+    offsets.update(zip(idx[1:], weights))
+    return offsets
+
+
+def merge_offsets(group, off_a, off_b):
+    """Union of two overlapping offset dicts; None when they contradict.
+
+    Offsets are only defined up to a common shift, so off_b is shifted to
+    agree with off_a at their smallest shared index; the union exists when
+    the shifted off_b agrees with off_a at every shared index.
+    """
+    common = sorted(off_a.keys() & off_b.keys())
+    pin = common[0]
+    shift = group.add(off_a[pin], group.negate(off_b[pin]))
+    for q in common:
+        if off_a[q] != group.add(off_b[q], shift):
+            return None
+    merged = dict(off_a)
+    for k, v in off_b.items():
+        if k not in merged:
+            merged[k] = group.add(v, shift)
+    return merged
+
+
+def rebase_offsets(group, offsets):
+    """(indices, weights) of an offset dict re-based on its minimal index."""
+    idx = tuple(sorted(offsets))
+    neg_base = group.negate(offsets[idx[0]])
+    return idx, tuple(group.add(offsets[i], neg_base) for i in idx[1:])
 
 
 def relabel(partition, sigma):
@@ -317,17 +362,11 @@ def relabel(partition, sigma):
     sigma = validate_permutation(sigma, partition.r)
     new_blocks = []
     for idx, weights in partition.blocks:
-        offsets = {idx[0]: group.identity()}
-        for j, w in enumerate(weights):
-            offsets[idx[j + 1]] = w
+        offsets = block_offsets(group, idx, weights)
         image = {sigma[i - 1]: off for i, off in offsets.items()}
-        new_idx = tuple(sorted(image))
-        base_off = image[new_idx[0]]
-        neg_base = group.negate(base_off)
-        new_weights = tuple(group.add(image[i], neg_base) for i in new_idx[1:])
-        new_blocks.append((new_idx, new_weights))
+        new_blocks.append(rebase_offsets(group, image))
     new_blocks.sort(key=lambda b: b[0][0])
-    return DWeightedPartition(group, tuple(new_blocks))
+    return DWeightedPartition._trusted(group, tuple(new_blocks))
 
 
 def compatible_with(partition, j_vector):

@@ -32,9 +32,13 @@ def standard_symplectic_form(h):
 
 def as_matrix(rows):
     """Coerce nested numbers / "num/den" strings to a Fraction matrix."""
+    if not isinstance(rows, (list, tuple)):
+        raise ParseError("matrix %r is not a list of rows" % (rows,))
     out = []
     width = None
     for row in rows:
+        if not isinstance(row, (list, tuple)):
+            raise ParseError("matrix row %r is not a list" % (row,))
         converted = tuple(_as_fraction(x) for x in row)
         if width is None:
             width = len(converted)

@@ -16,7 +16,6 @@ the hypotheses of every twisted table here and is rejected explicitly.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, field
 
 from .abelian_group import SymbolicOrder, homology_group
@@ -72,7 +71,8 @@ class DimensionTable:
     level: int | None = None
     genus: int | None = None
     symbolic: bool = False
-    # symbolic-in-m view of the same entries, kept alongside concrete values
+    # the entries as polynomials in m; entries holds them evaluated at m
+    # when m is known
     poly_entries: dict[int, IntPoly] = field(default_factory=dict)
 
     def degrees(self):
@@ -223,8 +223,10 @@ def twisted_cohomology_dims(
     if not 0 <= max_k <= MAX_STABLE_DEGREE:
         raise InvalidParameterError("max_k must lie in [0, %d]" % MAX_STABLE_DEGREE)
     spec = _algebra_factor_spec(mode, r, level, genus)
-    stable = stable_cohomology_dims(p, max_k)
-    alg = {b: graded_dimension(spec, b) for b in range(max_k + 1)}
+    m = spec.order_value()
+    if spec.variant.twisted:
+        spec = AlgebraSpec(spec.variant, r, SymbolicOrder())
+    alg = [graded_dimension(spec, b) for b in range(max_k + 1)]
     kind = StableRangeKind.PUTMAN if mode == "level" else StableRangeKind.LOOIJENGA
     table = DimensionTable(
         variant=mode,
@@ -234,23 +236,26 @@ def twisted_cohomology_dims(
         genus=genus,
         symbolic=(mode == "level" and (level is None or genus is None)),
     )
-    if mode == "level":
-        sym_spec = AlgebraSpec(Variant.LEVEL_PRIME, r, SymbolicOrder())
-        sym_alg = {b: graded_dimension(sym_spec, b) for b in range(max_k + 1)}
-    else:
-        sym_alg = alg
-    for k in range(max_k + 1):
-        total = 0
-        sym_total = IntPoly.zero()
-        for a in range(0, k + 1, 2):
-            total = total + stable.value(a) * alg[k - a]
-            sym_total = sym_total + stable.value(a) * sym_alg[k - a]
-        table.entries[k] = total
-        table.poly_entries[k] = sym_total
-        table.in_range[k] = (
-            in_stable_range(kind, genus, k) if genus is not None else False
-        )
+    _convolve_into(table, stable_cohomology_dims(p, max_k), alg, m, kind)
     return table
+
+
+def _convolve_into(table, stable, factor, m, kind):
+    """Fill table with the stable ring convolved with an algebra factor.
+
+    factor[b] is the factor's degree-b dimension as a polynomial in m (or
+    an int); each entry is the polynomial evaluated at m, or the
+    polynomial itself when m is None.
+    """
+    for k in range(len(factor)):
+        poly = IntPoly.zero()
+        for a in range(0, k + 1, 2):
+            poly = poly + stable.value(a) * factor[k - a]
+        table.poly_entries[k] = poly
+        table.entries[k] = poly.evaluate(m) if m is not None else poly
+        table.in_range[k] = (
+            in_stable_range(kind, table.genus, k) if table.genus is not None else False
+        )
 
 
 @dataclass(frozen=True)
@@ -314,22 +319,22 @@ def putman_gap(r, p, k, level, genus):
     )
 
 
-def j_factor_dimension(j_vector, degree, m=None):
+def j_factor_dimension(j_vector, degree):
     """Degree slice of the J-compatible summand over partitions of {1..r+1}.
 
     Block 1 (the one containing index 1) carries only non-identity
     weights, giving (m-1) choices each, and is barred from indices whose
     slot tag is 1; singleton blocks other than {1} start their exponent
-    at 1.  Returns a polynomial in m when m is None.
+    at 1.  Returns a polynomial in m.
     """
     if degree < 0:
         raise InvalidParameterError("degree must be >= 0")
     r = len(j_vector)
     if degree % 2 == 1:
-        return IntPoly.zero() if m is None else 0
+        return IntPoly.zero()
     q = degree // 2
     hot = {a for a in range(2, r + 2) if j_vector.entries[a - 2] == 1}
-    total = IntPoly.zero() if m is None else 0
+    total = IntPoly.zero()
     m_poly = IntPoly((0, 1))
     for sp in enumerate_set_partitions(r + 1):
         first = sp.blocks[0]
@@ -345,12 +350,8 @@ def j_factor_dimension(j_vector, degree, m=None):
         if ways == 0:
             continue
         other_power = sum(len(blk) - 1 for blk in sp.blocks[1:])
-        if m is None:
-            weight = (m_poly - 1) ** (len(first) - 1) * m_poly**other_power
-            total = total + weight * ways
-        else:
-            weight = (m - 1) ** (len(first) - 1) * m**other_power
-            total += weight * ways
+        weight = (m_poly - 1) ** (len(first) - 1) * m_poly**other_power
+        total = total + weight * ways
     return total
 
 
@@ -362,23 +363,17 @@ def j_twisted_dims(j_vector, level, genus, max_k=20):
         raise InvalidParameterError("need level >= 2 and genus >= 0")
     if not 0 <= max_k <= MAX_STABLE_DEGREE:
         raise InvalidParameterError("max_k must lie in [0, %d]" % MAX_STABLE_DEGREE)
-    r = len(j_vector)
-    m = level ** (2 * genus)
-    stable = stable_cohomology_dims(0, max_k)
-    factor = {b: j_factor_dimension(j_vector, b, m=m) for b in range(max_k + 1)}
-    sym_factor = {b: j_factor_dimension(j_vector, b) for b in range(max_k + 1)}
+    factor = [j_factor_dimension(j_vector, b) for b in range(max_k + 1)]
     table = DimensionTable(
-        variant="j-twisted", r=r, p=None, level=level, genus=genus
+        variant="j-twisted", r=len(j_vector), p=None, level=level, genus=genus
     )
-    for k in range(max_k + 1):
-        total = 0
-        sym_total = IntPoly.zero()
-        for a in range(0, k + 1, 2):
-            total += stable.value(a) * factor[k - a]
-            sym_total = sym_total + stable.value(a) * sym_factor[k - a]
-        table.entries[k] = total
-        table.poly_entries[k] = sym_total
-        table.in_range[k] = in_stable_range(StableRangeKind.PUTMAN, genus, k)
+    _convolve_into(
+        table,
+        stable_cohomology_dims(0, max_k),
+        factor,
+        level ** (2 * genus),
+        StableRangeKind.PUTMAN,
+    )
     return table
 
 
@@ -406,8 +401,3 @@ def stratum_census_total(r, group=None):
     if isinstance(group, SymbolicOrder):
         return total.evaluate(group.specialize())
     return total.evaluate(group.order())
-
-
-def twisted_dims_signature_names():
-    """Parameter names of the twisted table builder (no boundary count)."""
-    return tuple(inspect.signature(twisted_cohomology_dims).parameters)

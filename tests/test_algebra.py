@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -22,6 +23,7 @@ from prymalg.algebra import (
     unit_monomial,
 )
 from prymalg.errors import CapExceededError, InvalidParameterError, ParseError
+from prymalg.partitions import DWeightedPartition
 from prymalg.polynomial import IntPoly
 
 TRIVIAL = FiniteAbelianGroup(())
@@ -253,6 +255,31 @@ def test_relabel_monomial_transports_exponents():
     moved = relabel_monomial(mon, (3, 2, 1))  # 1<->3
     assert str(moved) == "v{1} * v{2}^2 * a{2<3:d=(2)}"
     assert moved.degree == mon.degree
+
+
+def _assert_rebuilds(mon):
+    partition = DWeightedPartition(mon.partition.group, mon.partition.blocks)
+    rebuilt = NormalMonomial(partition, mon.exponents)
+    assert rebuilt == mon and hash(rebuilt) == hash(mon), mon
+
+
+def test_trusted_monomials_equal_validated_ones():
+    # basis, multiply and relabel_monomial skip validation; the public
+    # constructors must accept what they build unchanged, with the same hash
+    for group in (TRIVIAL, Z2, Z3):
+        for r in range(4):
+            twisted = bool(group.cyclic_factors)
+            spec = spec_of(Variant.LEVEL_FULL if twisted else Variant.LOOIJENGA_FULL, r, group)
+            _assert_rebuilds(unit_monomial(r, group))
+            monomials = [mon for d in range(0, 5, 2) for mon in basis(spec, d)]
+            perms = list(itertools.permutations(range(1, r + 1)))
+            for x in monomials:
+                _assert_rebuilds(x)
+                for sigma in perms:
+                    _assert_rebuilds(relabel_monomial(x, sigma))
+                for y in monomials:
+                    for _, mon in multiply(spec, x, y).terms:
+                        _assert_rebuilds(mon)
 
 
 def test_monomial_text_frozen_and_roundtrip():

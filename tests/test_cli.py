@@ -125,7 +125,7 @@ def test_oracle_check_small_grid_passes():
     assert all(line.split(",")[6] == "true" for line in lines[1:])
 
 
-def test_invalid_config_exits_2_with_single_line_error():
+def test_invalid_config_exits_2_with_single_line_error(tmp_path):
     proc = run_cli("dims", "--variant", "bogus", "--r", "2", "--degree", "2", expect_code=2)
     err = proc.stderr.decode()
     assert err.startswith("error: invalid-config:")
@@ -133,6 +133,19 @@ def test_invalid_config_exits_2_with_single_line_error():
     run_cli("dims", "--no-such-flag", expect_code=2)
     run_cli("twisted", "--r", "2", "--max-k", "4", "--closed", expect_code=2)
     run_cli("gap", "--r", "2", "--k", "3", "--level", "2", "--genus", "100", expect_code=2)
+    not_a_matrix = tmp_path / "row.json"
+    not_a_matrix.write_text("[5]")
+    not_a_list = tmp_path / "scalar.json"
+    not_a_list.write_text("5")
+    for argv in (
+        ("strata", "--r", "-1"),
+        ("commutant", "--h", "1", "--generators-file", str(not_a_matrix)),
+        ("commutant", "--h", "1", "--generators-file", str(not_a_list)),
+    ):
+        proc = run_cli(*argv, expect_code=2)
+        err = proc.stderr.decode()
+        assert err.startswith("error: invalid-config:") and err.count("\n") == 1, err
+        assert proc.stdout == b"", argv
 
 
 def test_cap_exceeded_exits_3():

@@ -182,6 +182,36 @@ def test_jvector_validation():
     assert len(JVector((1, 0, 1))) == 3
 
 
+def test_trusted_partitions_equal_validated_ones():
+    # enumeration and relabel skip validation; the public constructor must
+    # accept what they build unchanged, with the same hash
+    for group in (Z2, Z3, Z22):
+        for r in range(5):
+            perms = list(itertools.permutations(range(1, r + 1)))
+            for p in enumerate_d_weighted_partitions(r, group):
+                for q in [p] + [relabel(p, sigma) for sigma in perms]:
+                    rebuilt = DWeightedPartition(q.group, q.blocks)
+                    assert rebuilt == q and hash(rebuilt) == hash(q), q
+
+
+def test_weighted_partition_order_is_pinned():
+    # each set partition's weightings are contiguous and their weight
+    # vectors strictly increase lexicographically
+    for r in range(5):
+        for bound in range(7):
+            runs = []
+            for wp in enumerate_weighted_partitions(r, bound):
+                blocks = tuple(b for b, _ in wp.pairs)
+                weights = tuple(w for _, w in wp.pairs)
+                if runs and runs[-1][0] == blocks:
+                    runs[-1][1].append(weights)
+                else:
+                    runs.append((blocks, [weights]))
+            assert len({blocks for blocks, _ in runs}) == len(runs), (r, bound)
+            for blocks, vectors in runs:
+                assert all(a < b for a, b in zip(vectors, vectors[1:])), blocks
+
+
 def test_weighted_partition_invariant():
     with pytest.raises(InvalidParameterError):
         WeightedPartition((((1,), 0),))
