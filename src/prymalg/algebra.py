@@ -31,6 +31,7 @@ import functools
 import itertools
 import math
 import re
+import typing
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,7 +41,6 @@ from .abelian_group import (
     SymbolicOrder,
 )
 from .errors import CapExceededError, InvalidParameterError, ParseError
-from .linalg import RowReducer
 from .partitions import (
     DWeightedPartition,
     _compositions,
@@ -58,9 +58,7 @@ from .polynomial import IntPoly
 
 MAX_DIMENSION_R = 30
 DEFAULT_BASIS_DEGREE_CAP = 64
-ORACLE_MAX_R = 3
-ORACLE_MAX_GROUP_ORDER = 4
-ORACLE_MAX_DEGREE = 10
+ORACLE_MAX_COLUMNS = 10**5
 
 TRIVIAL_GROUP = FiniteAbelianGroup(())
 
@@ -444,24 +442,21 @@ def _monomials_of_degree(gens, degree):
 
 
 def _oracle_relations(r, gens, group):
-    """Homogeneous relation elements as lists of (coeff, exponent tuple)."""
+    """Homogeneous relations, each as (degree, terms).
+
+    A term is a tuple of (generator index, exponent) pairs naming one
+    monomial.  Every relation has coefficients 1 and -1: one term t stands
+    for the monomial t, two terms (s, t) for the binomial s - t.
+    """
     index_of = {key: i for i, (key, _) in enumerate(gens)}
-    ngens = len(gens)
-
-    def expvec(pairs):
-        vec = [0] * ngens
-        for gi, e in pairs:
-            vec[gi] += e
-        return tuple(vec)
-
     relations = []
     a_gens = [(i, key[1]) for i, (key, _) in enumerate(gens) if key[0] == "a"]
     # one v-class per block: v_i a = v_j a for i, j in the block
     for gi, (S, weights) in a_gens:
         for i, j in itertools.combinations(S, 2):
-            term1 = expvec([(index_of[("v", i)], 1), (gi, 1)])
-            term2 = expvec([(index_of[("v", j)], 1), (gi, 1)])
-            relations.append(((2 * len(S) - 2) + 2, [(1, term1), (-1, term2)]))
+            term1 = ((index_of[("v", i)], 1), (gi, 1))
+            term2 = ((index_of[("v", j)], 1), (gi, 1))
+            relations.append(((2 * len(S) - 2) + 2, (term1, term2)))
     # products of overlapping a-classes merge or vanish
     for ia in range(len(a_gens)):
         for ib in range(ia, len(a_gens)):
@@ -471,45 +466,105 @@ def _oracle_relations(r, gens, group):
             if not shared:
                 continue
             degree = (2 * len(key_a[0]) - 2) + (2 * len(key_b[0]) - 2)
-            lhs = expvec([(gi_a, 1), (gi_b, 1)])
+            lhs = ((gi_a, 1), (gi_b, 1))
             merged = merge_offsets(
                 group, block_offsets(group, *key_a), block_offsets(group, *key_b)
             )
             if merged is None:
-                relations.append((degree, [(1, lhs)]))
+                relations.append((degree, (lhs,)))
             else:
                 v_index = index_of[("v", min(shared))]
                 a_index = index_of[("a", rebase_offsets(group, merged))]
-                rhs = expvec([(v_index, len(shared) - 1), (a_index, 1)])
-                relations.append((degree, [(1, lhs), (-1, rhs)]))
+                rhs = ((v_index, len(shared) - 1), (a_index, 1))
+                relations.append((degree, (lhs, rhs)))
     return relations
+
+
+def _oracle_rows(r, group, degree, gens, monomials):
+    """Rows spanning the degree slice of the relation ideal, as column indices.
+
+    Every relation times a monomial is again a monomial or a binomial with
+    coefficients 1 and -1: a row (c,) stands for e_c and a row (a, b) for
+    e_a - e_b, where a and b index ``monomials``.  A binomial whose two
+    terms land on one column is zero and yields nothing.
+
+    Monomials are multiplied as integers: the exponent of generator i is
+    digit i in base degree // 2 + 1.  No exponent in the slice reaches the
+    base (every generator has degree >= 2), so sums never carry.
+    """
+    place = [(degree // 2 + 1) ** i for i in range(len(gens))]
+
+    def code(term):
+        return sum(e * place[i] for i, e in term)
+
+    column = {code(enumerate(mon)): c for c, mon in enumerate(monomials)}
+    factors = {}
+    for rel_degree, terms in _oracle_relations(r, gens, group):
+        if rel_degree > degree:
+            continue
+        codes = [code(term) for term in terms]
+        if len(codes) == 2 and codes[0] == codes[1]:
+            continue
+        rest = degree - rel_degree
+        if rest not in factors:
+            factors[rest] = [
+                code(enumerate(f)) for f in _monomials_of_degree(gens, rest)
+            ]
+        if len(codes) == 1:
+            (lhs,) = codes
+            for f in factors[rest]:
+                yield (column[lhs + f],)
+        else:
+            lhs, rhs = codes
+            for f in factors[rest]:
+                yield (column[lhs + f], column[rhs + f])
+
+
+class _SliceComponents(typing.NamedTuple):
+    """Connected components of one degree slice under the relation rows.
+
+    ``labels[c]`` names the component of column c, or is None when the
+    component contains a monomial row and so lies in the ideal.  ``rank``
+    is the rank of the ideal's slice: a dead component of k columns spans
+    k dimensions of it, a live one k - 1.
+    """
+
+    labels: tuple
+    rank: int
 
 
 @functools.lru_cache(maxsize=None)
 def _oracle_ideal(r, group, degree):
-    """Eliminated degree-slice of the relation ideal, plus the monomial index.
+    """Components of the degree slice of the relation ideal, plus its index.
 
-    Returns (reducer, monomials, gens); the cached reducer must be cloned
-    before any further rows are added.
+    Returns (components, monomials, gens), all immutable.  The quotient of
+    the slice by the ideal has one basis vector per live component, so no
+    arithmetic is needed: union-find merges the two columns of each
+    binomial row and marks the component of each monomial row dead.
     """
-    gens = _oracle_generators(r, group)
-    monomials = _monomials_of_degree(gens, degree)
-    column = {mon: i for i, mon in enumerate(monomials)}
-    reducer = RowReducer()
-    relations = _oracle_relations(r, gens, group)
-    for rel_degree, terms in relations:
-        if rel_degree > degree:
+    gens = tuple(_oracle_generators(r, group))
+    monomials = tuple(_monomials_of_degree(gens, degree))
+    parent = list(range(len(monomials)))
+    dead = [False] * len(monomials)
+
+    def find(c):
+        while parent[c] != c:
+            parent[c] = c = parent[parent[c]]
+        return c
+
+    for row in _oracle_rows(r, group, degree, gens, monomials):
+        a = find(row[0])
+        if len(row) == 1:
+            dead[a] = True
             continue
-        for factor in _monomials_of_degree(gens, degree - rel_degree):
-            row = {}
-            for coeff, term in terms:
-                combined = tuple(a + b for a, b in zip(term, factor))
-                col = column[combined]
-                row[col] = row.get(col, 0) + Fraction(coeff)
-            row = {c: v for c, v in row.items() if v != 0}
-            if row:
-                reducer.add(row)
-    return reducer, monomials, gens
+        b = find(row[1])
+        if a != b:
+            parent[a] = b
+            dead[b] = dead[b] or dead[a]
+    roots = [find(c) for c in range(len(monomials))]
+    live = sum(1 for c, root in enumerate(roots) if root == c and not dead[c])
+    labels = tuple(None if dead[root] else root for root in roots)
+    return _SliceComponents(labels, len(monomials) - live), monomials, gens
 
 
 def _covers_all_indices(expvec, gens, r, minimum):
@@ -530,46 +585,79 @@ def _covers_all_indices(expvec, gens, r, minimum):
     return True
 
 
-def oracle_graded_dimension(
-    spec,
-    degree,
-    max_r=ORACLE_MAX_R,
-    max_group_order=ORACLE_MAX_GROUP_ORDER,
-    max_degree=ORACLE_MAX_DEGREE,
-):
+def _oracle_columns(r, order, degree):
+    """Number of monomials of the given degree in the oracle's generators.
+
+    Counted without listing them.  There are r v-classes of half-degree 1
+    and C(r, s) * order^(s - 1) a-classes of half-degree s - 1 for each
+    2 <= s <= r, so the count a_t at half-degree t is the number of ways
+    to make change for t from those coins: the coefficient of x^t in
+    prod_h (1 - x^h)^(-n_h).  The recurrence t a_t = sum_j b_j a_(t - j),
+    with b_j the sum of h n_h over the h dividing j, gives the a_t in
+    increasing t.  For r >= 1 they never decrease (multiply by v_1), so the
+    count stops at the first a_t above ORACLE_MAX_COLUMNS and returns it.
+    """
+    if degree % 2:
+        return 0
+    q = degree // 2
+    if r <= 1:  # no a-classes: v_1^q, or for r = 0 the empty monomial
+        return 1 if r == 1 or q == 0 else 0
+    coins = {1: r}
+    for s in range(2, min(r, q + 1) + 1):
+        coins[s - 1] = coins.get(s - 1, 0) + math.comb(r, s) * order ** (s - 1)
+    b = [0]
+    a = [1]
+    for t in range(1, q + 1):
+        b.append(sum(h * n for h, n in coins.items() if t % h == 0))
+        a.append(sum(b[j] * a[t - j] for j in range(1, t + 1)) // t)
+        if a[t] > ORACLE_MAX_COLUMNS:
+            break
+    return a[-1]
+
+
+def check_oracle_cap(spec, degree):
+    """Raise CapExceededError when the oracle's degree slice is too large.
+
+    The slice is too large when it has more than ORACLE_MAX_COLUMNS
+    monomials; the count is made before anything is built.
+    """
+    order = spec.concrete_group().order()
+    if _oracle_columns(spec.r, order, degree) > ORACLE_MAX_COLUMNS:
+        raise CapExceededError(
+            "oracle cap: the degree-%d slice for r=%d, |D|=%d has more than %d "
+            "columns" % (degree, spec.r, order, ORACLE_MAX_COLUMNS)
+        )
+
+
+def oracle_graded_dimension(spec, degree):
     """Graded dimension recomputed from generators and relations alone.
 
     Builds the degree slice of the free graded-commutative algebra on all
-    generators, spans the same slice of the relation ideal by multiplying
-    every relation by all complementary-degree monomials, and row-reduces
-    exactly over the rationals.  For the full variants the answer is
-    (slice size) - (ideal rank); for the primed subspaces it is the rank
-    added by the monomials whose indices all sit in an a-class factor or
-    carry at least the singleton minimum exponent.
+    generators and spans the same slice of the relation ideal by
+    multiplying every relation by all complementary-degree monomials.
+    Each such row is a monomial or a binomial, so the quotient has one
+    basis vector per connected component of the binomial relation graph
+    that holds no monomial row.  For the full variants the answer is the
+    number of those live components; for the primed subspaces it is the
+    number of live components touched by the monomials whose indices all
+    sit in an a-class factor or carry at least the singleton minimum
+    exponent.
     """
-    if spec.r > max_r:
-        raise CapExceededError("oracle cap: r=%d > %d" % (spec.r, max_r))
-    if degree > max_degree:
-        raise CapExceededError("oracle cap: degree=%d > %d" % (degree, max_degree))
     if degree < 0:
         raise InvalidParameterError("degree must be >= 0")
-    group = spec.concrete_group()
-    if group.order() > max_group_order:
-        raise CapExceededError(
-            "oracle cap: |D|=%d > %d" % (group.order(), max_group_order)
-        )
-    reducer, monomials, gens = _oracle_ideal(spec.r, group, degree)
+    check_oracle_cap(spec, degree)
+    components, monomials, gens = _oracle_ideal(
+        spec.r, spec.concrete_group(), degree
+    )
     if spec.variant.is_full:
-        return len(monomials) - reducer.rank
+        return len(monomials) - components.rank
     minimum = spec.variant.singleton_min_exponent
-    work = reducer.clone()
-    added = 0
-    for col, expv in enumerate(monomials):
-        if not _covers_all_indices(expv, gens, spec.r, minimum):
-            continue
-        if work.add({col: Fraction(1)}):
-            added += 1
-    return added
+    touched = {
+        label
+        for label, mon in zip(components.labels, monomials)
+        if label is not None and _covers_all_indices(mon, gens, spec.r, minimum)
+    }
+    return len(touched)
 
 
 # ---------------------------------------------------------------------------

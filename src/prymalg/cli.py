@@ -11,7 +11,10 @@ worker count.  Exit codes: 0 success, 2 invalid config, 3 cap exceeded,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
+import shutil
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -19,6 +22,7 @@ from .abelian_group import FiniteAbelianGroup, SymbolicOrder, parse_group_litera
 from .algebra import (
     AlgebraSpec,
     Variant,
+    check_oracle_cap,
     graded_dimension,
     oracle_graded_dimension,
 )
@@ -80,16 +84,21 @@ class RunConfig:
             return self._file[key]
         return default
 
-    def get_int(self, key, default=None, required=False):
+    def get_int(self, key, default=None, required=False, minimum=None):
         value = self.get(key, default)
         if value is None:
             if required:
                 raise InvalidParameterError("missing required option --%s" % key.replace("_", "-"))
             return None
         try:
-            return int(value)
+            value = int(value)
         except (TypeError, ValueError):
             raise InvalidParameterError("option --%s expects an integer, got %r" % (key, value))
+        if minimum is not None and value < minimum:
+            raise InvalidParameterError(
+                "option --%s must be >= %d, got %d" % (key.replace("_", "-"), minimum, value)
+            )
+        return value
 
     def get_str(self, key, default=None, required=False):
         value = self.get(key, default)
@@ -135,6 +144,59 @@ def _pool_map(fn, items, workers):
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
+
+
+def _write_output(path, payload):
+    """Write payload to path whole or not at all.
+
+    A regular file, or a new one, is written as a temporary file beside it
+    that then replaces it, so a failed write leaves no partial file.  A
+    device or pipe cannot be replaced and is written directly.  Write
+    failures surface as invalid-config errors.
+    """
+    try:
+        if os.path.exists(path) and not os.path.isfile(path):
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(payload)
+            return
+        target = os.path.realpath(path)
+        tmp = os.path.join(
+            os.path.dirname(target),
+            ".%s.%d.tmp" % (os.path.basename(target), os.getpid()),
+        )
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+                fh.write(payload)
+                fh.flush()
+                os.fsync(fh.fileno())
+            if os.path.exists(target):
+                shutil.copymode(target, tmp)
+            os.replace(tmp, target)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise InvalidParameterError("cannot write --output %s: %s" % (path, exc.strerror))
+
+
+@contextlib.contextmanager
+def _exact_integer_text():
+    """Lift the interpreter's int/str digit limit, restoring it on exit.
+
+    Exact tables hold integers of any size, and CPython refuses to convert
+    ints of more than 4300 digits to text by default.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):  # interpreters without the limit
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _cell_text(value):
@@ -226,7 +288,7 @@ def cmd_dims(cfg):
     r = cfg.get_int("r", required=True)
     group = _resolve_group(cfg, for_variant=variant) if variant.twisted else None
     degree = cfg.get_int("degree")
-    max_degree = cfg.get_int("max_degree")
+    max_degree = cfg.get_int("max_degree", minimum=0)
     if degree is None and max_degree is None:
         raise InvalidParameterError("specify --degree or --max-degree")
     degrees = [degree] if degree is not None else list(range(max_degree + 1))
@@ -461,8 +523,8 @@ def cmd_commutant(cfg):
 
 
 def cmd_oracle_check(cfg):
-    max_r = cfg.get_int("max_r", 3)
-    max_degree = cfg.get_int("max_degree", 8)
+    max_r = cfg.get_int("max_r", 3, minimum=0)
+    max_degree = cfg.get_int("max_degree", 8, minimum=0)
     groups_text = cfg.get_str("groups", "Z1,Z2,Z3")
     groups = [parse_group_literal(tok) for tok in groups_text.split(",") if tok.strip()]
     variants_text = cfg.get_str("variants")
@@ -477,17 +539,19 @@ def cmd_oracle_check(cfg):
         for group in variant_groups:
             for r in range(max_r + 1):
                 for degree in range(max_degree + 1):
-                    cells.append((variant, group, r, degree))
+                    spec = AlgebraSpec(variant, r, group if variant.twisted else None)
+                    cells.append((spec, group, degree))
+    # refuse an oversized grid before computing any of it
+    for spec, _, degree in cells:
+        check_oracle_cap(spec, degree)
 
     def check(cell):
-        variant, group, r, degree = cell
-        spec = AlgebraSpec(variant, r, group if variant.twisted else None)
+        spec, group, degree = cell
+        variant, r = spec.variant, spec.r
         closed = graded_dimension(spec, degree)
         if isinstance(closed, IntPoly):
             closed = closed.evaluate(group.order())
-        orc = oracle_graded_dimension(
-            spec, degree, max_r=max_r, max_degree=max_degree
-        )
+        orc = oracle_graded_dimension(spec, degree)
         return {
             "variant": variant.value,
             "r": r,
@@ -630,7 +694,9 @@ def build_parser():
     )
     _add_common(sub)
 
-    sub = subs.add_parser("oracle-check", description="closed form vs row-reduction oracle")
+    sub = subs.add_parser(
+        "oracle-check", description="closed form vs relation-graph oracle"
+    )
     sub.add_argument("--max-r", dest="max_r", type=int, default=None)
     sub.add_argument("--max-degree", dest="max_degree", type=int, default=None)
     sub.add_argument("--groups", default=None)
@@ -648,6 +714,11 @@ def build_parser():
 
 
 def main(argv=None):
+    with _exact_integer_text():
+        return _run(argv)
+
+
+def _run(argv):
     parser = build_parser()
     command = "prymalg"
     try:
@@ -657,12 +728,12 @@ def main(argv=None):
         if getattr(args, "config", None):
             file_values = _load_config_file(args.config)
         cfg = RunConfig(args, file_values)
+        cfg.get_int("workers", 1, minimum=1)
         handler = _COMMANDS[args.command]
         payload, note, code = handler(cfg)
         output = cfg.get_str("output")
         if output:
-            with open(output, "w", encoding="utf-8", newline="") as fh:
-                fh.write(payload)
+            _write_output(output, payload)
         else:
             sys.stdout.write(payload)
         if note:

@@ -61,6 +61,7 @@ TRIVIAL = FiniteAbelianGroup(())
 Z2 = FiniteAbelianGroup((2,))
 Z3 = FiniteAbelianGroup((3,))
 Z4 = FiniteAbelianGroup((4,))
+Z5 = FiniteAbelianGroup((5,))
 Z22 = FiniteAbelianGroup((2, 2))
 
 
@@ -95,15 +96,21 @@ def test_criterion_01_r2_tables():
 @criterion(2, "oracle equivalence grid")
 def test_criterion_02_oracle_equivalence():
     start = time.perf_counter()
-    groups = [TRIVIAL, Z2, Z3]
+    # (groups, r values, degrees); untwisted variants run on the trivial group
+    grid = (
+        ((TRIVIAL, Z2, Z3), range(4), range(11)),
+        ((TRIVIAL, Z2), (4,), range(11)),
+        ((Z3,), (4,), range(7)),
+        ((Z4, Z22, Z5), range(4), range(11)),
+    )
     mismatches = []
     checked = 0
-    for variant in Variant:
-        variant_groups = groups if variant.twisted else groups[:1]
+    for variant, (groups, rs, degrees) in itertools.product(Variant, grid):
+        variant_groups = groups if variant.twisted else [g for g in groups if g == TRIVIAL]
         for group in variant_groups:
-            for r in range(4):
+            for r in rs:
                 spec = AlgebraSpec(variant, r, group if variant.twisted else None)
-                for degree in range(9):
+                for degree in degrees:
                     closed = graded_dimension(spec, degree)
                     if isinstance(closed, IntPoly):
                         closed = closed.evaluate(group.order())

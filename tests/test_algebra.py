@@ -1,10 +1,12 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from prymalg.abelian_group import FiniteAbelianGroup, SymbolicOrder
 from prymalg.algebra import (
+    ORACLE_MAX_COLUMNS,
     AlgebraElement,
     AlgebraSpec,
     NormalMonomial,
@@ -21,14 +23,23 @@ from prymalg.algebra import (
     parse_monomial,
     relabel_monomial,
     unit_monomial,
+    _covers_all_indices,
+    _monomials_of_degree,
+    _oracle_columns,
+    _oracle_generators,
+    _oracle_ideal,
+    _oracle_rows,
 )
 from prymalg.errors import CapExceededError, InvalidParameterError, ParseError
+from prymalg.linalg import RowReducer
 from prymalg.partitions import DWeightedPartition
 from prymalg.polynomial import IntPoly
 
 TRIVIAL = FiniteAbelianGroup(())
 Z2 = FiniteAbelianGroup((2,))
 Z3 = FiniteAbelianGroup((3,))
+Z4 = FiniteAbelianGroup((4,))
+Z22 = FiniteAbelianGroup((2, 2))
 
 
 def spec_of(variant, r, group=None):
@@ -222,14 +233,75 @@ def test_oracle_examples():
 
 
 def test_oracle_caps():
-    with pytest.raises(CapExceededError):
-        oracle_graded_dimension(AlgebraSpec(Variant.LEVEL_FULL, 4, Z2), 2)
-    with pytest.raises(CapExceededError):
-        oracle_graded_dimension(AlgebraSpec(Variant.LEVEL_FULL, 2, Z2), 12)
-    with pytest.raises(CapExceededError):
-        oracle_graded_dimension(
-            AlgebraSpec(Variant.LEVEL_FULL, 2, FiniteAbelianGroup((5,))), 2
+    # each slice has more than ORACLE_MAX_COLUMNS monomials and is refused
+    # before anything is built
+    misses = _oracle_ideal.cache_info().misses
+    for spec, degree in (
+        (AlgebraSpec(Variant.LEVEL_FULL, 4, Z3), 10),  # 161 099 columns
+        (AlgebraSpec(Variant.LEVEL_PRIME, 4, FiniteAbelianGroup((5,))), 12),
+        (AlgebraSpec(Variant.LOOIJENGA_FULL, 6), 16),
+        (AlgebraSpec(Variant.LEVEL_FULL, 2, FiniteAbelianGroup((10**6,))), 2),
+    ):
+        assert _oracle_columns(spec.r, spec.concrete_group().order(), degree) > (
+            ORACLE_MAX_COLUMNS
         )
+        with pytest.raises(CapExceededError):
+            oracle_graded_dimension(spec, degree)
+    assert _oracle_ideal.cache_info().misses == misses
+    # cells beyond the former r, degree and |D| caps now fit the column cap
+    for spec, degree in (
+        (AlgebraSpec(Variant.LEVEL_FULL, 4, Z2), 2),
+        (AlgebraSpec(Variant.LEVEL_FULL, 2, Z2), 12),
+        (AlgebraSpec(Variant.LEVEL_FULL, 2, FiniteAbelianGroup((5,))), 2),
+    ):
+        assert oracle_graded_dimension(spec, degree) == graded_dimension(spec, degree)
+
+
+def test_oracle_column_count_matches_listing():
+    for group, max_r in ((TRIVIAL, 5), (Z2, 4), (Z3, 3), (Z22, 3)):
+        for r in range(max_r + 1):
+            gens = _oracle_generators(r, group)
+            for degree in range(9):
+                assert _oracle_columns(r, group.order(), degree) == len(
+                    _monomials_of_degree(gens, degree)
+                ), (group, r, degree)
+    assert _oracle_columns(5, 1, 12) == 80475
+    assert _oracle_columns(3, 4, 10) == 24548
+
+
+def _row_reduced_dimensions(r, group, degree):
+    """Full and primed dimensions by exact elimination of the oracle's rows."""
+    gens = tuple(_oracle_generators(r, group))
+    monomials = tuple(_monomials_of_degree(gens, degree))
+    reducer = RowReducer()
+    for row in _oracle_rows(r, group, degree, gens, monomials):
+        reducer.add(dict(zip(row, (Fraction(1), Fraction(-1)))))
+    dims = {"full": len(monomials) - reducer.rank}
+    for minimum in (1, 2):
+        work = reducer.clone()
+        dims[minimum] = sum(
+            work.add({col: Fraction(1)})
+            for col, mon in enumerate(monomials)
+            if _covers_all_indices(mon, gens, r, minimum)
+        )
+    return dims
+
+
+def test_union_find_matches_row_reduction():
+    for group in (TRIVIAL, Z2, Z3, Z4, Z22):
+        variants = [v for v in Variant if v.twisted or group == TRIVIAL]
+        for r in range(4):
+            for degree in range(9):
+                dims = _row_reduced_dimensions(r, group, degree)
+                for variant in variants:
+                    spec = spec_of(variant, r, group)
+                    key = "full" if variant.is_full else variant.singleton_min_exponent
+                    assert oracle_graded_dimension(spec, degree) == dims[key], (
+                        variant,
+                        group,
+                        r,
+                        degree,
+                    )
 
 
 def test_oracle_equivalence_quick_grid():

@@ -1,7 +1,9 @@
 import json
 import os
+import stat
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from prymalg import cli
@@ -141,16 +143,54 @@ def test_invalid_config_exits_2_with_single_line_error(tmp_path):
         ("strata", "--r", "-1"),
         ("commutant", "--h", "1", "--generators-file", str(not_a_matrix)),
         ("commutant", "--h", "1", "--generators-file", str(not_a_list)),
+        ("dims", "--variant", "level-prime", "--r", "2", "--group", "Z3",
+         "--max-degree", "-1"),
+        ("strata", "--r", "2", "--workers", "0"),
+        ("oracle-check", "--max-r", "-1"),
+        ("oracle-check", "--max-degree", "-1"),
+        ("strata", "--r", "2", "--output", str(tmp_path / "missing" / "x.txt")),
+        ("strata", "--r", "2", "--output", str(tmp_path)),
     ):
         proc = run_cli(*argv, expect_code=2)
         err = proc.stderr.decode()
         assert err.startswith("error: invalid-config:") and err.count("\n") == 1, err
         assert proc.stdout == b"", argv
+    # a failed --output write leaves no file behind
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["row.json", "scalar.json"]
 
 
 def test_cap_exceeded_exits_3():
     proc = run_cli("strata", "--r", "40", expect_code=3)
     assert proc.stderr.decode().startswith("error: cap-exceeded:")
+    # the r=4, Z3, degree-10 slice is over the oracle's column cap; the grid
+    # is refused before any cell is computed
+    start = time.perf_counter()
+    proc = run_cli(
+        "oracle-check", "--max-r", "4", "--max-degree", "10", "--groups", "Z3",
+        "--variants", "level-full", expect_code=3,
+    )
+    assert time.perf_counter() - start < 5.0
+    err = proc.stderr.decode()
+    assert err.startswith("error: cap-exceeded:") and err.count("\n") == 1, err
+    assert proc.stdout == b""
+
+
+def test_integers_of_any_size_print_exactly(capsys):
+    limit = sys.get_int_max_str_digits()
+    code = cli.main(
+        ["twisted", "--r", "3", "--p", "0", "--level", "2", "--genus", "5000",
+         "--max-k", "6", "--format", "csv"]
+    )
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+    rows = capsys.readouterr().out.splitlines()[1:]
+    cell = max((c for row in rows for c in row.split(",")), key=len)
+    assert len(cell) > 4300
+    sys.set_int_max_str_digits(0)
+    try:
+        assert str(int(cell)) == cell
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_error_code_mapping_unit():
@@ -200,6 +240,14 @@ def test_output_file(tmp_path):
         "5,0,0,formula",
         "6,3,3,formula",
     ]
+    # writing through a symlink replaces its target and keeps the mode
+    link = tmp_path / "link.csv"
+    link.symlink_to(out)
+    out.chmod(0o640)
+    run_cli("strata", "--r", "2", "--format", "csv", "--output", str(link))
+    assert link.is_symlink() and out.read_text().startswith("codim,")
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "table.csv"]
 
 
 def test_byte_determinism_across_workers():
