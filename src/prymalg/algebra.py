@@ -26,6 +26,7 @@ the stable genus ranges tracked by the series module.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import functools
 import itertools
@@ -403,81 +404,106 @@ def basis(spec, degree, cap=DEFAULT_ENUMERATION_CAP, degree_cap=DEFAULT_BASIS_DE
 # ---------------------------------------------------------------------------
 
 
-def _oracle_generators(r, group, cap=DEFAULT_ENUMERATION_CAP):
-    """Free generators: ("v", i) of degree 2 and ("a", (S, weights)) of
-    degree 2|S| - 2 for every weighted subset S with |S| >= 2."""
+def _oracle_generators(r, group, degree, cap=DEFAULT_ENUMERATION_CAP):
+    """Free generators of degree at most ``degree``: ("v", i) of degree 2
+    and ("a", (S, weights)) of degree 2|S| - 2 for every weighted subset S
+    with |S| >= 2.  Larger generators cannot occur in the degree slice.
+
+    Degrees never decrease along the list.  Each generator times a power
+    of v_1 is a distinct monomial of the slice, so for even degree the
+    list is no longer than the slice.
+    """
+    if degree < 2:
+        return []
     gens = [(("v", i), 2) for i in range(1, r + 1)]
     elements = group.elements(cap)
-    subsets = []
-    for size in range(2, r + 1):
-        subsets.extend(itertools.combinations(range(1, r + 1), size))
-    subsets.sort(key=lambda s: (len(s), s))
-    for S in subsets:
-        for weights in itertools.product(elements, repeat=len(S) - 1):
-            gens.append((("a", (S, weights)), 2 * len(S) - 2))
+    for size in range(2, min(r, degree // 2 + 1) + 1):
+        for S in itertools.combinations(range(1, r + 1), size):
+            for weights in itertools.product(elements, repeat=size - 1):
+                gens.append((("a", (S, weights)), 2 * size - 2))
     return gens
 
 
 def _monomials_of_degree(gens, degree):
-    """Exponent tuples over gens with total weighted degree equal to degree."""
+    """Monomials of total weighted degree ``degree`` over gens.
+
+    A monomial is the tuple of its (generator index, exponent) pairs with
+    nonzero exponent, in decreasing index order, so v_1^2 * a is
+    ((index of a, 1), (0, 2)).  Every generator has even degree and
+    gens[0] = v_1 has degree 2, so each partial product ends in exactly
+    one way with a power of v_1 and the search never backtracks: its work
+    is proportional to its output.
+    """
+    if degree % 2 or not gens:
+        return [] if degree else [()]
+    degrees = [d for _, d in gens]
     out = []
 
-    def extend(i, remaining, prefix):
-        if i == len(gens):
-            if remaining == 0:
-                out.append(tuple(prefix))
-            return
-        _, d = gens[i]
-        e = 0
-        while e * d <= remaining:
-            prefix.append(e)
-            extend(i + 1, remaining - e * d, prefix)
-            prefix.pop()
-            if d == 0:
-                break
-            e += 1
+    def extend(top, remaining, prefix):
+        out.append(prefix + ((0, remaining // 2),) if remaining else prefix)
+        for i in range(min(top, bisect.bisect_right(degrees, remaining) - 1), 0, -1):
+            d = degrees[i]
+            for e in range(1, remaining // d + 1):
+                extend(i - 1, remaining - e * d, prefix + ((i, e),))
 
-    extend(0, degree, [])
+    extend(len(gens) - 1, degree, ())
     return out
 
 
-def _oracle_relations(r, gens, group):
-    """Homogeneous relations, each as (degree, terms).
+def _oracle_relations(r, gens, group, degree):
+    """Homogeneous relations of degree at most ``degree``, each as
+    (relation degree, terms).
 
-    A term is a tuple of (generator index, exponent) pairs naming one
-    monomial.  Every relation has coefficients 1 and -1: one term t stands
-    for the monomial t, two terms (s, t) for the binomial s - t.
+    A term is a monomial in the form ``_monomials_of_degree`` uses.  Every
+    relation has coefficients 1 and -1: one term t stands for the monomial
+    t, two terms (s, t) for the binomial s - t.  A pair of a-classes is
+    visited only when its product fits the degree, so the pairs visited
+    are no more than the monomials of the slice.
     """
     index_of = {key: i for i, (key, _) in enumerate(gens)}
     relations = []
-    a_gens = [(i, key[1]) for i, (key, _) in enumerate(gens) if key[0] == "a"]
+    a_gens = [(i, key[1], d) for i, (key, d) in enumerate(gens) if key[0] == "a"]
     # one v-class per block: v_i a = v_j a for i, j in the block
-    for gi, (S, weights) in a_gens:
+    for gi, (S, _), d in a_gens:
+        if d + 2 > degree:
+            break
         for i, j in itertools.combinations(S, 2):
-            term1 = ((index_of[("v", i)], 1), (gi, 1))
-            term2 = ((index_of[("v", j)], 1), (gi, 1))
-            relations.append(((2 * len(S) - 2) + 2, (term1, term2)))
+            term1 = ((gi, 1), (index_of[("v", i)], 1))
+            term2 = ((gi, 1), (index_of[("v", j)], 1))
+            relations.append((d + 2, (term1, term2)))
     # products of overlapping a-classes merge or vanish
-    for ia in range(len(a_gens)):
+    for ia, (gi_a, key_a, d_a) in enumerate(a_gens):
+        if 2 * d_a > degree:
+            break
         for ib in range(ia, len(a_gens)):
-            gi_a, key_a = a_gens[ia]
-            gi_b, key_b = a_gens[ib]
+            gi_b, key_b, d_b = a_gens[ib]
+            if d_a + d_b > degree:
+                break
             shared = set(key_a[0]) & set(key_b[0])
             if not shared:
                 continue
-            degree = (2 * len(key_a[0]) - 2) + (2 * len(key_b[0]) - 2)
-            lhs = ((gi_a, 1), (gi_b, 1))
+            lhs = ((gi_b, 1), (gi_a, 1)) if ib > ia else ((gi_a, 2),)
             merged = merge_offsets(
                 group, block_offsets(group, *key_a), block_offsets(group, *key_b)
             )
             if merged is None:
-                relations.append((degree, (lhs,)))
+                relations.append((d_a + d_b, (lhs,)))
             else:
                 v_index = index_of[("v", min(shared))]
                 a_index = index_of[("a", rebase_offsets(group, merged))]
-                rhs = ((v_index, len(shared) - 1), (a_index, 1))
-                relations.append((degree, (lhs, rhs)))
+                rhs = ((a_index, 1),)
+                if len(shared) > 1:
+                    rhs += ((v_index, len(shared) - 1),)
+                relations.append((d_a + d_b, (lhs, rhs)))
     return relations
+
+
+def _times(term, monomial):
+    """The product of two monomials in the form ``_monomials_of_degree`` uses."""
+    exponents = dict(monomial)
+    for g, e in term:
+        exponents[g] = exponents.get(g, 0) + e
+    return tuple(sorted(exponents.items(), reverse=True))
 
 
 def _oracle_rows(r, group, degree, gens, monomials):
@@ -486,38 +512,25 @@ def _oracle_rows(r, group, degree, gens, monomials):
     Every relation times a monomial is again a monomial or a binomial with
     coefficients 1 and -1: a row (c,) stands for e_c and a row (a, b) for
     e_a - e_b, where a and b index ``monomials``.  A binomial whose two
-    terms land on one column is zero and yields nothing.
-
-    Monomials are multiplied as integers: the exponent of generator i is
-    digit i in base degree // 2 + 1.  No exponent in the slice reaches the
-    base (every generator has degree >= 2), so sums never carry.
+    terms land on one column is zero and yields nothing.  The monomials of
+    each complementary degree are listed once per call.
     """
-    place = [(degree // 2 + 1) ** i for i in range(len(gens))]
-
-    def code(term):
-        return sum(e * place[i] for i, e in term)
-
-    column = {code(enumerate(mon)): c for c, mon in enumerate(monomials)}
+    column = {mon: c for c, mon in enumerate(monomials)}
     factors = {}
-    for rel_degree, terms in _oracle_relations(r, gens, group):
-        if rel_degree > degree:
-            continue
-        codes = [code(term) for term in terms]
-        if len(codes) == 2 and codes[0] == codes[1]:
+    for rel_degree, terms in _oracle_relations(r, gens, group, degree):
+        if len(terms) == 2 and terms[0] == terms[1]:
             continue
         rest = degree - rel_degree
         if rest not in factors:
-            factors[rest] = [
-                code(enumerate(f)) for f in _monomials_of_degree(gens, rest)
-            ]
-        if len(codes) == 1:
-            (lhs,) = codes
+            factors[rest] = _monomials_of_degree(gens, rest)
+        if len(terms) == 1:
+            (lhs,) = terms
             for f in factors[rest]:
-                yield (column[lhs + f],)
+                yield (column[_times(lhs, f)],)
         else:
-            lhs, rhs = codes
+            lhs, rhs = terms
             for f in factors[rest]:
-                yield (column[lhs + f], column[rhs + f])
+                yield (column[_times(lhs, f)], column[_times(rhs, f)])
 
 
 class _SliceComponents(typing.NamedTuple):
@@ -542,7 +555,7 @@ def _oracle_ideal(r, group, degree):
     arithmetic is needed: union-find merges the two columns of each
     binomial row and marks the component of each monomial row dead.
     """
-    gens = tuple(_oracle_generators(r, group))
+    gens = tuple(_oracle_generators(r, group, degree))
     monomials = tuple(_monomials_of_degree(gens, degree))
     parent = list(range(len(monomials)))
     dead = [False] * len(monomials)
@@ -567,12 +580,11 @@ def _oracle_ideal(r, group, degree):
     return _SliceComponents(labels, len(monomials) - live), monomials, gens
 
 
-def _covers_all_indices(expvec, gens, r, minimum):
+def _covers_all_indices(monomial, gens, r, minimum):
     covered = set()
     v_exp = {}
-    for e, (key, _) in zip(expvec, gens):
-        if e == 0:
-            continue
+    for g, e in monomial:
+        key = gens[g][0]
         if key[0] == "a":
             covered.update(key[1][0])
         else:

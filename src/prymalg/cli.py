@@ -16,6 +16,7 @@ import json
 import os
 import shutil
 import sys
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 
 from .abelian_group import FiniteAbelianGroup, SymbolicOrder, parse_group_literal
@@ -150,7 +151,9 @@ def _write_output(path, payload):
     """Write payload to path whole or not at all.
 
     A regular file, or a new one, is written as a temporary file beside it
-    that then replaces it, so a failed write leaves no partial file.  A
+    that then replaces it, so a failed write leaves no partial file; the
+    target's directory must therefore be writable.  The new file keeps the
+    mode of the one it replaces, or gets the usual 0o666 less the umask.  A
     device or pipe cannot be replaced and is written directly.  Write
     failures surface as invalid-config errors.
     """
@@ -160,11 +163,11 @@ def _write_output(path, payload):
                 fh.write(payload)
             return
         target = os.path.realpath(path)
-        tmp = os.path.join(
-            os.path.dirname(target),
-            ".%s.%d.tmp" % (os.path.basename(target), os.getpid()),
+        fd, tmp = tempfile.mkstemp(
+            prefix=".%s." % os.path.basename(target),
+            suffix=".tmp",
+            dir=os.path.dirname(target),
         )
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
                 fh.write(payload)
@@ -172,6 +175,10 @@ def _write_output(path, payload):
                 os.fsync(fh.fileno())
             if os.path.exists(target):
                 shutil.copymode(target, tmp)
+            else:
+                umask = os.umask(0)
+                os.umask(umask)
+                os.chmod(tmp, 0o666 & ~umask)
             os.replace(tmp, target)
         except BaseException:
             with contextlib.suppress(OSError):
@@ -188,9 +195,6 @@ def _exact_integer_text():
     Exact tables hold integers of any size, and CPython refuses to convert
     ints of more than 4300 digits to text by default.
     """
-    if not hasattr(sys, "set_int_max_str_digits"):  # interpreters without the limit
-        yield
-        return
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -255,23 +256,45 @@ def test_oracle_caps():
         (AlgebraSpec(Variant.LEVEL_FULL, 2, FiniteAbelianGroup((5,))), 2),
     ):
         assert oracle_graded_dimension(spec, degree) == graded_dimension(spec, degree)
+    # generators and relation pairs are bounded by the slice, not by r or
+    # |D|: these have a million generators or more in all degrees together
+    Z1000 = FiniteAbelianGroup((1000,))
+    start = time.perf_counter()
+    for spec, degree in (
+        (AlgebraSpec(Variant.LEVEL_FULL, 3, Z1000), 0),
+        (AlgebraSpec(Variant.LEVEL_FULL, 3, Z1000), 1),
+        (AlgebraSpec(Variant.LEVEL_FULL, 3, Z1000), 2),
+        (AlgebraSpec(Variant.LEVEL_PRIME, 3, Z1000), 2),
+        (AlgebraSpec(Variant.LOOIJENGA_FULL, 20), 2),
+        (AlgebraSpec(Variant.LOOIJENGA_PRIME, 20), 4),
+    ):
+        assert oracle_graded_dimension(spec, degree) == graded_dimension(spec, degree)
+    with pytest.raises(CapExceededError):
+        oracle_graded_dimension(AlgebraSpec(Variant.LEVEL_FULL, 3, Z1000), 4)
+    assert time.perf_counter() - start < 10.0
 
 
 def test_oracle_column_count_matches_listing():
     for group, max_r in ((TRIVIAL, 5), (Z2, 4), (Z3, 3), (Z22, 3)):
         for r in range(max_r + 1):
-            gens = _oracle_generators(r, group)
+            gens = _oracle_generators(r, group, 8)
             for degree in range(9):
-                assert _oracle_columns(r, group.order(), degree) == len(
-                    _monomials_of_degree(gens, degree)
-                ), (group, r, degree)
+                columns = _oracle_columns(r, group.order(), degree)
+                assert columns == len(_monomials_of_degree(gens, degree)), (
+                    group,
+                    r,
+                    degree,
+                )
+                # each generator that fits, times a power of v_1, is a column
+                if degree % 2 == 0 and degree >= 2:
+                    assert len(_oracle_generators(r, group, degree)) <= columns
     assert _oracle_columns(5, 1, 12) == 80475
     assert _oracle_columns(3, 4, 10) == 24548
 
 
 def _row_reduced_dimensions(r, group, degree):
     """Full and primed dimensions by exact elimination of the oracle's rows."""
-    gens = tuple(_oracle_generators(r, group))
+    gens = tuple(_oracle_generators(r, group, degree))
     monomials = tuple(_monomials_of_degree(gens, degree))
     reducer = RowReducer()
     for row in _oracle_rows(r, group, degree, gens, monomials):

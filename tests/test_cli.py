@@ -173,6 +173,14 @@ def test_cap_exceeded_exits_3():
     err = proc.stderr.decode()
     assert err.startswith("error: cap-exceeded:") and err.count("\n") == 1, err
     assert proc.stdout == b""
+    # so is a grid whose group is large, even though its low degrees fit
+    start = time.perf_counter()
+    proc = run_cli(
+        "oracle-check", "--max-r", "3", "--max-degree", "4", "--groups", "Z1000",
+        expect_code=3,
+    )
+    assert time.perf_counter() - start < 5.0
+    assert proc.stdout == b""
 
 
 def test_integers_of_any_size_print_exactly(capsys):
@@ -240,6 +248,10 @@ def test_output_file(tmp_path):
         "5,0,0,formula",
         "6,3,3,formula",
     ]
+    # a new file gets the usual mode, 0o666 less the umask
+    umask = os.umask(0)
+    os.umask(umask)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
     # writing through a symlink replaces its target and keeps the mode
     link = tmp_path / "link.csv"
     link.symlink_to(out)
