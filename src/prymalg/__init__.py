@@ -70,6 +70,7 @@ from .series import (
 )
 from .symmetry import (
     SrCharacter,
+    counted_character,
     decompose,
     permutation_character,
     sr_character_table,

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from .errors import CapExceededError, InvalidParameterError, ParseError
 
 DEFAULT_ENUMERATION_CAP = 10**6
+MAX_GROUP_RANK = 10**4
 
 
 @dataclass(frozen=True)
@@ -135,20 +136,32 @@ _H1_RE = re.compile(r"H1\(\s*g\s*=\s*(\d+)\s*,\s*l\s*=\s*(\d+)\s*\)")
 _FACTOR_RE = re.compile(r"Z(\d+)(?:\^(\d+))?")
 
 
+def _check_rank(rank, text):
+    if rank > MAX_GROUP_RANK:
+        raise CapExceededError(
+            "group %r has %d cyclic factors, more than the cap %d"
+            % (text, rank, MAX_GROUP_RANK)
+        )
+
+
 def parse_group_literal(text):
     """Parse a group literal: "Z2xZ2", "Z3^4", or "H1(g=2,l=3)".
 
-    "Z1" factors are accepted and dropped (they contribute nothing).
+    "Z1" factors are accepted and dropped (they contribute nothing).  The
+    number of cyclic factors is counted from the literal and checked
+    against MAX_GROUP_RANK before the factor list is built.
     """
     t = text.strip()
     if not t:
         raise ParseError("empty group literal")
     m = _H1_RE.fullmatch(t)
     if m:
-        return homology_group(int(m.group(1)), int(m.group(2)))
+        genus = int(m.group(1))
+        _check_rank(2 * genus, t)
+        return homology_group(genus, int(m.group(2)))
     if t.startswith("H1"):
         raise ParseError("malformed H1 literal %r; expected H1(g=<int>,l=<int>)" % t)
-    factors = []
+    powers = []
     for token in t.split("x"):
         m = _FACTOR_RE.fullmatch(token.strip())
         if not m:
@@ -157,7 +170,7 @@ def parse_group_literal(text):
         k = int(m.group(2)) if m.group(2) else 1
         if n == 0:
             raise ParseError("unrecognized group token %r in %r" % (token, text))
-        if n == 1:
-            continue
-        factors.extend([n] * k)
-    return FiniteAbelianGroup(tuple(factors))
+        if n > 1:
+            powers.append((n, k))
+    _check_rank(sum(k for _, k in powers), t)
+    return FiniteAbelianGroup(tuple(n for n, k in powers for _ in range(k)))

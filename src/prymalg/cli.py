@@ -5,7 +5,7 @@ csv, json, or pretty text.  Configuration comes from plain key=value
 files plus flags, flags winning; environment variables are never read.
 Output is byte-identical for identical (config, seed) regardless of the
 worker count.  Exit codes: 0 success, 2 invalid config, 3 cap exceeded,
-4 oracle mismatch.
+4 oracle mismatch, 5 internal error (a bug, not bad input).
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .errors import (
     CapExceededError,
     InvalidParameterError,
     OracleMismatchError,
-    PrymAlgError,
 )
 from .polynomial import IntPoly
 from .rigidity import (
@@ -49,14 +48,15 @@ from .series import (
 )
 from .symmetry import (
     character_report_json,
+    counted_character,
     decompose,
-    permutation_character,
 )
 
 EXIT_OK = 0
 EXIT_INVALID_CONFIG = 2
 EXIT_CAP_EXCEEDED = 3
 EXIT_ORACLE_MISMATCH = 4
+EXIT_INTERNAL = 5
 
 _ERROR_KINDS = (
     (InvalidParameterError, "invalid-config", EXIT_INVALID_CONFIG),
@@ -438,7 +438,7 @@ def cmd_character(cfg):
     literal = cfg.get_str("group", required=True)
     group = parse_group_literal(literal)
     spec = AlgebraSpec(variant, r, group)
-    character = permutation_character(spec, degree)
+    character = counted_character(spec, degree)
     decomposition = decompose(character)
     fmt = cfg.get_str("format", "pretty")
     if fmt == "json":
@@ -743,13 +743,16 @@ def _run(argv):
         if note:
             sys.stderr.write(note + "\n")
         return code
-    except PrymAlgError as exc:
+    except Exception as exc:
         for klass, kind, code in _ERROR_KINDS:
             if isinstance(exc, klass):
                 sys.stderr.write("error: %s: [%s] %s\n" % (kind, command, exc))
                 return code
-        sys.stderr.write("error: internal: [%s] %s\n" % (command, exc))
-        return EXIT_INVALID_CONFIG
+        message = " ".join(str(exc).split())
+        sys.stderr.write(
+            "error: internal: [%s] %s: %s\n" % (command, type(exc).__name__, message)
+        )
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

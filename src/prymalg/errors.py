@@ -1,7 +1,9 @@
 """Exception hierarchy shared by all modules.
 
 The CLI maps these onto process exit codes: invalid parameters and parse
-failures exit 2, cap violations exit 3, oracle mismatches exit 4.
+failures exit 2, cap violations exit 3, oracle mismatches exit 4.  Any
+other exception, including a PrymAlgError of no listed kind, is a bug
+and exits 5.
 """
 
 

@@ -2,9 +2,12 @@
 
 All basis classes have even degree, so the index-permutation action is an
 unsigned permutation of basis monomials and traces are fixed-point
-counts.  Characters are taken over a concrete deck group only: the trace
-of a swap, for instance, is a torsion count, which the order alone does
-not determine.
+counts.  ``counted_character`` counts the fixed points over the
+sigma-invariant set partitions without listing a basis;
+``permutation_character`` enumerates the basis and is its oracle.
+Characters are taken over a concrete deck group only: the trace of a
+swap, for instance, is a torsion count, which the order alone does not
+determine.
 """
 
 from __future__ import annotations
@@ -14,9 +17,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import basis, relabel_monomial
-from .errors import InvalidParameterError, OracleMismatchError
-from .partitions import integer_partitions
+from .algebra import DEFAULT_BASIS_DEGREE_CAP, basis, relabel_monomial
+from .errors import CapExceededError, InvalidParameterError, OracleMismatchError
+from .partitions import (
+    enumerate_set_partitions,
+    integer_partitions,
+    validate_permutation,
+)
 
 MAX_CHARACTER_R = 8
 
@@ -107,17 +114,131 @@ def fixed_point_count(spec, degree, sigma, basis_list=None):
     return sum(1 for mon in basis_list if relabel_monomial(mon, sigma) == mon)
 
 
+def _check_character_r(r):
+    if r > MAX_CHARACTER_R:
+        raise CapExceededError("characters computed for r <= %d only" % MAX_CHARACTER_R)
+
+
 def permutation_character(spec, degree):
     """Trace of each cycle type on the degree slice of the algebra."""
-    if spec.r > MAX_CHARACTER_R:
-        raise InvalidParameterError(
-            "characters computed for r <= %d only" % MAX_CHARACTER_R
-        )
+    _check_character_r(spec.r)
     basis_list = basis(spec, degree)
     values = {}
     for ct in cycle_types(spec.r):
         sigma = representative_permutation(ct)
         values[ct] = fixed_point_count(spec, degree, sigma, basis_list)
+    return SrCharacter.from_dict(spec.r, values)
+
+
+def _cycles(step, points):
+    """Cycles of the permutation ``step`` of ``points``, each as a list."""
+    seen = set()
+    cycles = []
+    for p in points:
+        if p in seen:
+            continue
+        cycle = []
+        while p not in seen:
+            seen.add(p)
+            cycle.append(p)
+            p = step(p)
+        cycles.append(cycle)
+    return cycles
+
+
+def _block_cycles(blocks, sigma):
+    """Cycles of the permutation sigma induces on the blocks, or None.
+
+    None when sigma does not map the set partition onto itself.  Each
+    cycle is (first block, length).  It suffices that every block lands
+    inside one block: the induced map on blocks is then onto, hence a
+    bijection, and each block maps onto its image.
+    """
+    block_of = {i: b for b, blk in enumerate(blocks) for i in blk}
+    image = []
+    for blk in blocks:
+        target = block_of[sigma[blk[0] - 1]]
+        if any(block_of[sigma[i - 1]] != target for i in blk[1:]):
+            return None
+        image.append(target)
+    return [
+        (blocks[cycle[0]], len(cycle))
+        for cycle in _cycles(image.__getitem__, range(len(blocks)))
+    ]
+
+
+def counted_trace(spec, degree, sigma, partitions=None):
+    """Number of degree-slice basis monomials fixed by sigma, without a basis.
+
+    sigma fixes a normal monomial only if it maps the monomial's set
+    partition P onto itself; for each such P the blocks fall into
+    sigma-cycles C = (B -> sigma B -> ...).
+
+    Weights: those on B determine those on the rest of C and must be
+    fixed, up to a common shift, by tau = sigma^|C| on B.  The cycles of
+    tau are the s cycles of sigma that meet B, shortened by the factor
+    |C|.  A weighting w is fixed when w(tau i) = w(i) + c for one c in D;
+    c must then be killed by every cycle length of tau, hence by their
+    gcd g, and w is free on one point of each cycle.  Dividing out the
+    shift leaves |D[g]| * |D|^(s - 1) choices, which is 1 for a singleton
+    block and for the untwisted variants' trivial group.
+
+    Exponents: they are constant along C, so with t the half-degree left
+    after the blocks' own degree and the singleton minima, they are the
+    solutions of sum_C |C| x_C = t in nonnegative integers, counted by a
+    coin-change table, so the degree is capped like a basis's.
+    """
+    if degree < 0:
+        raise InvalidParameterError("degree must be >= 0")
+    if degree > DEFAULT_BASIS_DEGREE_CAP:
+        raise CapExceededError(
+            "degree %d exceeds cap %d" % (degree, DEFAULT_BASIS_DEGREE_CAP)
+        )
+    sigma = validate_permutation(sigma, spec.r)
+    group = spec.concrete_group()
+    if degree % 2:
+        return 0
+    if partitions is None:
+        partitions = enumerate_set_partitions(spec.r)
+    sigma_cycles = _cycles(lambda i: sigma[i - 1], range(1, spec.r + 1))
+    cycle_of = {i: c for c, cycle in enumerate(sigma_cycles) for i in cycle}
+    m = group.order()
+    torsion = {g: group.torsion_count(g) for g in range(1, spec.r + 1)}
+    q = degree // 2
+    minimum = spec.variant.singleton_min_exponent
+    total = 0
+    for sp in partitions:
+        singletons = sum(1 for blk in sp.blocks if len(blk) == 1)
+        t = q - (spec.r - sp.num_blocks) - minimum * singletons
+        if t < 0:
+            continue
+        cycles = _block_cycles(sp.blocks, sigma)
+        if cycles is None:
+            continue
+        weights = 1
+        ways = [1] + [0] * t
+        for first, length in cycles:
+            met = {cycle_of[i] for i in first}
+            g = math.gcd(*(len(sigma_cycles[c]) // length for c in met))
+            weights *= torsion[g] * m ** (len(met) - 1)
+            for v in range(length, t + 1):
+                ways[v] += ways[v - length]
+        total += weights * ways[t]
+    return total
+
+
+def counted_character(spec, degree):
+    """``permutation_character`` computed by ``counted_trace``.
+
+    The group enters only through its order and torsion counts, so deck
+    groups far too large to enumerate work.
+    """
+    _check_character_r(spec.r)
+    partitions = enumerate_set_partitions(spec.r)
+    values = {
+        ct: counted_trace(spec, degree, representative_permutation(ct), partitions)
+        for ct in cycle_types(spec.r)
+    }
     return SrCharacter.from_dict(spec.r, values)
 
 
@@ -163,8 +284,7 @@ def murnaghan_nakayama(lam, mu):
 
 def sr_character_table(r):
     """Irreducible characters of S_r indexed by partitions of r."""
-    if r > MAX_CHARACTER_R:
-        raise InvalidParameterError("character table computed for r <= %d" % MAX_CHARACTER_R)
+    _check_character_r(r)
     classes = cycle_types(r)
     table = {}
     for lam in sorted(integer_partitions(r), reverse=True):

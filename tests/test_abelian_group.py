@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from prymalg.abelian_group import (
+    MAX_GROUP_RANK,
     FiniteAbelianGroup,
     SymbolicOrder,
     homology_group,
@@ -118,6 +119,23 @@ def test_parse_group_literals():
     assert parse_group_literal("H1(g=2,l=3)") == homology_group(2, 3)
     assert parse_group_literal("Z1").cyclic_factors == ()
     assert parse_group_literal("Z2xZ3^2").cyclic_factors == (2, 3, 3)
+
+
+def test_group_rank_cap_counts_before_building():
+    widest = parse_group_literal("Z3^%d" % MAX_GROUP_RANK)
+    assert widest.cyclic_factors == (3,) * MAX_GROUP_RANK
+    h1 = parse_group_literal("H1(g=%d,l=2)" % (MAX_GROUP_RANK // 2))
+    assert h1.order() == 2**MAX_GROUP_RANK
+    assert parse_group_literal("Z1^%d" % 10**12).cyclic_factors == ()
+    for text in (
+        "Z3^%d" % (MAX_GROUP_RANK + 1),
+        "Z2^%dxZ3" % MAX_GROUP_RANK,
+        "Z3^99999999999999",
+        "H1(g=%d,l=3)" % (MAX_GROUP_RANK // 2 + 1),
+        "H1(g=99999999999999,l=3)",
+    ):
+        with pytest.raises(CapExceededError):
+            parse_group_literal(text)
 
 
 def test_parse_errors_name_token():

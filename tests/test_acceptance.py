@@ -14,7 +14,7 @@ import sys
 import time
 from pathlib import Path
 
-from prymalg.abelian_group import FiniteAbelianGroup, SymbolicOrder
+from prymalg.abelian_group import FiniteAbelianGroup, SymbolicOrder, homology_group
 from prymalg.algebra import (
     AlgebraSpec,
     Variant,
@@ -46,6 +46,7 @@ from prymalg.series import (
 from prymalg.symmetry import (
     centralizer_order,
     class_size,
+    counted_character,
     cycle_types,
     decompose,
     permutation_character,
@@ -230,6 +231,15 @@ def test_criterion_07_characters():
                     assert all(
                         isinstance(m, int) and m >= 0 for m in mults.values()
                     )
+    # counted characters over the paper's deck group H1(g=50, l=3), far
+    # beyond enumeration, still decompose into nonnegative integers
+    h1 = homology_group(50, 3)
+    for variant in (Variant.LEVEL_PRIME, Variant.LEVEL_FULL):
+        for r in range(0, 7):
+            spec = AlgebraSpec(variant, r, h1)
+            for degree in range(0, 13, 2):
+                mults = decompose(counted_character(spec, degree))
+                assert all(isinstance(m, int) and m >= 0 for m in mults.values())
     # row and column orthogonality of the irreducible tables up to r = 8
     for r in range(1, 9):
         table = sr_character_table(r)

@@ -181,6 +181,48 @@ def test_cap_exceeded_exits_3():
     )
     assert time.perf_counter() - start < 5.0
     assert proc.stdout == b""
+    # characters stop at r = 8, and their degree at the basis degree cap
+    for argv in (
+        ("character", "--r", "9", "--degree", "2", "--group", "Z2"),
+        ("character", "--variant", "level-full", "--r", "6", "--degree", "70",
+         "--group", "Z2"),
+    ):
+        start = time.perf_counter()
+        proc = run_cli(*argv, expect_code=3)
+        assert time.perf_counter() - start < 2.0
+        err = proc.stderr.decode()
+        assert err.startswith("error: cap-exceeded:") and err.count("\n") == 1, err
+        assert proc.stdout == b""
+
+
+def test_group_rank_cap_exits_3_before_building():
+    for literal in ("Z3^99999999", "H1(g=99999999,l=3)"):
+        start = time.perf_counter()
+        proc = run_cli(
+            "character", "--r", "2", "--degree", "2", "--group", literal,
+            expect_code=3,
+        )
+        assert time.perf_counter() - start < 2.0
+        err = proc.stderr.decode()
+        assert err.startswith("error: cap-exceeded:") and err.count("\n") == 1, err
+        assert proc.stdout == b""
+
+
+def test_character_over_paper_deck_group():
+    proc = run_cli(
+        "character", "--r", "3", "--degree", "4", "--group", "H1(g=50,l=3)",
+        "--format", "json",
+    )
+    from prymalg import AlgebraSpec, Variant, graded_dimension, homology_group
+
+    payload = json.loads(proc.stdout)
+    spec = AlgebraSpec(Variant.LEVEL_PRIME, 3, homology_group(50, 3))
+    assert payload["values"][0] == {
+        "cycle_type": [1, 1, 1], "trace": graded_dimension(spec, 4)
+    }
+    assert payload["decomposition"]
+    for entry in payload["decomposition"]:
+        assert isinstance(entry["multiplicity"], int) and entry["multiplicity"] > 0
 
 
 def test_integers_of_any_size_print_exactly(capsys):
@@ -219,6 +261,30 @@ def test_error_code_mapping_unit():
                 break
         else:
             raise AssertionError("missing mapping for %r" % exc)
+
+
+def test_internal_errors_exit_5(monkeypatch, capsys, tmp_path):
+    from prymalg.errors import PrymAlgError
+
+    def broken(cfg):
+        raise RuntimeError("handler broke\nacross lines")
+
+    def unmapped(cfg):
+        raise PrymAlgError("no kind")
+
+    out = tmp_path / "never.csv"
+    monkeypatch.setitem(cli._COMMANDS, "strata", broken)
+    code = cli.main(["strata", "--r", "2", "--output", str(out)])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INTERNAL == 5
+    assert captured.err == (
+        "error: internal: [strata] RuntimeError: handler broke across lines\n"
+    )
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not out.exists() and list(tmp_path.iterdir()) == []
+    monkeypatch.setitem(cli._COMMANDS, "strata", unmapped)
+    assert cli.main(["strata", "--r", "2"]) == cli.EXIT_INTERNAL
+    assert capsys.readouterr().err == "error: internal: [strata] PrymAlgError: no kind\n"
 
 
 def test_config_file_flags_win(tmp_path):

@@ -2,15 +2,19 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from prymalg.abelian_group import FiniteAbelianGroup
+from prymalg.abelian_group import FiniteAbelianGroup, parse_group_literal
 from prymalg.algebra import AlgebraSpec, Variant, basis, graded_dimension
-from prymalg.errors import OracleMismatchError
+from prymalg.errors import CapExceededError, InvalidParameterError, OracleMismatchError
 from prymalg.symmetry import (
+    MAX_CHARACTER_R,
     SrCharacter,
     centralizer_order,
     class_size,
     character_report_json,
+    counted_character,
+    counted_trace,
     cycle_types,
     decompose,
     fixed_point_count,
@@ -25,6 +29,16 @@ from helpers import all_abelian_groups
 
 Z2 = FiniteAbelianGroup((2,))
 Z3 = FiniteAbelianGroup((3,))
+CHECK_GROUPS = tuple(
+    parse_group_literal(text) for text in ("Z1", "Z2", "Z3", "Z4", "Z2xZ2", "Z6")
+)
+
+
+def _specs(r):
+    """Every variant at r: the untwisted ones once, the twisted over CHECK_GROUPS."""
+    for variant in Variant:
+        for group in CHECK_GROUPS if variant.twisted else (None,):
+            yield AlgebraSpec(variant, r, group)
 
 
 def test_cycle_types_and_class_sizes():
@@ -193,3 +207,42 @@ def test_character_json_shape():
     assert payload["group"] == "Z3"
     assert {"cycle_type": [1, 1], "trace": 3} in payload["values"]
     assert {"partition": [2], "multiplicity": 2} in payload["decomposition"]
+
+
+def test_counted_character_matches_enumeration():
+    for r in range(0, 6):
+        for spec in _specs(r):
+            for degree in range(0, 9, 2):
+                assert counted_character(spec, degree) == permutation_character(
+                    spec, degree
+                ), (spec, degree)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_counted_trace_equals_fixed_point_count(data):
+    r = data.draw(st.integers(0, 5), label="r")
+    spec = data.draw(st.sampled_from(list(_specs(r))), label="spec")
+    degree = data.draw(st.sampled_from((0, 2, 4, 6, 8)), label="degree")
+    cycle_type = data.draw(st.sampled_from(cycle_types(r)), label="cycle_type")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    sigma = permutation_with_cycle_type(cycle_type, random.Random(seed))
+    assert counted_trace(spec, degree, sigma) == fixed_point_count(spec, degree, sigma)
+
+
+def test_counted_character_bounds_and_r_cap():
+    spec = AlgebraSpec(Variant.LEVEL_FULL, 3, Z2)
+    assert all(value == 0 for _, value in counted_character(spec, 5).values)
+    with pytest.raises(InvalidParameterError):
+        counted_character(spec, -2)
+    with pytest.raises(CapExceededError):
+        counted_character(spec, 66)
+    # r above the cap is refused as a cap, not as bad input
+    r = MAX_CHARACTER_R + 1
+    spec = AlgebraSpec(Variant.LEVEL_PRIME, r, Z2)
+    with pytest.raises(CapExceededError):
+        counted_character(spec, 2)
+    with pytest.raises(CapExceededError):
+        permutation_character(spec, 2)
+    with pytest.raises(CapExceededError):
+        sr_character_table(r)
