@@ -9,6 +9,7 @@ concrete integer; symbolic computations never enumerate elements.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import re
@@ -45,7 +46,9 @@ class FiniteAbelianGroup:
         object.__setattr__(self, "cyclic_factors", factors)
 
     def order(self):
-        return math.prod(self.cyclic_factors)
+        # one power per distinct factor: H1(g, l) has 2g equal factors
+        counts = collections.Counter(self.cyclic_factors)
+        return math.prod(f**k for f, k in counts.items())
 
     def identity(self):
         return GroupElement((0,) * len(self.cyclic_factors))
@@ -123,12 +126,17 @@ class SymbolicOrder:
         return "m"
 
 
-def homology_group(genus, level):
-    """First homology of the closed genus-g surface with Z/l coefficients."""
+def check_homology_parameters(genus, level):
+    """Reject a genus or level that names no deck group H1(g; Z/l)."""
     if genus < 0:
         raise InvalidParameterError("genus must be >= 0")
     if level < 2:
         raise InvalidParameterError("level must be >= 2")
+
+
+def homology_group(genus, level):
+    """First homology of the closed genus-g surface with Z/l coefficients."""
+    check_homology_parameters(genus, level)
     return FiniteAbelianGroup((level,) * (2 * genus))
 
 

@@ -46,13 +46,12 @@ from .partitions import (
     DWeightedPartition,
     _compositions,
     block_offsets,
+    block_singleton_counts,
     enumerate_set_partitions,
-    integer_partitions,
     merge_offsets,
     parse_block,
     rebase_offsets,
     relabel,
-    set_partition_shape_count,
     validate_permutation,
 )
 from .polynomial import IntPoly
@@ -325,10 +324,10 @@ def in_subspace(spec, monomial):
 def graded_dimension(spec, degree):
     """Dimension of the degree-n slice; polynomial in m in symbolic mode.
 
-    Counts normal monomials: a set-partition shape with b blocks and s
-    singletons contributes (number of such partitions) x m^(r-b) weight
-    choices x the number of exponent vectors meeting the singleton
-    minimum.  Odd degrees are zero.
+    Counts normal monomials: the set partitions with b blocks and s
+    singletons (``block_singleton_counts``) contribute their number x
+    m^(r-b) weight choices x the number of exponent vectors meeting the
+    singleton minimum.  Odd degrees are zero.
     """
     if degree < 0:
         raise InvalidParameterError("degree must be >= 0")
@@ -342,10 +341,8 @@ def graded_dimension(spec, degree):
     q = degree // 2
     coeffs = [0] * (spec.r + 1)
     total = 0
-    for shape in integer_partitions(spec.r):
-        b = len(shape)
+    for b, singletons, count in block_singleton_counts(spec.r):
         base = spec.r - b
-        singletons = sum(1 for part in shape if part == 1)
         t = q - base - singletons * minimum
         if t < 0:
             continue
@@ -353,7 +350,7 @@ def graded_dimension(spec, degree):
             ways = 1 if t == 0 else 0
         else:
             ways = math.comb(t + b - 1, b - 1)
-        contrib = set_partition_shape_count(shape) * ways
+        contrib = count * ways
         if contrib == 0:
             continue
         power = base if spec.variant.twisted else 0

@@ -130,10 +130,6 @@ def mat_mul(a, b):
     )
 
 
-def mat_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def mat_neg(a):
     return tuple(tuple(-x for x in row) for row in a)
 
@@ -160,10 +156,6 @@ def kron(a, b):
         for i in range(len(a))
         for k in range(nb)
     )
-
-
-def is_zero_matrix(a):
-    return all(x == 0 for row in a for x in row)
 
 
 def determinant(mat):

@@ -21,6 +21,7 @@ constructors validate; ``DWeightedPartition._trusted`` does not.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -464,15 +465,38 @@ def integer_partitions(n):
     return result
 
 
-def set_partition_shape_count(shape):
-    """Number of set partitions of {1..r} with the given block-size multiset."""
-    r = sum(shape)
-    count = math.factorial(r)
-    for part in shape:
-        count //= math.factorial(part)
-    mult = {}
-    for part in shape:
-        mult[part] = mult.get(part, 0) + 1
-    for m in mult.values():
-        count //= math.factorial(m)
-    return count
+@functools.cache
+def stirling2_no_singletons(n, k):
+    """S2(n, k): set partitions of an n-set into k blocks, none a singleton.
+
+    S2(n, k) = k S2(n-1, k) + (n-1) S2(n-2, k-1): element n either joins
+    one of the k blocks of such a partition of the rest, or forms a pair
+    with one of the other n-1 elements (Comtet, Advanced Combinatorics,
+    1974).
+    """
+    if n == 0:
+        return 1 if k == 0 else 0
+    if k <= 0 or 2 * k > n:
+        return 0
+    joins = k * stirling2_no_singletons(n - 1, k)
+    pairs = (n - 1) * stirling2_no_singletons(n - 2, k - 1)
+    return joins + pairs
+
+
+@functools.cache
+def block_singleton_counts(r):
+    """Set partitions of {1..r} counted by (blocks b, singletons s).
+
+    Returns the nonzero (b, s, count) triples, b and s ascending, with
+    count = C(r, s) * S2(r - s, b - s): choose the singletons, then split
+    the rest into b - s blocks of size >= 2.
+    """
+    if r < 0:
+        raise InvalidParameterError("r must be >= 0")
+    triples = []
+    for b in range(r + 1):
+        for s in range(b + 1):
+            count = math.comb(r, s) * stirling2_no_singletons(r - s, b - s)
+            if count:
+                triples.append((b, s, count))
+    return tuple(triples)

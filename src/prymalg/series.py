@@ -18,17 +18,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .abelian_group import SymbolicOrder, homology_group
+from .abelian_group import SymbolicOrder, check_homology_parameters
 from .algebra import AlgebraSpec, Variant, graded_dimension
 from .errors import CapExceededError, InvalidParameterError, OracleMismatchError
 from .partitions import (
     MAX_COUNT_R,
     JVector,
+    block_singleton_counts,
     count_d_weighted_partitions,
-    enumerate_set_partitions,
     stirling2,
 )
-from .polynomial import IntPoly
+from .polynomial import M, IntPoly
 
 import enum
 import math
@@ -179,10 +179,10 @@ def stable_cohomology_dims(p, max_degree):
 def _algebra_factor_spec(mode, r, level, genus):
     if mode == "level":
         if level is not None and genus is not None:
-            group = homology_group(genus, level)
-        else:
-            group = SymbolicOrder(level=level, genus=genus)
-        return AlgebraSpec(Variant.LEVEL_PRIME, r, group)
+            # only |D| = level^(2 genus) is needed, never the 2 genus factors
+            check_homology_parameters(genus, level)
+        order = SymbolicOrder(level=level, genus=genus)
+        return AlgebraSpec(Variant.LEVEL_PRIME, r, order)
     if mode == "full-mcg":
         if level is not None:
             raise InvalidParameterError("full-mcg mode takes no level")
@@ -245,12 +245,18 @@ def _convolve_into(table, stable, factor, m, kind):
 
     factor[b] is the factor's degree-b dimension as a polynomial in m (or
     an int); each entry is the polynomial evaluated at m, or the
-    polynomial itself when m is None.
+    polynomial itself when m is None.  The sums run on coefficient lists,
+    with one IntPoly built per entry.
     """
+    rows = [f.coeffs if isinstance(f, IntPoly) else (f,) for f in factor]
+    width = max(map(len, rows), default=0)
     for k in range(len(factor)):
-        poly = IntPoly.zero()
+        coeffs = [0] * width
         for a in range(0, k + 1, 2):
-            poly = poly + stable.value(a) * factor[k - a]
+            c = stable.value(a)
+            for i, x in enumerate(rows[k - a]):
+                coeffs[i] += c * x
+        poly = IntPoly(coeffs)
         table.poly_entries[k] = poly
         table.entries[k] = poly.evaluate(m) if m is not None else poly
         table.in_range[k] = (
@@ -326,32 +332,32 @@ def j_factor_dimension(j_vector, degree):
     weights, giving (m-1) choices each, and is barred from indices whose
     slot tag is 1; singleton blocks other than {1} start their exponent
     at 1.  Returns a polynomial in m.
+
+    Block 1 is {1} plus s of the untagged slots.  The other r - s indices
+    form b blocks, k of them singletons, counted by
+    ``block_singleton_counts(r - s)``; with b + 1 blocks in all, the
+    exponents add t = q - (r - b) - k over the minimum in C(t + b, b) ways.
     """
     if degree < 0:
         raise InvalidParameterError("degree must be >= 0")
     r = len(j_vector)
+    if r > MAX_COUNT_R:
+        raise CapExceededError(
+            "J-vector of length %d exceeds counting cap %d" % (r, MAX_COUNT_R)
+        )
     if degree % 2 == 1:
         return IntPoly.zero()
     q = degree // 2
-    hot = {a for a in range(2, r + 2) if j_vector.entries[a - 2] == 1}
+    cold = r - sum(j_vector.entries)
     total = IntPoly.zero()
-    m_poly = IntPoly((0, 1))
-    for sp in enumerate_set_partitions(r + 1):
-        first = sp.blocks[0]
-        if set(first) & hot:
-            continue
-        b = sp.num_blocks
-        base = (r + 1) - b
-        mins = sum(1 for blk in sp.blocks[1:] if len(blk) == 1)
-        t = q - base - mins
-        if t < 0:
-            continue
-        ways = math.comb(t + b - 1, b - 1)
-        if ways == 0:
-            continue
-        other_power = sum(len(blk) - 1 for blk in sp.blocks[1:])
-        weight = (m_poly - 1) ** (len(first) - 1) * m_poly**other_power
-        total = total + weight * ways
+    for s in range(cold + 1):
+        block_one = (M - 1) ** s * math.comb(cold, s)
+        for b, k, count in block_singleton_counts(r - s):
+            t = q - (r - b) - k
+            if t < 0:
+                continue
+            others = IntPoly.monomial(count * math.comb(t + b, b), r - s - b)
+            total = total + block_one * others
     return total
 
 

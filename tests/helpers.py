@@ -5,6 +5,8 @@ from fractions import Fraction
 
 from prymalg import linalg
 from prymalg.abelian_group import FiniteAbelianGroup
+from prymalg.partitions import enumerate_set_partitions, integer_partitions
+from prymalg.polynomial import IntPoly
 
 
 def prime_factorization(n):
@@ -138,3 +140,109 @@ def random_symplectic(h, rng, factors=4):
             ]
         total = linalg.mat_mul(total, tuple(tuple(r) for r in blocked))
     return total
+
+
+def set_partition_shape_count(shape):
+    """Number of set partitions of {1..r} with the given block-size multiset."""
+    r = sum(shape)
+    count = math.factorial(r)
+    for part in shape:
+        count //= math.factorial(part)
+    mult = {}
+    for part in shape:
+        mult[part] = mult.get(part, 0) + 1
+    for m in mult.values():
+        count //= math.factorial(m)
+    return count
+
+
+def graded_dimension_by_shapes(spec, degree):
+    """Reference graded dimension: one term per integer partition of r,
+    the block sizes of the set partitions it counts."""
+    symbolic = spec.is_symbolic and not spec.group.is_bound
+    m_value = None if symbolic else spec.order_value()
+    minimum = spec.variant.singleton_min_exponent
+    if degree % 2 == 1:
+        return IntPoly.zero() if symbolic else 0
+    q = degree // 2
+    coeffs = [0] * (spec.r + 1)
+    total = 0
+    for shape in integer_partitions(spec.r):
+        b = len(shape)
+        base = spec.r - b
+        singletons = sum(1 for part in shape if part == 1)
+        t = q - base - singletons * minimum
+        if t < 0:
+            continue
+        if b == 0:
+            ways = 1 if t == 0 else 0
+        else:
+            ways = math.comb(t + b - 1, b - 1)
+        contrib = set_partition_shape_count(shape) * ways
+        if contrib == 0:
+            continue
+        power = base if spec.variant.twisted else 0
+        if symbolic:
+            coeffs[power] += contrib
+        else:
+            total += contrib * (m_value**power)
+    return IntPoly(coeffs) if symbolic else total
+
+
+def j_factor_dimensions_by_walk(j_vector, degrees):
+    """Reference J-factor slices, one per degree: one term per set
+    partition of {1..r+1}, visiting the partitions once for all degrees."""
+    r = len(j_vector)
+    hot = {a for a in range(2, r + 2) if j_vector.entries[a - 2] == 1}
+    totals = {degree: IntPoly.zero() for degree in degrees}
+    m_poly = IntPoly((0, 1))
+    for sp in enumerate_set_partitions(r + 1):
+        first = sp.blocks[0]
+        if set(first) & hot:
+            continue
+        b = sp.num_blocks
+        base = (r + 1) - b
+        mins = sum(1 for blk in sp.blocks[1:] if len(blk) == 1)
+        other_power = sum(len(blk) - 1 for blk in sp.blocks[1:])
+        weight = (m_poly - 1) ** (len(first) - 1) * m_poly**other_power
+        for degree in degrees:
+            t = degree // 2 - base - mins
+            if degree % 2 == 1 or t < 0:
+                continue
+            totals[degree] = totals[degree] + weight * math.comb(t + b - 1, b - 1)
+    return [totals[degree] for degree in degrees]
+
+
+def matrix_group(generators, n, cap=1000):
+    """Every product of the generators, by breadth-first search from the
+    n x n identity; a finite group is closed under products alone."""
+    identity = linalg.identity(n)
+    elements = {identity}
+    frontier = [identity]
+    while frontier:
+        found = []
+        for g in frontier:
+            for s in generators:
+                gs = linalg.mat_mul(g, s)
+                if gs not in elements:
+                    elements.add(gs)
+                    found.append(gs)
+        if len(elements) > cap:
+            raise ValueError("group order exceeds %d" % cap)
+        frontier = found
+    return elements
+
+
+def invariant_sp_dimension(generators, n):
+    """dim sp(V)^G from characters: sp(V) and Sym^2 V are isomorphic
+    G-modules, so it is (1/|G|) sum_g (tr(g)^2 + tr(g^2)) / 2 (Serre,
+    Linear Representations of Finite Groups, 2.3)."""
+
+    def trace(mat):
+        return sum(mat[i][i] for i in range(n))
+
+    group = matrix_group(generators, n)
+    total = sum(trace(g) ** 2 + trace(linalg.mat_mul(g, g)) for g in group)
+    dim = Fraction(total, 2 * len(group))
+    assert dim.denominator == 1
+    return int(dim)

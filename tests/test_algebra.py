@@ -4,8 +4,9 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from prymalg.abelian_group import FiniteAbelianGroup, SymbolicOrder
+from prymalg.abelian_group import FiniteAbelianGroup, SymbolicOrder, parse_group_literal
 from prymalg.algebra import (
     ORACLE_MAX_COLUMNS,
     AlgebraElement,
@@ -35,6 +36,8 @@ from prymalg.errors import CapExceededError, InvalidParameterError, ParseError
 from prymalg.linalg import RowReducer
 from prymalg.partitions import DWeightedPartition
 from prymalg.polynomial import IntPoly
+
+from helpers import graded_dimension_by_shapes
 
 TRIVIAL = FiniteAbelianGroup(())
 Z2 = FiniteAbelianGroup((2,))
@@ -191,6 +194,42 @@ def test_r1_dimension_is_stable():
         poly = graded_dimension(sym, n)
         assert poly.is_constant()
         assert poly == graded_dimension(kaw, n)
+
+
+def test_graded_dimension_matches_shape_walk():
+    # the (blocks, singletons) count against the walk over block-size shapes
+    groups = (SymbolicOrder(), Z3, SymbolicOrder(level=2, genus=3))
+    cells = 0
+    for variant in Variant:
+        for group in groups if variant.twisted else (None,):
+            for r in range(13):
+                spec = AlgebraSpec(variant, r, group)
+                for n in range(41):
+                    assert graded_dimension(spec, n) == graded_dimension_by_shapes(
+                        spec, n
+                    ), (variant, group, r, n)
+                    cells += 1
+    assert cells == 4797
+    for variant in Variant:
+        for r in (20, 24, 30):
+            spec = spec_of(variant, r, SymbolicOrder())
+            for n in (0, 2, 50, 100, 200):
+                assert graded_dimension(spec, n) == graded_dimension_by_shapes(spec, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    variant=st.sampled_from(list(Variant)),
+    r=st.integers(0, 12),
+    q=st.integers(0, 20),
+    literal=st.sampled_from(("Z1", "Z2", "Z3", "Z4", "Z2xZ2", "Z6")),
+)
+def test_symbolic_dimension_evaluates_to_concrete(variant, r, q, literal):
+    group = parse_group_literal(literal)
+    symbolic = graded_dimension(spec_of(variant, r, SymbolicOrder()), 2 * q)
+    if isinstance(symbolic, IntPoly):
+        symbolic = symbolic.evaluate(group.order())
+    assert symbolic == graded_dimension(spec_of(variant, r, group), 2 * q)
 
 
 def test_basis_examples():

@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import pytest
@@ -11,6 +12,7 @@ from prymalg.partitions import (
     SetPartition,
     WeightedPartition,
     bell_number,
+    block_singleton_counts,
     compatible_with,
     count_d_weighted_partitions,
     enumerate_d_weighted_partitions,
@@ -20,6 +22,7 @@ from prymalg.partitions import (
     parse_partition,
     relabel,
     stirling2,
+    stirling2_no_singletons,
 )
 from prymalg.polynomial import IntPoly
 
@@ -82,6 +85,22 @@ def test_stirling_identity():
     # column sums of Stirling numbers against the Bell recurrence
     for r in range(9):
         assert sum(stirling2(r, k) for k in range(r + 1)) == bell_by_recurrence(r)
+
+
+def test_block_singleton_counts_match_enumeration():
+    for r in range(10):
+        seen = collections.Counter(
+            (sp.num_blocks, sum(1 for b in sp.blocks if len(b) == 1))
+            for sp in enumerate_set_partitions(r)
+        )
+        assert block_singleton_counts(r) == tuple(
+            (b, s, seen[b, s]) for b, s in sorted(seen)
+        )
+        for k in range(-1, r + 2):
+            assert stirling2_no_singletons(r, k) == seen[k, 0]
+    # every count sums to a Bell number, past the enumeration cap too
+    for r in range(31):
+        assert sum(c for _, _, c in block_singleton_counts(r)) == bell_by_recurrence(r)
 
 
 def test_enumerate_d_weighted_examples():

@@ -27,7 +27,7 @@ from prymalg.rigidity import (
     trivial_action,
 )
 
-from helpers import random_symplectic
+from helpers import invariant_sp_dimension, random_symplectic
 
 
 def test_sp_dimension():
@@ -123,6 +123,32 @@ def test_commutant_dimension_invariant_under_conjugation():
             linalg.mat_mul(linalg.mat_mul(S, M), Sinv) for M in swap.generators
         )
         assert commutant_sp(AbelianSymplecticAction(SymplecticSpace(2), gens)).dimension == 6
+
+
+def _conjugate(action, S):
+    Sinv = linalg.mat_inv(S)
+    gens = tuple(linalg.mat_mul(linalg.mat_mul(S, M), Sinv) for M in action.generators)
+    return AbelianSymplecticAction(action.space, gens)
+
+
+def _scalar_and_rotation(h):
+    gens = scalar_action(h).generators + rotation_action(h).generators
+    return AbelianSymplecticAction(SymplecticSpace(h), gens)
+
+
+def test_commutant_dimension_matches_character_formula():
+    actions = [plane_swap_action()]
+    for h in (1, 2, 3, 4, 8):
+        actions += [fixture_action(name, h) for name in ("trivial", "scalar", "rotation")]
+    actions += [_scalar_and_rotation(h) for h in (1, 2, 3)]
+    rng = random.Random(2024)
+    for action in list(actions):
+        if action.space.h <= 3:
+            actions.append(_conjugate(action, random_symplectic(action.space.h, rng)))
+    for action in actions:
+        assert commutant_sp(action).dimension == invariant_sp_dimension(
+            action.generators, action.space.dim
+        ), (action.space.h, action.generators)
 
 
 def test_commutant_dimension_bounded_with_equality_for_scalars():

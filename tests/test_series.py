@@ -1,12 +1,15 @@
 import inspect
 import math
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prymalg.abelian_group import FiniteAbelianGroup, SymbolicOrder
 from prymalg.algebra import AlgebraSpec, Variant, graded_dimension
-from prymalg.errors import InvalidParameterError
+from prymalg.errors import CapExceededError, InvalidParameterError
 from prymalg.partitions import (
+    MAX_COUNT_R,
     JVector,
     compatible_with,
     count_d_weighted_partitions,
@@ -15,6 +18,7 @@ from prymalg.partitions import (
 from prymalg.polynomial import IntPoly
 from prymalg.series import (
     StableRangeKind,
+    _algebra_factor_spec,
     in_stable_range,
     j_factor_dimension,
     j_twisted_dims,
@@ -25,7 +29,7 @@ from prymalg.series import (
     twisted_cohomology_dims,
 )
 
-from helpers import partition_count_brute
+from helpers import j_factor_dimensions_by_walk, partition_count_brute
 
 Z2 = FiniteAbelianGroup((2,))
 Z3 = FiniteAbelianGroup((3,))
@@ -81,6 +85,35 @@ def test_twisted_level_concrete_big_integer():
     rows = {row["k"]: row for row in table.rows()}
     assert rows[2]["dim_polynomial_in_m"] == "m"
     assert rows[2]["dim_at_concrete_m"] == 281474976710656
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    r=st.integers(0, 8),
+    p=st.integers(0, 3),
+    level=st.integers(2, 7),
+    genus=st.integers(0, 40),
+    max_k=st.integers(0, 40),
+)
+def test_symbolic_twisted_table_evaluates_to_concrete(r, p, level, genus, max_k):
+    symbolic = twisted_cohomology_dims(r, p, mode="level", max_k=max_k)
+    concrete = twisted_cohomology_dims(
+        r, p, mode="level", level=level, genus=genus, max_k=max_k
+    )
+    m = level ** (2 * genus)
+    assert symbolic.poly_entries == concrete.poly_entries
+    assert {k: v.evaluate(m) for k, v in symbolic.entries.items()} == concrete.entries
+
+
+def test_large_genus_order_is_one_power():
+    start = time.perf_counter()
+    spec = _algebra_factor_spec("level", 1, 2, 10**6)
+    assert spec.order_value() == 2 ** (2 * 10**6)
+    assert time.perf_counter() - start < 0.5
+    with pytest.raises(InvalidParameterError, match="level must be >= 2"):
+        _algebra_factor_spec("level", 1, 1, 24)
+    with pytest.raises(InvalidParameterError, match="genus must be >= 0"):
+        _algebra_factor_spec("level", 1, 2, -1)
 
 
 def test_twisted_full_mcg():
@@ -197,6 +230,17 @@ def test_j_factor_matches_brute_enumeration():
                     ), (group, entries, degree)
 
 
+def test_j_factor_matches_partition_walk():
+    degrees = list(range(0, 13, 2))
+    vectors = [e for r in range(7) for e in _all_j(r)]
+    vectors += [(0,) * 7, (1,) * 7, (0, 1, 0, 1, 0, 1, 0)]
+    for entries in vectors:
+        j = JVector(entries)
+        assert [j_factor_dimension(j, d) for d in degrees] == (
+            j_factor_dimensions_by_walk(j, degrees)
+        ), entries
+
+
 def _all_j(r):
     if r == 0:
         return [()]
@@ -217,6 +261,20 @@ def test_j_factor_all_ones_is_level_prime_with_free_generator():
             for a in range(q + 1):
                 expected = expected + graded_dimension(spec, 2 * (q - a))
             assert j_factor_dimension(j, 2 * q) == expected
+
+
+def test_j_vector_length_cap():
+    # past the set-partition enumeration cap: all tagged slots pin {1} as a
+    # singleton, so the slice is a sum of level-prime slices
+    j = JVector((1,) * MAX_COUNT_R)
+    spec = AlgebraSpec(Variant.LEVEL_PRIME, MAX_COUNT_R, SymbolicOrder())
+    for q in (30, 45):
+        expected = IntPoly(())
+        for a in range(q + 1):
+            expected = expected + graded_dimension(spec, 2 * (q - a))
+        assert j_factor_dimension(j, 2 * q) == expected
+    with pytest.raises(CapExceededError):
+        j_factor_dimension(JVector((0,) * (MAX_COUNT_R + 1)), 2)
 
 
 def test_j_twisted_all_ones_matches_level_pipeline():
