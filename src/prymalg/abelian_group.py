@@ -113,6 +113,10 @@ class SymbolicOrder:
     level: int | None = None
     genus: int | None = None
 
+    def __post_init__(self):
+        if self.is_bound:
+            check_homology_parameters(self.genus, self.level)
+
     @property
     def is_bound(self):
         return self.level is not None and self.genus is not None
@@ -124,6 +128,16 @@ class SymbolicOrder:
 
     def __str__(self):
         return "m"
+
+
+def concrete_order(group):
+    """|D| as an int: the order of a finite group or of a bound symbolic
+    order; None for an unbound symbolic order or no group at all."""
+    if isinstance(group, FiniteAbelianGroup):
+        return group.order()
+    if isinstance(group, SymbolicOrder) and group.is_bound:
+        return group.specialize()
+    return None
 
 
 def check_homology_parameters(genus, level):

@@ -40,6 +40,7 @@ from .abelian_group import (
     DEFAULT_ENUMERATION_CAP,
     FiniteAbelianGroup,
     SymbolicOrder,
+    concrete_order,
 )
 from .errors import CapExceededError, InvalidParameterError, ParseError
 from .partitions import (
@@ -134,9 +135,7 @@ class AlgebraSpec:
         """|D| as an int, or None in symbolic mode."""
         if not self.variant.twisted:
             return 1
-        if self.is_symbolic:
-            return self.group.specialize() if self.group.is_bound else None
-        return self.group.order()
+        return concrete_order(self.group)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,9 @@
 Subcommands wrap the library operations one-to-one and stream tables as
 csv, json, or pretty text.  Configuration comes from plain key=value
 files plus flags, flags winning; environment variables are never read.
-Output is byte-identical for identical (config, seed) regardless of the
-worker count.  Exit codes: 0 success, 2 invalid config, 3 cap exceeded,
+Output is byte-identical for identical (config, seed).  --workers is
+checked (it must be >= 1) but has no effect: every command runs in order
+on one thread.  Exit codes: 0 success, 2 invalid config, 3 cap exceeded,
 4 oracle mismatch, 5 internal error (a bug, not bad input).
 """
 
@@ -17,9 +18,8 @@ import os
 import shutil
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 
-from .abelian_group import FiniteAbelianGroup, SymbolicOrder, parse_group_literal
+from .abelian_group import SymbolicOrder, concrete_order, parse_group_literal
 from .algebra import (
     AlgebraSpec,
     Variant,
@@ -139,12 +139,9 @@ def _load_config_file(path):
     return values
 
 
-def _pool_map(fn, items, workers):
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+def _pool_map(fn, items):
+    """fn over items, in order; bench/instrument.py wraps this name."""
+    return [fn(item) for item in items]
 
 
 def _write_output(path, payload):
@@ -208,8 +205,6 @@ def _cell_text(value):
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, IntPoly)):
-        return str(value)
     return str(value)
 
 
@@ -299,11 +294,7 @@ def cmd_dims(cfg):
 
     if variant.twisted:
         symbolic_spec = AlgebraSpec(variant, r, SymbolicOrder())
-        concrete = None
-        if isinstance(group, FiniteAbelianGroup):
-            concrete = group.order()
-        elif isinstance(group, SymbolicOrder) and group.is_bound:
-            concrete = group.specialize()
+        concrete = concrete_order(group)
     else:
         symbolic_spec = AlgebraSpec(variant, r)
         concrete = 1
@@ -321,7 +312,7 @@ def cmd_dims(cfg):
             "provenance": "formula",
         }
 
-    rows = _pool_map(row, degrees, cfg.get_int("workers", 1))
+    rows = _pool_map(row, degrees)
     meta = {"variant": variant.value, "r": r, "group": str(group) if group else "-"}
     text = _render(
         cfg.get_str("format", "pretty"),
@@ -353,7 +344,7 @@ def cmd_twisted(cfg):
         row["provenance"] = "formula" if row["in_stable_range"] else "extrapolated"
         return row
 
-    rows = _pool_map(annotate, base_rows, cfg.get_int("workers", 1))
+    rows = _pool_map(annotate, base_rows)
     omitted = 0
     if not allow:
         kept = [row for row in rows if row["in_stable_range"]]
@@ -567,7 +558,7 @@ def cmd_oracle_check(cfg):
             "provenance": "oracle",
         }
 
-    rows = _pool_map(check, cells, cfg.get_int("workers", 1))
+    rows = _pool_map(check, cells)
     mismatches = sum(1 for row in rows if not row["match"])
     meta = {"cells": len(rows), "mismatches": mismatches}
     text = _render(
@@ -597,11 +588,7 @@ def cmd_strata(cfg):
     genus = cfg.get_int("genus")
     if group is None and level is not None and genus is not None:
         group = SymbolicOrder(level=level, genus=genus)
-    concrete = None
-    if isinstance(group, FiniteAbelianGroup):
-        concrete = group.order()
-    elif isinstance(group, SymbolicOrder) and group.is_bound:
-        concrete = group.specialize()
+    concrete = concrete_order(group)
 
     def row(codim):
         poly = stratum_census(r, codim)
@@ -612,7 +599,7 @@ def cmd_strata(cfg):
             "provenance": "formula",
         }
 
-    rows = _pool_map(row, range(r + 1), cfg.get_int("workers", 1))
+    rows = _pool_map(row, range(r + 1))
     meta = {"r": r, "group": str(group) if group is not None else "-"}
     text = _render(
         cfg.get_str("format", "pretty"),

@@ -1,4 +1,4 @@
-"""Exact rational linear algebra: sparse rank tracking and dense null spaces.
+"""Exact rational linear algebra on one sparse eliminator, ``RowReducer``.
 
 Everything runs over fractions.Fraction; no floating point anywhere.
 """
@@ -9,10 +9,11 @@ from fractions import Fraction
 
 
 class RowReducer:
-    """Incremental rank computation over sparse rational rows.
+    """Incremental exact elimination over sparse rational rows.
 
     Rows are dicts column -> Fraction.  Pivot rows are kept normalized
-    with leading coefficient 1, indexed by their leading column.
+    with leading coefficient 1, indexed by their leading column.  Rows
+    are combined nowhere in this module but in ``_cancel``.
     """
 
     def __init__(self):
@@ -22,21 +23,30 @@ class RowReducer:
     def rank(self):
         return len(self.pivots)
 
+    @staticmethod
+    def _cancel(row, col, pivot):
+        """Subtract row[col] times pivot from row, in place."""
+        factor = row[col]
+        for c, val in pivot.items():
+            new = row.get(c, 0) - factor * val
+            if new:
+                row[c] = new
+            else:
+                row.pop(c, None)
+
     def reduce(self, row):
-        """Return the residual of row after elimination against the pivots."""
+        """Return the residual of row after elimination against the pivots.
+
+        The residual differs from row by a combination of pivot rows, and
+        its leading column is not a pivot column.
+        """
         row = dict(row)
         while row:
             lead = min(row)
             pivot = self.pivots.get(lead)
             if pivot is None:
                 return row
-            factor = row[lead]
-            for col, val in pivot.items():
-                new = row.get(col, 0) - factor * val
-                if new:
-                    row[col] = new
-                else:
-                    row.pop(col, None)
+            self._cancel(row, lead, pivot)
         return row
 
     def add(self, row):
@@ -49,10 +59,29 @@ class RowReducer:
         self.pivots[lead] = {c: v * inv for c, v in residual.items()}
         return True
 
+    def reduced_pivots(self):
+        """The pivot rows in reduced echelon form, by ascending lead.
+
+        Back-substitutes in descending lead order: a pivot row's entries in
+        later pivot columns are cancelled by the already reduced rows,
+        whose other entries all lie in free columns.
+        """
+        done = {}
+        for lead in sorted(self.pivots, reverse=True):
+            row = dict(self.pivots[lead])
+            for col in [c for c in row if c in done]:
+                self._cancel(row, col, done[col])
+            done[lead] = row
+        return dict(reversed(done.items()))
+
     def clone(self):
         other = RowReducer()
         other.pivots = {lead: dict(row) for lead, row in self.pivots.items()}
         return other
+
+
+def _sparse(row):
+    return {c: Fraction(v) for c, v in enumerate(row) if v}
 
 
 def rref(rows):
@@ -60,30 +89,18 @@ def rref(rows):
 
     Returns (reduced_rows, pivot_columns); zero rows are dropped.
     """
-    rows = [list(map(Fraction, r)) for r in rows]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(rank, len(rows)):
-            if rows[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        inv = Fraction(1, 1) / rows[rank][col]
-        rows[rank] = [v * inv for v in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                factor = rows[i][col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    return rows[:rank], pivots
+    reducer = RowReducer()
+    ncols = 0
+    for row in rows:
+        ncols = len(row)
+        reducer.add(_sparse(row))
+    reduced = []
+    for row in reducer.reduced_pivots().values():
+        dense = [Fraction(0)] * ncols
+        for c, v in row.items():
+            dense[c] = v
+        reduced.append(dense)
+    return reduced, sorted(reducer.pivots)
 
 
 def null_space(rows, ncols):
@@ -108,7 +125,7 @@ def null_space(rows, ncols):
 def matrix_rank(rows):
     reducer = RowReducer()
     for r in rows:
-        reducer.add({i: Fraction(v) for i, v in enumerate(r) if v != 0})
+        reducer.add(_sparse(r))
     return reducer.rank
 
 
@@ -141,7 +158,8 @@ def mat_vec(a, v):
 def mat_inv(mat):
     """Inverse via Gauss-Jordan; raises ValueError on singular input."""
     n = len(mat)
-    aug = [list(map(Fraction, row)) + list(identity(n)[i]) for i, row in enumerate(mat)]
+    ident = identity(n)
+    aug = [list(row) + list(ident[i]) for i, row in enumerate(mat)]
     reduced, pivots = rref(aug)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
@@ -159,23 +177,24 @@ def kron(a, b):
 
 
 def determinant(mat):
-    """Exact determinant by fraction elimination with partial pivoting."""
-    n = len(mat)
-    rows = [list(map(Fraction, r)) for r in mat]
+    """Exact determinant of a square matrix by sparse elimination.
+
+    Each row's residual differs from it by a combination of earlier rows,
+    so the residuals have the same determinant; permuted into ascending
+    lead order they are upper triangular.
+    """
+    reducer = RowReducer()
     det = Fraction(1)
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if rows[i][col] != 0), None)
-        if pivot is None:
+    leads = []
+    for row in mat:
+        residual = reducer.reduce(_sparse(row))
+        if not residual:
             return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = Fraction(1) / rows[col][col]
-        for i in range(col + 1, n):
-            if rows[i][col] == 0:
-                continue
-            factor = rows[i][col] * inv
-            for j in range(col, n):
-                rows[i][j] -= factor * rows[col][j]
-    return det
+        lead = min(residual)
+        det *= residual[lead]
+        leads.append(lead)
+        reducer.add(residual)
+    inversions = sum(
+        1 for i, a in enumerate(leads) for b in leads[i + 1 :] if a > b
+    )
+    return -det if inversions % 2 else det

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .abelian_group import SymbolicOrder, check_homology_parameters
+from .abelian_group import SymbolicOrder
 from .algebra import AlgebraSpec, Variant, graded_dimension
 from .errors import CapExceededError, InvalidParameterError, OracleMismatchError
 from .partitions import (
@@ -178,9 +178,7 @@ def stable_cohomology_dims(p, max_degree):
 
 def _algebra_factor_spec(mode, r, level, genus):
     if mode == "level":
-        if level is not None and genus is not None:
-            # only |D| = level^(2 genus) is needed, never the 2 genus factors
-            check_homology_parameters(genus, level)
+        # only |D| = level^(2 genus) is needed, never the 2 genus factors
         order = SymbolicOrder(level=level, genus=genus)
         return AlgebraSpec(Variant.LEVEL_PRIME, r, order)
     if mode == "full-mcg":

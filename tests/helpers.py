@@ -108,6 +108,60 @@ def random_unimodular(h, rng, steps=4):
     return tuple(tuple(row) for row in mat)
 
 
+def dense_rref(rows):
+    """Reference reduced row echelon form by dense Gauss-Jordan elimination.
+
+    Returns (reduced_rows, pivot_columns); zero rows are dropped.
+    """
+    rows = [list(map(Fraction, r)) for r in rows]
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        pivot_row = None
+        for i in range(rank, len(rows)):
+            if rows[i][col] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        inv = Fraction(1, 1) / rows[rank][col]
+        rows[rank] = [v * inv for v in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col] != 0:
+                factor = rows[i][col]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
+        pivots.append(col)
+        rank += 1
+    return rows[:rank], pivots
+
+
+def dense_determinant(mat):
+    """Reference determinant by dense elimination with partial pivoting."""
+    n = len(mat)
+    rows = [list(map(Fraction, r)) for r in mat]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if rows[i][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det *= rows[col][col]
+        inv = Fraction(1) / rows[col][col]
+        for i in range(col + 1, n):
+            if rows[i][col] == 0:
+                continue
+            factor = rows[i][col] * inv
+            for j in range(col, n):
+                rows[i][j] -= factor * rows[col][j]
+    return det
+
+
 def random_symplectic(h, rng, factors=4):
     """Random element of Sp(2h, Q) from elementary symplectic generators."""
     n = 2 * h

@@ -1,10 +1,16 @@
+import argparse
+import contextlib
+import io
 import json
 import os
 import stat
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
 
 from prymalg import cli
 
@@ -146,6 +152,9 @@ def test_invalid_config_exits_2_with_single_line_error(tmp_path):
         ("dims", "--variant", "level-prime", "--r", "2", "--group", "Z3",
          "--max-degree", "-1"),
         ("strata", "--r", "2", "--workers", "0"),
+        ("strata", "--r", "3", "--level", "0", "--genus", "-2"),
+        ("dims", "--variant", "level-prime", "--r", "2", "--level", "2",
+         "--genus", "-1", "--degree", "2"),
         ("oracle-check", "--max-r", "-1"),
         ("oracle-check", "--max-degree", "-1"),
         ("strata", "--r", "2", "--output", str(tmp_path / "missing" / "x.txt")),
@@ -359,3 +368,55 @@ def test_main_callable_in_process(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert out.splitlines()[1] == "4,1,1,formula"
+
+
+def _subcommand_flags():
+    parser = cli.build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: sorted(
+            opt
+            for action in sub._actions
+            for opt in action.option_strings
+            if opt not in ("-h", "--help")
+        )
+        for name, sub in subs.choices.items()
+    }
+
+
+_FLAGS = _subcommand_flags()
+_JUNK = (
+    "", "-", "--", "=", "x", "0x10", "1e3", "nan", "1/0", "-1/2", "true", "off",
+    "Z0", "Z1", "Z2xZ3", "Z2^3", "Z3^-1", "H1(g=1,l=2)", "H1(g=0,l=1)",
+    "level-prime", "level-full", "kawazumi-dprime", "csv", "json", "pretty",
+    "full-mcg", "trivial", "rotation", "plane-swap", "\u00e9", "--r=3",
+)
+
+
+@st.composite
+def _argv(draw):
+    """A subcommand, then flag-value pairs, lone flags and stray values."""
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    flag = st.sampled_from(_FLAGS[command])
+    value = st.one_of(st.integers(-2, 10).map(str), st.sampled_from(_JUNK))
+    pieces = st.one_of(st.tuples(flag, value), st.tuples(flag), st.tuples(value))
+    return [command] + [tok for piece in draw(st.lists(pieces, max_size=6)) for tok in piece]
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=_argv())
+def test_random_argv_keeps_the_exit_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as scratch:
+        os.chdir(scratch)  # --output and --config name files here
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 2, 3, 4, 5), (argv, code)
+    if code:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err.getvalue())
+    assert "Traceback" not in out.getvalue() + err.getvalue(), argv

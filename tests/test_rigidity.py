@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prymalg import linalg
 from prymalg.errors import CapExceededError, InvalidParameterError, ParseError
@@ -11,6 +12,7 @@ from prymalg.rigidity import (
     adjoint_matrix,
     as_matrix,
     commutant_sp,
+    commutes_with,
     fixture_action,
     format_matrix,
     in_commutant_group,
@@ -149,6 +151,25 @@ def test_commutant_dimension_matches_character_formula():
         assert commutant_sp(action).dimension == invariant_sp_dimension(
             action.generators, action.space.dim
         ), (action.space.h, action.generators)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(["trivial", "scalar", "rotation", "plane-swap", "scalar+rotation"]),
+    h=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_commutant_of_random_conjugate(name, h, seed):
+    if name == "scalar+rotation":
+        action = _scalar_and_rotation(h)
+    else:
+        action = fixture_action(name, 2 if name == "plane-swap" else h)
+    action = _conjugate(action, random_symplectic(action.space.h, random.Random(seed)))
+    report = commutant_sp(action)
+    assert report.dimension == invariant_sp_dimension(action.generators, action.space.dim)
+    for X in report.basis:
+        assert preserves_form_infinitesimally(action.space, X)
+        assert all(commutes_with(X, M) for M in action.generators)
 
 
 def test_commutant_dimension_bounded_with_equality_for_scalars():
