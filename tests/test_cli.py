@@ -13,6 +13,7 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from prymalg import cli
+from prymalg.algebra import Variant
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -371,15 +372,16 @@ def test_main_callable_in_process(capsys):
 
 
 def _subcommand_flags():
+    """Subcommand -> {flag: its argparse action}, from the parser."""
     parser = cli.build_parser()
     subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     return {
-        name: sorted(
-            opt
+        name: {
+            opt: action
             for action in sub._actions
             for opt in action.option_strings
             if opt not in ("-h", "--help")
-        )
+        }
         for name, sub in subs.choices.items()
     }
 
@@ -387,20 +389,43 @@ def _subcommand_flags():
 _FLAGS = _subcommand_flags()
 _JUNK = (
     "", "-", "--", "=", "x", "0x10", "1e3", "nan", "1/0", "-1/2", "true", "off",
-    "Z0", "Z1", "Z2xZ3", "Z2^3", "Z3^-1", "H1(g=1,l=2)", "H1(g=0,l=1)",
-    "level-prime", "level-full", "kawazumi-dprime", "csv", "json", "pretty",
-    "full-mcg", "trivial", "rotation", "plane-swap", "\u00e9", "--r=3",
+    "Z0", "Z3^-1", "H1(g=0,l=1)", "\u00e9", "--r=3",
 )
+# values that some flag accepts, so that runs get past argument parsing
+_WORDS = {
+    "--variant": [v.value for v in Variant],
+    "--variants": ["level-full", "level-prime,level-full", "level-prime,"],
+    "--group": ["Z1", "Z3", "Z2xZ2", "Z2^3", "H1(g=1,l=2)"],
+    "--groups": ["Z1", "Z1,Z2", "Z2xZ3,"],
+    "--fixture": ["trivial", "scalar", "rotation", "plane-swap"],
+    "--mode": ["level", "full-mcg"],
+    "--format": ["csv", "json", "pretty"],
+}
 
 
 @st.composite
 def _argv(draw):
-    """A subcommand, then flag-value pairs, lone flags and stray values."""
+    """A subcommand and some of its flags.  A flag's value is usually of
+    its type (a small integer, or a word some flag accepts), sometimes a
+    junk token; a stray junk token may land anywhere."""
     command = draw(st.sampled_from(sorted(_FLAGS)))
-    flag = st.sampled_from(_FLAGS[command])
-    value = st.one_of(st.integers(-2, 10).map(str), st.sampled_from(_JUNK))
-    pieces = st.one_of(st.tuples(flag, value), st.tuples(flag), st.tuples(value))
-    return [command] + [tok for piece in draw(st.lists(pieces, max_size=6)) for tok in piece]
+    flags = _FLAGS[command]
+    one_in_ten = st.sampled_from(range(10))
+    argv = [command]
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), unique=True)):
+        argv.append(flag)
+        if flags[flag].nargs == 0 and draw(one_in_ten):
+            continue
+        if draw(one_in_ten) == 0:
+            typed = st.sampled_from(_JUNK)
+        elif flag in _WORDS:
+            typed = st.sampled_from(_WORDS[flag])
+        else:
+            typed = st.integers(-2, 10).map(str)
+        argv.append(draw(typed))
+    if draw(one_in_ten) == 0:
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(_JUNK)))
+    return argv
 
 
 @settings(max_examples=100, deadline=None)
