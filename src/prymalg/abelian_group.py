@@ -106,8 +106,8 @@ class FiniteAbelianGroup:
 class SymbolicOrder:
     """The deck-group order l^(2g) kept as the indeterminate m.
 
-    Optionally bound to concrete (level, genus), in which case it can be
-    specialized to the exact integer value.
+    Optionally bound to concrete (level, genus); ``concrete_order`` then
+    gives the exact integer value.
     """
 
     level: int | None = None
@@ -121,23 +121,20 @@ class SymbolicOrder:
     def is_bound(self):
         return self.level is not None and self.genus is not None
 
-    def specialize(self):
-        if not self.is_bound:
-            raise InvalidParameterError("symbolic order is not bound to (level, genus)")
-        return self.level ** (2 * self.genus)
-
     def __str__(self):
         return "m"
 
 
 def concrete_order(group):
     """|D| as an int: the order of a finite group or of a bound symbolic
-    order; None for an unbound symbolic order or no group at all."""
-    if isinstance(group, FiniteAbelianGroup):
-        return group.order()
-    if isinstance(group, SymbolicOrder) and group.is_bound:
-        return group.specialize()
-    return None
+    order; None for an unbound symbolic order or no group at all.
+
+    This is the one place a deck group becomes the m that a count in m
+    is evaluated at (``polynomial.at_order``).
+    """
+    if isinstance(group, SymbolicOrder):
+        return group.level ** (2 * group.genus) if group.is_bound else None
+    return None if group is None else group.order()
 
 
 def check_homology_parameters(genus, level):

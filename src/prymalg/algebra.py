@@ -55,7 +55,7 @@ from .partitions import (
     relabel,
     validate_permutation,
 )
-from .polynomial import IntPoly
+from .polynomial import IntPoly, at_order
 
 MAX_DIMENSION_R = 30
 DEFAULT_BASIS_DEGREE_CAP = 64
@@ -321,7 +321,8 @@ def in_subspace(spec, monomial):
 
 
 def graded_dimension(spec, degree):
-    """Dimension of the degree-n slice; polynomial in m in symbolic mode.
+    """Dimension of the degree-n slice, at m = |D|; a polynomial in m
+    while m is unbound.
 
     Counts normal monomials: the set partitions with b blocks and s
     singletons (``block_singleton_counts``) contribute their number x
@@ -332,32 +333,14 @@ def graded_dimension(spec, degree):
         raise InvalidParameterError("degree must be >= 0")
     if spec.r > MAX_DIMENSION_R:
         raise CapExceededError("r=%d exceeds dimension cap %d" % (spec.r, MAX_DIMENSION_R))
-    symbolic = spec.is_symbolic and not spec.group.is_bound
-    m_value = None if symbolic else spec.order_value()
     minimum = spec.variant.singleton_min_exponent
-    if degree % 2 == 1:
-        return IntPoly.zero() if symbolic else 0
-    q = degree // 2
     coeffs = [0] * (spec.r + 1)
-    total = 0
     for b, singletons, count in block_singleton_counts(spec.r):
-        base = spec.r - b
-        t = q - base - singletons * minimum
-        if t < 0:
-            continue
-        if b == 0:
-            ways = 1 if t == 0 else 0
-        else:
-            ways = math.comb(t + b - 1, b - 1)
-        contrib = count * ways
-        if contrib == 0:
-            continue
-        power = base if spec.variant.twisted else 0
-        if symbolic:
-            coeffs[power] += contrib
-        else:
-            total += contrib * (m_value**power)
-    return IntPoly(coeffs) if symbolic else total
+        t = degree // 2 - (spec.r - b) - singletons * minimum
+        if degree % 2 == 0 and t >= 0:
+            ways = math.comb(t + b - 1, b - 1) if b else int(t == 0)
+            coeffs[spec.r - b if spec.variant.twisted else 0] += count * ways
+    return at_order(IntPoly(coeffs), spec.order_value())
 
 
 def basis(spec, degree, cap=DEFAULT_ENUMERATION_CAP, degree_cap=DEFAULT_BASIS_DEGREE_CAP):
@@ -629,7 +612,7 @@ def check_oracle_cap(spec, degree):
     The slice is too large when it has more than ORACLE_MAX_COLUMNS
     monomials; the count is made before anything is built.
     """
-    order = spec.concrete_group().order()
+    order = concrete_order(spec.concrete_group())
     if _oracle_columns(spec.r, order, degree) > ORACLE_MAX_COLUMNS:
         raise CapExceededError(
             "oracle cap: the degree-%d slice for r=%d, |D|=%d has more than %d "

@@ -32,11 +32,12 @@ from .errors import (
     InvalidParameterError,
     OracleMismatchError,
 )
-from .polynomial import IntPoly
+from .polynomial import IntPoly, at_order
 from .rigidity import (
     AbelianSymplecticAction,
     SymplecticSpace,
     as_matrix,
+    check_commutant_h,
     commutant_sp,
     fixture_action,
     format_matrix,
@@ -292,23 +293,15 @@ def cmd_dims(cfg):
         raise InvalidParameterError("specify --degree or --max-degree")
     degrees = [degree] if degree is not None else list(range(max_degree + 1))
 
-    if variant.twisted:
-        symbolic_spec = AlgebraSpec(variant, r, SymbolicOrder())
-        concrete = concrete_order(group)
-    else:
-        symbolic_spec = AlgebraSpec(variant, r)
-        concrete = 1
+    m = AlgebraSpec(variant, r, group).order_value()
+    spec = AlgebraSpec(variant, r, SymbolicOrder())
 
     def row(n):
-        value = graded_dimension(symbolic_spec, n)
-        if isinstance(value, IntPoly):
-            at_m = value.evaluate(concrete) if concrete is not None else None
-        else:
-            at_m = value
+        value = graded_dimension(spec, n)
         return {
             "degree": n,
             "dim_polynomial_in_m": value,
-            "dim_at_concrete_m": at_m,
+            "dim_at_concrete_m": None if m is None else at_order(value, m),
             "provenance": "formula",
         }
 
@@ -468,6 +461,7 @@ def cmd_character(cfg):
 
 def cmd_commutant(cfg):
     h = cfg.get_int("h", required=True)
+    check_commutant_h(h)  # before a fixture of size (2h)^2 is built
     fixture = cfg.get_str("fixture")
     gen_file = cfg.get_str("generators_file")
     if fixture is not None and gen_file is not None:
@@ -522,6 +516,8 @@ def cmd_oracle_check(cfg):
     max_degree = cfg.get_int("max_degree", 8, minimum=0)
     groups_text = cfg.get_str("groups", "Z1,Z2,Z3")
     groups = [parse_group_literal(tok) for tok in groups_text.split(",") if tok.strip()]
+    if not groups:
+        raise InvalidParameterError("--groups names no group: %r" % groups_text)
     variants_text = cfg.get_str("variants")
     if variants_text:
         variants = [_variant_from(tok.strip()) for tok in variants_text.split(",")]
@@ -544,8 +540,6 @@ def cmd_oracle_check(cfg):
         spec, group, degree = cell
         variant, r = spec.variant, spec.r
         closed = graded_dimension(spec, degree)
-        if isinstance(closed, IntPoly):
-            closed = closed.evaluate(group.order())
         orc = oracle_graded_dimension(spec, degree)
         return {
             "variant": variant.value,
@@ -588,14 +582,14 @@ def cmd_strata(cfg):
     genus = cfg.get_int("genus")
     if group is None and level is not None and genus is not None:
         group = SymbolicOrder(level=level, genus=genus)
-    concrete = concrete_order(group)
+    m = concrete_order(group)
 
     def row(codim):
         poly = stratum_census(r, codim)
         return {
             "codim": codim,
             "count_polynomial_in_m": poly,
-            "count_at_concrete_m": poly.evaluate(concrete) if concrete is not None else None,
+            "count_at_concrete_m": None if m is None else at_order(poly, m),
             "provenance": "formula",
         }
 

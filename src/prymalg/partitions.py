@@ -31,9 +31,10 @@ from .abelian_group import (
     DEFAULT_ENUMERATION_CAP,
     FiniteAbelianGroup,
     GroupElement,
+    concrete_order,
 )
 from .errors import CapExceededError, InvalidParameterError, ParseError
-from .polynomial import IntPoly
+from .polynomial import IntPoly, at_order
 
 MAX_SET_PARTITION_R = 12
 MAX_WEIGHTED_ENUMERATION_R = 8
@@ -258,7 +259,7 @@ def enumerate_d_weighted_partitions(r, group, cap=DEFAULT_ENUMERATION_CAP):
         raise CapExceededError(
             "r=%d exceeds weighted enumeration cap %d" % (r, MAX_WEIGHTED_ENUMERATION_R)
         )
-    total = count_d_weighted_partitions(r).evaluate(group.order())
+    total = at_order(count_d_weighted_partitions(r), concrete_order(group))
     if total > cap:
         raise CapExceededError(
             "%d weighted partitions exceed enumeration cap %d" % (total, cap)

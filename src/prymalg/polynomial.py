@@ -1,8 +1,10 @@
 """Univariate integer polynomials in the symbol m (the deck-group order).
 
-Dimension counts that depend only on |D| are carried exactly as
-polynomials with integer coefficients; evaluation at a concrete order
-uses arbitrary-precision integers throughout.
+Every closed-form count is built one way: as a polynomial in m with
+integer coefficients (an int is a constant one).  ``at_order`` is the
+one place it becomes a number: it evaluates the count at the m that
+``abelian_group.concrete_order`` gives, and passes it through unchanged
+while m is unbound.  Evaluation uses arbitrary-precision integers.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ class IntPoly:
         return acc
 
     def __add__(self, other):
-        other = _coerce(other)
+        other = as_poly(other)
         n = max(len(self.coeffs), len(other.coeffs))
         return IntPoly(
             tuple(self.coefficient(i) + other.coefficient(i) for i in range(n))
@@ -68,13 +70,13 @@ class IntPoly:
         return IntPoly(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
-        return self + (-_coerce(other))
+        return self + (-as_poly(other))
 
     def __rsub__(self, other):
-        return _coerce(other) + (-self)
+        return as_poly(other) + (-self)
 
     def __mul__(self, other):
-        other = _coerce(other)
+        other = as_poly(other)
         if self.is_zero() or other.is_zero():
             return IntPoly.zero()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -130,7 +132,13 @@ class IntPoly:
         return "IntPoly(%r)" % (self.coeffs,)
 
 
-def _coerce(value):
+def at_order(count, m):
+    """The count at m = |D|, or the count itself when m is None (unbound)."""
+    return count if m is None else as_poly(count).evaluate(m)
+
+
+def as_poly(value):
+    """value as an IntPoly; an int is a constant polynomial."""
     if isinstance(value, IntPoly):
         return value
     if isinstance(value, int):

@@ -20,6 +20,7 @@ from .errors import CapExceededError, InvalidParameterError, ParseError
 from . import linalg
 
 DEFAULT_ORDER_CAP = 24
+MAX_COMMUTANT_H = 32
 
 
 def standard_symplectic_form(h):
@@ -179,12 +180,21 @@ def _unflatten(vec, n):
     return tuple(tuple(vec[i * n : (i + 1) * n]) for i in range(n))
 
 
+def check_commutant_h(h):
+    """Refuse h > MAX_COMMUTANT_H: the commutant system has (2h)^2
+    columns and (2h)^2 rows per generator plus one, so its time and
+    memory grow like h^4 (h = 32 takes about 23 s and 600 MB)."""
+    if h > MAX_COMMUTANT_H:
+        raise CapExceededError("h=%d exceeds commutant cap %d" % (h, MAX_COMMUTANT_H))
+
+
 def commutant_sp(action, order_cap=DEFAULT_ORDER_CAP):
     """Null space of {X^T J + J X = 0} and {X M = M X for each generator}.
 
     Rows are stacked into one rational system and solved by exact
     elimination; the basis comes back in reduced echelon order.
     """
+    check_commutant_h(action.space.h)
     action.validate(order_cap=order_cap)
     n = action.space.dim
     J = action.space.form

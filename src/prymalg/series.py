@@ -1,7 +1,9 @@
 """Dimension tables built from truncated series and the algebra dimensions.
 
-Tables hold exact coefficients (integers, or polynomials in the
-deck-group order m), never closed-form rational functions.  Every entry
+Tables hold exact coefficients, never closed-form rational functions.
+Every count is built as a polynomial in the deck-group order m and kept
+in ``poly_entries``; ``entries`` holds it at m = |D| (``at_order``), or
+the polynomial itself while m is unbound.  Every entry
 carries an in_stable_range flag; entries outside the proven genus range
 are still computed, because the formulas are total, but consumers must
 treat them as extrapolations.  When the genus is not bound the flag is
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .abelian_group import SymbolicOrder
+from .abelian_group import SymbolicOrder, concrete_order
 from .algebra import AlgebraSpec, Variant, graded_dimension
 from .errors import CapExceededError, InvalidParameterError, OracleMismatchError
 from .partitions import (
@@ -28,7 +30,7 @@ from .partitions import (
     count_d_weighted_partitions,
     stirling2,
 )
-from .polynomial import M, IntPoly
+from .polynomial import M, IntPoly, as_poly, at_order
 
 import enum
 import math
@@ -71,8 +73,7 @@ class DimensionTable:
     level: int | None = None
     genus: int | None = None
     symbolic: bool = False
-    # the entries as polynomials in m; entries holds them evaluated at m
-    # when m is known
+    # the entries as polynomials in m
     poly_entries: dict[int, IntPoly] = field(default_factory=dict)
 
     def degrees(self):
@@ -87,35 +88,18 @@ class DimensionTable:
     def cohomological_degree(self, k):
         return k - self.r if self.r is not None else k
 
-    def concrete_m(self):
-        if self.level is not None and self.genus is not None:
-            return self.level ** (2 * self.genus)
-        return None
-
     def rows(self):
         """Row dicts in the delimited-output column order."""
-        m = self.concrete_m()
-        out = []
-        for k in self.degrees():
-            value = self.entries[k]
-            if k in self.poly_entries:
-                poly_text = str(self.poly_entries[k])
-            else:
-                poly_text = str(value)
-            if isinstance(value, IntPoly):
-                at_m = value.evaluate(m) if m is not None else None
-            else:
-                at_m = value
-            out.append(
-                {
-                    "k": k,
-                    "cohomological_degree": self.cohomological_degree(k),
-                    "dim_polynomial_in_m": poly_text,
-                    "dim_at_concrete_m": at_m,
-                    "in_stable_range": self.in_range[k],
-                }
-            )
-        return out
+        return [
+            {
+                "k": k,
+                "cohomological_degree": self.cohomological_degree(k),
+                "dim_polynomial_in_m": str(self.poly_entries[k]),
+                "dim_at_concrete_m": None if self.symbolic else self.entries[k],
+                "in_stable_range": self.in_range[k],
+            }
+            for k in self.degrees()
+        ]
 
     def to_json_dict(self):
         return {
@@ -172,19 +156,22 @@ def stable_cohomology_dims(p, max_degree):
     table = DimensionTable(variant="stable", p=p)
     for k in range(max_degree + 1):
         table.entries[k] = ways[k // 2] if k % 2 == 0 else 0
+        table.poly_entries[k] = IntPoly.constant(table.entries[k])
         table.in_range[k] = True
     return table
 
 
 def _algebra_factor_spec(mode, r, level, genus):
+    """The table's algebra factor with m unbound, and the m = |D| its
+    entries are evaluated at (1 for the untwisted factor)."""
     if mode == "level":
         # only |D| = level^(2 genus) is needed, never the 2 genus factors
-        order = SymbolicOrder(level=level, genus=genus)
-        return AlgebraSpec(Variant.LEVEL_PRIME, r, order)
+        order = concrete_order(SymbolicOrder(level=level, genus=genus))
+        return AlgebraSpec(Variant.LEVEL_PRIME, r, SymbolicOrder()), order
     if mode == "full-mcg":
         if level is not None:
             raise InvalidParameterError("full-mcg mode takes no level")
-        return AlgebraSpec(Variant.KAWAZUMI_DPRIME, r)
+        return AlgebraSpec(Variant.KAWAZUMI_DPRIME, r), 1
     raise InvalidParameterError("mode must be 'level' or 'full-mcg', got %r" % (mode,))
 
 
@@ -220,10 +207,7 @@ def twisted_cohomology_dims(
         )
     if not 0 <= max_k <= MAX_STABLE_DEGREE:
         raise InvalidParameterError("max_k must lie in [0, %d]" % MAX_STABLE_DEGREE)
-    spec = _algebra_factor_spec(mode, r, level, genus)
-    m = spec.order_value()
-    if spec.variant.twisted:
-        spec = AlgebraSpec(spec.variant, r, SymbolicOrder())
+    spec, m = _algebra_factor_spec(mode, r, level, genus)
     alg = [graded_dimension(spec, b) for b in range(max_k + 1)]
     kind = StableRangeKind.PUTMAN if mode == "level" else StableRangeKind.LOOIJENGA
     table = DimensionTable(
@@ -232,7 +216,7 @@ def twisted_cohomology_dims(
         p=p,
         level=level,
         genus=genus,
-        symbolic=(mode == "level" and (level is None or genus is None)),
+        symbolic=m is None,
     )
     _convolve_into(table, stable_cohomology_dims(p, max_k), alg, m, kind)
     return table
@@ -241,12 +225,12 @@ def twisted_cohomology_dims(
 def _convolve_into(table, stable, factor, m, kind):
     """Fill table with the stable ring convolved with an algebra factor.
 
-    factor[b] is the factor's degree-b dimension as a polynomial in m (or
-    an int); each entry is the polynomial evaluated at m, or the
-    polynomial itself when m is None.  The sums run on coefficient lists,
-    with one IntPoly built per entry.
+    factor[b] is the factor's degree-b dimension as a polynomial in m (an
+    int is a constant one); each entry is the convolved polynomial at m
+    (``at_order``).  The sums run on coefficient lists, with one IntPoly
+    built per entry.
     """
-    rows = [f.coeffs if isinstance(f, IntPoly) else (f,) for f in factor]
+    rows = [as_poly(f).coeffs for f in factor]
     width = max(map(len, rows), default=0)
     for k in range(len(factor)):
         coeffs = [0] * width
@@ -256,7 +240,7 @@ def _convolve_into(table, stable, factor, m, kind):
                 coeffs[i] += c * x
         poly = IntPoly(coeffs)
         table.poly_entries[k] = poly
-        table.entries[k] = poly.evaluate(m) if m is not None else poly
+        table.entries[k] = at_order(poly, m)
         table.in_range[k] = (
             in_stable_range(kind, table.genus, k) if table.genus is not None else False
         )
@@ -304,9 +288,10 @@ def putman_gap(r, p, k, level, genus):
         r, p, mode="level", level=level, genus=genus, max_k=k
     ).value(k)
     differ = lhs != rhs
-    if r >= 2 and k >= 2 and not differ:
-        # two or more tensor factors at positive even degree always gain
-        # deck-weighted classes; equality here means a computation bug
+    if r >= 2 and k >= r + r % 2 and not differ:
+        # from degree 2*ceil(r/2) on (r/2 pair blocks, or one triple for
+        # odd r), two or more tensor factors always gain deck-weighted
+        # classes; equality there means a computation bug
         raise OracleMismatchError(
             "expected differing dimensions for r=%d, k=%d but both are %d"
             % (r, k, lhs)
@@ -375,33 +360,22 @@ def j_twisted_dims(j_vector, level, genus, max_k=20):
         table,
         stable_cohomology_dims(0, max_k),
         factor,
-        level ** (2 * genus),
+        concrete_order(SymbolicOrder(level=level, genus=genus)),
         StableRangeKind.PUTMAN,
     )
     return table
 
 
-def stratum_census(r, codim, group=None):
-    """Number of weighted partitions of {1..r} with r - (block count) = codim."""
+def stratum_census(r, codim):
+    """Number of weighted partitions of {1..r} with r - (block count) =
+    codim, as a polynomial in m."""
     if r > MAX_COUNT_R:
         raise CapExceededError("r=%d exceeds counting cap %d" % (r, MAX_COUNT_R))
     if not 0 <= codim <= r:
         raise InvalidParameterError("codim must lie in [0, r]")
-    poly = IntPoly.monomial(stirling2(r, r - codim), codim)
-    if group is None:
-        return poly
-    if isinstance(group, SymbolicOrder):
-        if group.is_bound:
-            return poly.evaluate(group.specialize())
-        return poly
-    return poly.evaluate(group.order())
+    return IntPoly.monomial(stirling2(r, r - codim), codim)
 
 
-def stratum_census_total(r, group=None):
+def stratum_census_total(r):
     """Census summed over codimensions; equals the weighted-partition count."""
-    total = count_d_weighted_partitions(r)
-    if group is None or (isinstance(group, SymbolicOrder) and not group.is_bound):
-        return total
-    if isinstance(group, SymbolicOrder):
-        return total.evaluate(group.specialize())
-    return total.evaluate(group.order())
+    return count_d_weighted_partitions(r)

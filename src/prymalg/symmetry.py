@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .abelian_group import concrete_order
 from .algebra import DEFAULT_BASIS_DEGREE_CAP, basis, relabel_monomial
 from .errors import CapExceededError, InvalidParameterError, OracleMismatchError
 from .partitions import (
@@ -202,7 +203,7 @@ def counted_trace(spec, degree, sigma, partitions=None):
         partitions = enumerate_set_partitions(spec.r)
     sigma_cycles = _cycles(lambda i: sigma[i - 1], range(1, spec.r + 1))
     cycle_of = {i: c for c, cycle in enumerate(sigma_cycles) for i in cycle}
-    m = group.order()
+    m = concrete_order(group)
     torsion = {g: group.torsion_count(g) for g in range(1, spec.r + 1)}
     q = degree // 2
     minimum = spec.variant.singleton_min_exponent

@@ -6,6 +6,7 @@ from prymalg.abelian_group import (
     MAX_GROUP_RANK,
     FiniteAbelianGroup,
     SymbolicOrder,
+    concrete_order,
     homology_group,
     parse_group_literal,
 )
@@ -154,8 +155,7 @@ def test_parse_errors_name_token():
 def test_symbolic_order():
     unbound = SymbolicOrder()
     assert not unbound.is_bound
-    with pytest.raises(InvalidParameterError):
-        unbound.specialize()
+    assert concrete_order(unbound) is None
     bound = SymbolicOrder(level=3, genus=24)
-    assert bound.specialize() == 3**48
+    assert concrete_order(bound) == 3**48
     assert str(bound) == "m"

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import time
@@ -135,6 +136,30 @@ def test_confluence_and_associativity_random_triples():
                 assert shuffled == xy
 
 
+@functools.lru_cache(maxsize=None)
+def _full_basis(variant, r, literal):
+    spec = spec_of(variant, r, parse_group_literal(literal))
+    return spec, basis(spec, 0) + basis(spec, 2) + basis(spec, 4) + basis(spec, 6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    variant=st.sampled_from((Variant.LEVEL_FULL, Variant.LOOIJENGA_FULL)),
+    r=st.integers(1, 4),
+    literal=st.sampled_from(("Z1", "Z2", "Z3", "Z4", "Z2xZ2")),
+)
+def test_multiply_is_associative_and_commutative(data, variant, r, literal):
+    spec, pool = _full_basis(variant, r, literal)
+    x, y, z = (data.draw(st.sampled_from(pool)) for _ in range(3))
+    xy = multiply(spec, x, y)
+    assert xy == multiply(spec, y, x)
+    one = AlgebraElement.of_monomial
+    assert element_multiply(spec, xy, one(z)) == element_multiply(
+        spec, one(x), multiply(spec, y, z)
+    )
+
+
 def test_merge_order_invariance_exhaustive_small():
     rng = random.Random(99)
     spec = AlgebraSpec(Variant.LEVEL_FULL, 4, Z2)
@@ -253,6 +278,18 @@ def test_basis_length_matches_dimension():
                     if isinstance(expected, IntPoly):
                         expected = expected.evaluate(group.order())
                     assert len(basis(spec, n)) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    variant=st.sampled_from(list(Variant)),
+    r=st.integers(0, 4),
+    degree=st.integers(0, 11),
+    literal=st.sampled_from(("Z1", "Z2", "Z3", "Z4", "Z2xZ2", "Z5", "Z6")),
+)
+def test_graded_dimension_counts_the_basis(variant, r, degree, literal):
+    spec = spec_of(variant, r, parse_group_literal(literal))
+    assert graded_dimension(spec, degree) == len(basis(spec, degree))
 
 
 def test_basis_requires_concrete_group():

@@ -125,6 +125,41 @@ def test_strata_table():
     ]
 
 
+def _column(text, fmt, name):
+    """One column of a dims or strata table, as text, in any format."""
+    if fmt == "json":
+        return [str(row[name]) for row in json.loads(text)["rows"]]
+    lines = [line for line in text.splitlines() if not line.startswith("#")]
+    split = (lambda line: line.split(",")) if fmt == "csv" else str.split
+    header = split(lines[0])
+    return [split(line)[header.index(name)] for line in lines[1:]]
+
+
+def test_deck_group_literal_and_level_genus_give_one_value():
+    # |H1(g=G,l=L)| and a bound --level L --genus G reach the same m
+    for command, column in (
+        (("dims", "--variant", "level-prime", "--r", "3", "--max-degree", "6"),
+         "dim_at_concrete_m"),
+        (("dims", "--variant", "level-full", "--r", "2", "--degree", "4"),
+         "dim_at_concrete_m"),
+        (("strata", "--r", "4"), "count_at_concrete_m"),
+    ):
+        for genus in range(4):
+            for level in (2, 3, 5):
+                for fmt in ("csv", "json", "pretty"):
+                    columns = []
+                    for how in (
+                        ("--group", "H1(g=%d,l=%d)" % (genus, level)),
+                        ("--level", str(level), "--genus", str(genus)),
+                    ):
+                        out = io.StringIO()
+                        with contextlib.redirect_stdout(out):
+                            assert cli.main([*command, *how, "--format", fmt]) == 0
+                        columns.append(_column(out.getvalue(), fmt, column))
+                    assert columns[0] == columns[1], (command, genus, level, fmt)
+                    assert columns[0] and all(v.isdigit() for v in columns[0])
+
+
 def test_oracle_check_small_grid_passes():
     proc = run_cli(
         "oracle-check", "--max-r", "2", "--max-degree", "4",
@@ -158,6 +193,8 @@ def test_invalid_config_exits_2_with_single_line_error(tmp_path):
          "--genus", "-1", "--degree", "2"),
         ("oracle-check", "--max-r", "-1"),
         ("oracle-check", "--max-degree", "-1"),
+        ("oracle-check", "--groups", ","),
+        ("oracle-check", "--groups", " "),
         ("strata", "--r", "2", "--output", str(tmp_path / "missing" / "x.txt")),
         ("strata", "--r", "2", "--output", str(tmp_path)),
     ):
@@ -191,11 +228,14 @@ def test_cap_exceeded_exits_3():
     )
     assert time.perf_counter() - start < 5.0
     assert proc.stdout == b""
-    # characters stop at r = 8, and their degree at the basis degree cap
+    # characters stop at r = 8, and their degree at the basis degree cap;
+    # commutants stop at h = 32, before any fixture matrix is built
     for argv in (
         ("character", "--r", "9", "--degree", "2", "--group", "Z2"),
         ("character", "--variant", "level-full", "--r", "6", "--degree", "70",
          "--group", "Z2"),
+        ("commutant", "--h", "33"),
+        ("commutant", "--h", "100000", "--fixture", "scalar"),
     ):
         start = time.perf_counter()
         proc = run_cli(*argv, expect_code=3)
@@ -396,33 +436,64 @@ _WORDS = {
     "--variant": [v.value for v in Variant],
     "--variants": ["level-full", "level-prime,level-full", "level-prime,"],
     "--group": ["Z1", "Z3", "Z2xZ2", "Z2^3", "H1(g=1,l=2)"],
-    "--groups": ["Z1", "Z1,Z2", "Z2xZ3,"],
+    "--groups": ["Z1", "Z1,Z2", "Z2xZ3,", ","],
     "--fixture": ["trivial", "scalar", "rotation", "plane-swap"],
     "--mode": ["level", "full-mcg"],
     "--format": ["csv", "json", "pretty"],
+    # files the property writes into its working directory
+    "--config": ["run.cfg"],
+    "--generators-file": ["gens.json"],
 }
+# integer ranges that keep one run short and often valid; 0..10 elsewhere
+_INTS = {
+    "--genus": st.one_of(st.integers(0, 10), st.sampled_from((24, 100, 300))),
+    "--h": st.integers(0, 8),
+    "--k": st.integers(0, 5).map(lambda half: 2 * half),
+    "--level": st.integers(2, 10),
+    "--max-r": st.integers(0, 3),
+    "--max-degree": st.integers(0, 8),
+}
+# the flags a subcommand needs before it computes anything
+_REQUIRED = {
+    "dims": ("--variant", "--r", "--max-degree", "--group"),
+    "twisted": ("--r", "--max-k"),
+    "gap": ("--r", "--k", "--level", "--genus"),
+    "character": ("--r", "--degree", "--group"),
+    "commutant": ("--h",),
+    "oracle-check": (),
+    "strata": ("--r",),
+}
+
+
+def _typed(draw, flag):
+    """A value of the flag's type; one integer in ten is negative."""
+    if flag in _WORDS:
+        return draw(st.sampled_from(_WORDS[flag]))
+    if draw(st.integers(0, 9)) == 0:
+        return str(draw(st.integers(-2, -1)))
+    return str(draw(_INTS.get(flag, st.integers(0, 10))))
 
 
 @st.composite
 def _argv(draw):
-    """A subcommand and some of its flags.  A flag's value is usually of
-    its type (a small integer, or a word some flag accepts), sometimes a
-    junk token; a stray junk token may land anywhere."""
+    """A subcommand and some of its flags.  Nine draws in ten supply the
+    flags the subcommand needs, with values of their type; up to three
+    more flags follow, whose values are sometimes junk tokens, and a
+    stray junk token may land anywhere."""
     command = draw(st.sampled_from(sorted(_FLAGS)))
     flags = _FLAGS[command]
     one_in_ten = st.sampled_from(range(10))
+    required = _REQUIRED[command] if draw(one_in_ten) else ()
     argv = [command]
-    for flag in draw(st.lists(st.sampled_from(sorted(flags)), unique=True)):
+    for flag in required:
+        argv += [flag, _typed(draw, flag)]
+    others = sorted(set(flags) - set(required))
+    for flag in draw(st.lists(st.sampled_from(others), unique=True, max_size=3)):
         argv.append(flag)
         if flags[flag].nargs == 0 and draw(one_in_ten):
             continue
-        if draw(one_in_ten) == 0:
-            typed = st.sampled_from(_JUNK)
-        elif flag in _WORDS:
-            typed = st.sampled_from(_WORDS[flag])
-        else:
-            typed = st.integers(-2, 10).map(str)
-        argv.append(draw(typed))
+        junk = draw(one_in_ten) == 0
+        argv.append(draw(st.sampled_from(_JUNK)) if junk else _typed(draw, flag))
     if draw(one_in_ten) == 0:
         argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(_JUNK)))
     return argv
@@ -434,13 +505,15 @@ def test_random_argv_keeps_the_exit_contract(argv):
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as scratch:
-        os.chdir(scratch)  # --output and --config name files here
+        os.chdir(scratch)  # --output, --config and --generators-file name files here
+        Path("run.cfg").write_text("format=csv\n")
+        Path("gens.json").write_text("[]")
         try:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli.main(argv)
         finally:
             os.chdir(cwd)
-    assert code in (0, 2, 3, 4, 5), (argv, code)
+    assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
     if code:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err.getvalue())

@@ -2,8 +2,9 @@ import collections
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from prymalg.abelian_group import FiniteAbelianGroup
+from prymalg.abelian_group import FiniteAbelianGroup, parse_group_literal
 from prymalg.algebra import AlgebraSpec, Variant, graded_dimension
 from prymalg.errors import CapExceededError, InvalidParameterError, ParseError
 from prymalg.partitions import (
@@ -161,6 +162,33 @@ def test_relabel_group_action_small():
                 for tau in itertools.permutations((1, 2, 3)):
                     composed = tuple(sigma[tau[i - 1] - 1] for i in range(1, 4))
                     assert relabel(p, composed) == relabel(relabel(p, tau), sigma)
+
+
+@st.composite
+def _weighted_partitions(draw):
+    """A deck-weighted partition of {1..r} over a small group."""
+    group = parse_group_literal(draw(st.sampled_from(("Z1", "Z2", "Z3", "Z2xZ2", "Z5"))))
+    r = draw(st.integers(0, 7))
+    top = draw(st.integers(0, r))  # few labels make large blocks
+    labels = draw(st.lists(st.integers(0, top), min_size=r, max_size=r))
+    blocks = collections.defaultdict(list)
+    for i, label in zip(range(1, r + 1), labels):
+        blocks[label].append(i)
+    residues = st.tuples(*(st.integers(0, f - 1) for f in group.cyclic_factors))
+    return DWeightedPartition(group, tuple(sorted(
+        (tuple(idx), tuple(group.element(draw(residues)) for _ in idx[1:]))
+        for idx in blocks.values()
+    )))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), p=_weighted_partitions())
+def test_relabel_is_a_group_action(data, p):
+    r = p.r
+    sigma, tau = (tuple(data.draw(st.permutations(range(1, r + 1)))) for _ in range(2))
+    composed = tuple(sigma[tau[i - 1] - 1] for i in range(1, r + 1))
+    assert relabel(p, tuple(range(1, r + 1))) == p
+    assert relabel(p, composed) == relabel(relabel(p, tau), sigma)
 
 
 def test_relabel_preserves_shape_and_group():
