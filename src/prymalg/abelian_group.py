@@ -107,13 +107,16 @@ class SymbolicOrder:
     """The deck-group order l^(2g) kept as the indeterminate m.
 
     Optionally bound to concrete (level, genus); ``concrete_order`` then
-    gives the exact integer value.
+    gives the exact integer value.  A genus alone is allowed (it still
+    fixes stable ranges); a level alone names no group and is refused.
     """
 
     level: int | None = None
     genus: int | None = None
 
     def __post_init__(self):
+        if self.level is not None and self.genus is None:
+            raise InvalidParameterError("a level needs a genus: alone it names no deck group")
         if self.is_bound:
             check_homology_parameters(self.genus, self.level)
 

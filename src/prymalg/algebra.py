@@ -214,12 +214,6 @@ class AlgebraElement:
     def __add__(self, other):
         return AlgebraElement.of_terms(self.terms + other.terms)
 
-    def scale(self, coeff):
-        coeff = Fraction(coeff)
-        if coeff == 0:
-            return AlgebraElement.zero()
-        return AlgebraElement(tuple((c * coeff, m) for c, m in self.terms))
-
 
 def all_singleton_partition(r, group):
     blocks = tuple(((i,), ()) for i in range(1, r + 1))

@@ -1,8 +1,12 @@
 """Batch command-line front end.
 
-Subcommands wrap the library operations one-to-one and stream tables as
-csv, json, or pretty text.  Configuration comes from plain key=value
-files plus flags, flags winning; environment variables are never read.
+Every run is one pipeline: parse the flags, merge them with a plain
+key=value config file (flags win; environment variables are never read),
+run the subcommand's handler, render the table it returns as csv, json
+or pretty text, and write that to stdout or --output.  Each subcommand
+declares its flags once.  A deck group is named by --group LITERAL or by
+--level L with --genus G (H1 of the genus-G surface with Z/L
+coefficients, of order L^(2G)); --symbolic leaves its order m unbound.
 Output is byte-identical for identical (config, seed).  --workers is
 checked (it must be >= 1) but has no effect: every command runs in order
 on one thread.  Exit codes: 0 success, 2 invalid config, 3 cap exceeded,
@@ -18,6 +22,7 @@ import os
 import shutil
 import sys
 import tempfile
+from dataclasses import dataclass
 
 from .abelian_group import SymbolicOrder, concrete_order, parse_group_literal
 from .algebra import (
@@ -65,6 +70,8 @@ _ERROR_KINDS = (
     (OracleMismatchError, "oracle-mismatch", EXIT_ORACLE_MISMATCH),
 )
 
+FORMATS = ("csv", "json", "pretty")
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -72,14 +79,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 class RunConfig:
-    """Merged view of CLI flags and a key=value config file; flags win."""
+    """Merged view of CLI flags and a key=value config file; flags win.
+
+    Only the subcommand's own flags are read: a config key that names no
+    flag of it is ignored.
+    """
 
     def __init__(self, namespace, file_values):
         self._flags = vars(namespace)
         self._file = file_values
 
     def get(self, key, default=None):
-        value = self._flags.get(key)
+        if key not in self._flags:
+            return default
+        value = self._flags[key]
         if value is not None:
             return value
         if key in self._file:
@@ -119,6 +132,13 @@ class RunConfig:
             if lowered in ("0", "false", "no", "off"):
                 return False
         raise InvalidParameterError("option --%s expects a boolean, got %r" % (key, value))
+
+    @property
+    def fmt(self):
+        fmt = self.get_str("format", "pretty")
+        if fmt not in FORMATS:
+            raise InvalidParameterError("unknown format %r" % (fmt,))
+        return fmt
 
 
 def _load_config_file(path):
@@ -201,6 +221,22 @@ def _exact_integer_text():
         sys.set_int_max_str_digits(limit)
 
 
+@dataclass
+class Table:
+    """What a handler returns: the table to render and how the run ends.
+
+    ``payload``, when set, is the command's own JSON document and replaces
+    the standard one under --format json.
+    """
+
+    columns: tuple
+    rows: list
+    metadata: dict | None = None
+    note: str | None = None  # one line for stderr
+    code: int = EXIT_OK
+    payload: dict | None = None
+
+
 def _cell_text(value):
     if value is None:
         return ""
@@ -209,57 +245,66 @@ def _cell_text(value):
     return str(value)
 
 
-def _render(fmt, command, seed, columns, rows, metadata=None):
+def _render(fmt, command, seed, table):
+    columns, rows, metadata = table.columns, table.rows, table.metadata or {}
     if fmt == "csv":
         lines = [",".join(columns)]
         for row in rows:
             lines.append(",".join(_cell_text(row[c]) for c in columns))
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        payload = {
-            "command": command,
-            "seed": seed,
-            "metadata": metadata or {},
-            "rows": [
-                {c: (str(v) if isinstance(v, IntPoly) else v) for c, v in row.items()}
-                for row in rows
-            ],
-        }
+        payload = table.payload
+        if payload is None:
+            payload = {
+                "command": command,
+                "seed": seed,
+                "metadata": metadata,
+                "rows": [
+                    {c: (str(v) if isinstance(v, IntPoly) else v) for c, v in row.items()}
+                    for row in rows
+                ],
+            }
         return json.dumps(payload, indent=2) + "\n"
-    if fmt == "pretty":
-        lines = ["# command = %s" % command, "# seed = %d" % seed]
-        for key, value in (metadata or {}).items():
-            lines.append("# %s = %s" % (key, value))
-        texts = [[_cell_text(row[c]) for c in columns] for row in rows]
-        widths = [
-            max([len(c)] + [len(t[i]) for t in texts]) for i, c in enumerate(columns)
-        ]
-        lines.append("  ".join(c.ljust(w) for c, w in zip(columns, widths)).rstrip())
-        for t in texts:
-            lines.append("  ".join(x.ljust(w) for x, w in zip(t, widths)).rstrip())
-        return "\n".join(lines) + "\n"
-    raise InvalidParameterError("unknown format %r" % (fmt,))
+    lines = ["# command = %s" % command, "# seed = %d" % seed]
+    for key, value in metadata.items():
+        lines.append("# %s = %s" % (key, value))
+    texts = [[_cell_text(row[c]) for c in columns] for row in rows]
+    widths = [
+        max([len(c)] + [len(t[i]) for t in texts]) for i, c in enumerate(columns)
+    ]
+    lines.append("  ".join(c.ljust(w) for c, w in zip(columns, widths)).rstrip())
+    for t in texts:
+        lines.append("  ".join(x.ljust(w) for x, w in zip(t, widths)).rstrip())
+    return "\n".join(lines) + "\n"
 
 
-def _resolve_group(cfg, for_variant=None):
-    """Group or symbolic order from --group / --symbolic / --level / --genus."""
+def _deck_group(cfg, lone_genus=False):
+    """(group, m): the deck group named by the flags and its order
+    m = ``concrete_order(group)``, None when unbound.
+
+    --group LITERAL gives a finite group.  --level with --genus gives a
+    bound ``SymbolicOrder``.  --symbolic alone gives an unbound one, and no
+    flag at all gives (None, None).  A literal next to --symbolic, --level
+    or --genus is refused, and so is half of a level/genus pair, except a
+    lone genus where the caller uses it (``lone_genus``).
+    """
     literal = cfg.get_str("group")
     symbolic = cfg.get_bool("symbolic")
     level = cfg.get_int("level")
     genus = cfg.get_int("genus")
-    if literal is not None and symbolic:
-        raise InvalidParameterError("--group and --symbolic are mutually exclusive")
     if literal is not None:
-        return parse_group_literal(literal)
-    if symbolic:
-        return SymbolicOrder(level=level, genus=genus)
-    if level is not None and genus is not None:
-        return SymbolicOrder(level=level, genus=genus)
-    if for_variant is not None and not for_variant.twisted:
-        return None
-    raise InvalidParameterError(
-        "specify --group <literal>, or --symbolic (optionally with --level/--genus)"
-    )
+        if symbolic:
+            raise InvalidParameterError("--group and --symbolic are mutually exclusive")
+        if level is not None or genus is not None:
+            raise InvalidParameterError("--group and --level/--genus are mutually exclusive")
+        group = parse_group_literal(literal)
+    elif level is None and genus is None:
+        group = SymbolicOrder() if symbolic else None
+    elif level is None and not lone_genus:
+        raise InvalidParameterError("a genus needs a level here: alone it names no deck group")
+    else:
+        group = SymbolicOrder(level=level, genus=genus)  # refuses a lone level
+    return group, concrete_order(group)
 
 
 def _variant_from(text, allowed=None):
@@ -279,21 +324,25 @@ def _variant_from(text, allowed=None):
 
 
 # ---------------------------------------------------------------------------
-# Command handlers: each returns (payload text, extra stderr note, exit code).
+# Command handlers: each takes the RunConfig and returns a Table.
 # ---------------------------------------------------------------------------
 
 
 def cmd_dims(cfg):
     variant = _variant_from(cfg.get_str("variant", required=True))
     r = cfg.get_int("r", required=True)
-    group = _resolve_group(cfg, for_variant=variant) if variant.twisted else None
+    group, m = _deck_group(cfg)
+    if not variant.twisted:
+        group, m = None, 1  # no deck weights: a valid group is read and dropped
+    elif group is None:
+        raise InvalidParameterError(
+            "specify --group <literal>, or --symbolic (optionally with --level/--genus)"
+        )
     degree = cfg.get_int("degree")
     max_degree = cfg.get_int("max_degree", minimum=0)
     if degree is None and max_degree is None:
         raise InvalidParameterError("specify --degree or --max-degree")
     degrees = [degree] if degree is not None else list(range(max_degree + 1))
-
-    m = AlgebraSpec(variant, r, group).order_value()
     spec = AlgebraSpec(variant, r, SymbolicOrder())
 
     def row(n):
@@ -305,25 +354,20 @@ def cmd_dims(cfg):
             "provenance": "formula",
         }
 
-    rows = _pool_map(row, degrees)
-    meta = {"variant": variant.value, "r": r, "group": str(group) if group else "-"}
-    text = _render(
-        cfg.get_str("format", "pretty"),
-        "dims",
-        cfg.get_int("seed", 0),
-        ["degree", "dim_polynomial_in_m", "dim_at_concrete_m", "provenance"],
-        rows,
-        meta,
+    return Table(
+        ("degree", "dim_polynomial_in_m", "dim_at_concrete_m", "provenance"),
+        _pool_map(row, degrees),
+        {"variant": variant.value, "r": r, "group": str(group) if group else "-"},
     )
-    return text, None, EXIT_OK
 
 
 def cmd_twisted(cfg):
     r = cfg.get_int("r", required=True)
     p = cfg.get_int("p", 0)
     mode = cfg.get_str("mode", "level")
-    level = cfg.get_int("level")
-    genus = cfg.get_int("genus")
+    # a lone genus sets the stable-range flags and leaves m unbound
+    deck, _ = _deck_group(cfg, lone_genus=True)
+    level, genus = (deck.level, deck.genus) if deck else (None, None)
     max_k = cfg.get_int("max_k", required=True)
     closed = cfg.get_bool("closed")
     table = twisted_cohomology_dims(
@@ -350,20 +394,13 @@ def cmd_twisted(cfg):
         "level": level if level is not None else "-",
         "genus": genus if genus is not None else "-",
     }
-    text = _render(
-        cfg.get_str("format", "pretty"),
-        "twisted",
-        cfg.get_int("seed", 0),
-        [
-            "k",
-            "cohomological_degree",
-            "dim_polynomial_in_m",
-            "dim_at_concrete_m",
-            "in_stable_range",
-            "provenance",
-        ],
-        rows,
-        meta,
+    columns = (
+        "k",
+        "cohomological_degree",
+        "dim_polynomial_in_m",
+        "dim_at_concrete_m",
+        "in_stable_range",
+        "provenance",
     )
     note = None
     if omitted:
@@ -371,7 +408,7 @@ def cmd_twisted(cfg):
             "note: %d rows outside the proven stable range were not printed; "
             "pass --allow-extrapolated to include them" % omitted
         )
-    return text, note, EXIT_OK
+    return Table(columns, rows, meta, note)
 
 
 def cmd_gap(cfg):
@@ -391,25 +428,17 @@ def cmd_gap(cfg):
         "rhs_dim": report.rhs_dim,
         "differ": report.differ,
         "provenance": "formula",
+        "verdict": report.verdict,
     }
-    fmt = cfg.get_str("format", "pretty")
-    if fmt == "json":
-        payload = {
-            "command": "gap",
-            "seed": cfg.get_int("seed", 0),
-            "metadata": {},
-            "rows": [dict(row, verdict=report.verdict)],
-        }
-        return json.dumps(payload, indent=2) + "\n", None, EXIT_OK
-    text = _render(
-        fmt,
-        "gap",
-        cfg.get_int("seed", 0),
-        ["r", "p", "k", "level", "genus", "lhs_dim", "rhs_dim", "differ", "provenance"],
+    # the verdict is a row field in json, a header line in pretty and a
+    # stderr note in csv
+    fmt = cfg.fmt
+    return Table(
+        ("r", "p", "k", "level", "genus", "lhs_dim", "rhs_dim", "differ", "provenance"),
         [row],
         {"verdict": report.verdict} if fmt == "pretty" else None,
+        report.verdict if fmt == "csv" else None,
     )
-    return text, report.verdict if fmt == "csv" else None, EXIT_OK
 
 
 def cmd_character(cfg):
@@ -424,10 +453,6 @@ def cmd_character(cfg):
     spec = AlgebraSpec(variant, r, group)
     character = counted_character(spec, degree)
     decomposition = decompose(character)
-    fmt = cfg.get_str("format", "pretty")
-    if fmt == "json":
-        payload = character_report_json(spec, degree, character, decomposition)
-        return json.dumps(payload, indent=2) + "\n", None, EXIT_OK
     rows = [
         {
             "section": "trace",
@@ -447,16 +472,12 @@ def cmd_character(cfg):
         for lam, mult in sorted(decomposition.items(), reverse=True)
         if mult != 0
     )
-    meta = {"variant": variant.value, "r": r, "degree": degree, "group": str(group)}
-    text = _render(
-        fmt,
-        "character",
-        cfg.get_int("seed", 0),
-        ["section", "label", "value", "provenance"],
+    return Table(
+        ("section", "label", "value", "provenance"),
         rows,
-        meta,
+        {"variant": variant.value, "r": r, "degree": degree, "group": str(group)},
+        payload=character_report_json(spec, degree, character, decomposition),
     )
-    return text, None, EXIT_OK
 
 
 def cmd_commutant(cfg):
@@ -485,30 +506,16 @@ def cmd_commutant(cfg):
         action = fixture_action("trivial", h)
         source = "trivial"
     report = commutant_sp(action)
-    include_basis = cfg.get_bool("include_basis")
-    fmt = cfg.get_str("format", "pretty")
-    if fmt == "json":
-        payload = {"dimension": report.dimension}
-        if include_basis:
-            payload["basis"] = [format_matrix(B) for B in report.basis]
-        return json.dumps(payload, indent=2) + "\n", None, EXIT_OK
-    rows = [
-        {
-            "h": h,
-            "generators": source,
-            "dimension": report.dimension,
-            "provenance": "formula",
-        }
-    ]
-    text = _render(
-        fmt,
-        "commutant",
-        cfg.get_int("seed", 0),
-        ["h", "generators", "dimension", "provenance"],
-        rows,
+    payload = {"dimension": report.dimension}
+    if cfg.get_bool("include_basis"):
+        payload["basis"] = [format_matrix(B) for B in report.basis]
+    row = {"h": h, "generators": source, "dimension": report.dimension, "provenance": "formula"}
+    return Table(
+        ("h", "generators", "dimension", "provenance"),
+        [row],
         {"sp_dimension": h * (2 * h + 1)},
+        payload=payload,
     )
-    return text, None, EXIT_OK
 
 
 def cmd_oracle_check(cfg):
@@ -554,35 +561,22 @@ def cmd_oracle_check(cfg):
 
     rows = _pool_map(check, cells)
     mismatches = sum(1 for row in rows if not row["match"])
-    meta = {"cells": len(rows), "mismatches": mismatches}
-    text = _render(
-        cfg.get_str("format", "pretty"),
-        "oracle-check",
-        cfg.get_int("seed", 0),
-        ["variant", "r", "group", "degree", "closed_form", "oracle", "match", "provenance"],
+    table = Table(
+        ("variant", "r", "group", "degree", "closed_form", "oracle", "match", "provenance"),
         rows,
-        meta,
+        {"cells": len(rows), "mismatches": mismatches},
     )
     if mismatches:
-        return (
-            text,
-            "error: oracle-mismatch: %d of %d cells disagree" % (mismatches, len(rows)),
-            EXIT_ORACLE_MISMATCH,
-        )
-    return text, None, EXIT_OK
+        table.note = "error: oracle-mismatch: %d of %d cells disagree" % (mismatches, len(rows))
+        table.code = EXIT_ORACLE_MISMATCH
+    return table
 
 
 def cmd_strata(cfg):
     r = cfg.get_int("r", required=True)
     if r < 0:
         raise InvalidParameterError("r must be >= 0")
-    literal = cfg.get_str("group")
-    group = parse_group_literal(literal) if literal else None
-    level = cfg.get_int("level")
-    genus = cfg.get_int("genus")
-    if group is None and level is not None and genus is not None:
-        group = SymbolicOrder(level=level, genus=genus)
-    m = concrete_order(group)
+    group, m = _deck_group(cfg)
 
     def row(codim):
         poly = stratum_census(r, codim)
@@ -593,17 +587,11 @@ def cmd_strata(cfg):
             "provenance": "formula",
         }
 
-    rows = _pool_map(row, range(r + 1))
-    meta = {"r": r, "group": str(group) if group is not None else "-"}
-    text = _render(
-        cfg.get_str("format", "pretty"),
-        "strata",
-        cfg.get_int("seed", 0),
-        ["codim", "count_polynomial_in_m", "count_at_concrete_m", "provenance"],
-        rows,
-        meta,
+    return Table(
+        ("codim", "count_polynomial_in_m", "count_at_concrete_m", "provenance"),
+        _pool_map(row, range(r + 1)),
+        {"r": r, "group": str(group) if group is not None else "-"},
     )
-    return text, None, EXIT_OK
 
 
 _COMMANDS = {
@@ -616,85 +604,57 @@ _COMMANDS = {
     "strata": cmd_strata,
 }
 
-
-def _add_common(sub):
-    sub.add_argument("--config", default=None)
-    sub.add_argument("--format", default=None, choices=["csv", "json", "pretty"])
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--workers", type=int, default=None)
-    sub.add_argument("--output", default=None)
-    sub.add_argument(
-        "--allow-extrapolated", dest="allow_extrapolated",
-        action="store_const", const=True, default=None,
-    )
+# flag -> its add_argument keywords besides dest and default=None; a flag
+# not listed takes a string
+_FLAG_KINDS = {
+    **dict.fromkeys(
+        ("r", "p", "k", "h", "level", "genus", "degree", "max_degree", "max_k", "max_r",
+         "seed", "workers"),
+        {"type": int},
+    ),
+    **dict.fromkeys(
+        ("symbolic", "closed", "include_basis", "allow_extrapolated"),
+        {"action": "store_const", "const": True},
+    ),
+    "mode": {"choices": ("level", "full-mcg")},
+    "format": {"choices": FORMATS},
+}
+_COMMON_FLAGS = ("config", "format", "seed", "workers", "output", "allow_extrapolated")
+# subcommand -> (description, its own flags); each also takes _COMMON_FLAGS
+_SUBCOMMANDS = {
+    "dims": (
+        "graded dimensions of an algebra variant",
+        ("variant", "r", "group", "symbolic", "level", "genus", "degree", "max_degree"),
+    ),
+    "twisted": (
+        "twisted-coefficient dimension tables",
+        ("r", "p", "mode", "level", "genus", "max_k", "closed"),
+    ),
+    "gap": ("stability comparison at one degree", ("r", "p", "k", "level", "genus")),
+    "character": (
+        "permutation character and decomposition", ("variant", "r", "degree", "group")
+    ),
+    "commutant": (
+        "symplectic commutant dimension",
+        ("h", "fixture", "generators_file", "include_basis"),
+    ),
+    "oracle-check": (
+        "closed form vs relation-graph oracle", ("max_r", "max_degree", "groups", "variants")
+    ),
+    "strata": ("stratification census by codimension", ("r", "group", "level", "genus")),
+}
 
 
 def build_parser():
     parser = _Parser(prog="prymalg", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("dims", description="graded dimensions of an algebra variant")
-    sub.add_argument("--variant", default=None)
-    sub.add_argument("--r", type=int, default=None)
-    sub.add_argument("--group", default=None)
-    sub.add_argument("--symbolic", action="store_const", const=True, default=None)
-    sub.add_argument("--level", type=int, default=None)
-    sub.add_argument("--genus", type=int, default=None)
-    sub.add_argument("--degree", type=int, default=None)
-    sub.add_argument("--max-degree", dest="max_degree", type=int, default=None)
-    _add_common(sub)
-
-    sub = subs.add_parser("twisted", description="twisted-coefficient dimension tables")
-    sub.add_argument("--r", type=int, default=None)
-    sub.add_argument("--p", type=int, default=None)
-    sub.add_argument("--mode", default=None, choices=["level", "full-mcg"])
-    sub.add_argument("--level", type=int, default=None)
-    sub.add_argument("--genus", type=int, default=None)
-    sub.add_argument("--max-k", dest="max_k", type=int, default=None)
-    sub.add_argument("--closed", dest="closed", action="store_const", const=True, default=None)
-    _add_common(sub)
-
-    sub = subs.add_parser("gap", description="stability comparison at one degree")
-    sub.add_argument("--r", type=int, default=None)
-    sub.add_argument("--p", type=int, default=None)
-    sub.add_argument("--k", type=int, default=None)
-    sub.add_argument("--level", type=int, default=None)
-    sub.add_argument("--genus", type=int, default=None)
-    _add_common(sub)
-
-    sub = subs.add_parser("character", description="permutation character and decomposition")
-    sub.add_argument("--variant", default=None)
-    sub.add_argument("--r", type=int, default=None)
-    sub.add_argument("--degree", type=int, default=None)
-    sub.add_argument("--group", default=None)
-    _add_common(sub)
-
-    sub = subs.add_parser("commutant", description="symplectic commutant dimension")
-    sub.add_argument("--h", type=int, default=None)
-    sub.add_argument("--fixture", default=None)
-    sub.add_argument("--generators-file", dest="generators_file", default=None)
-    sub.add_argument(
-        "--include-basis", dest="include_basis",
-        action="store_const", const=True, default=None,
-    )
-    _add_common(sub)
-
-    sub = subs.add_parser(
-        "oracle-check", description="closed form vs relation-graph oracle"
-    )
-    sub.add_argument("--max-r", dest="max_r", type=int, default=None)
-    sub.add_argument("--max-degree", dest="max_degree", type=int, default=None)
-    sub.add_argument("--groups", default=None)
-    sub.add_argument("--variants", default=None)
-    _add_common(sub)
-
-    sub = subs.add_parser("strata", description="stratification census by codimension")
-    sub.add_argument("--r", type=int, default=None)
-    sub.add_argument("--group", default=None)
-    sub.add_argument("--level", type=int, default=None)
-    sub.add_argument("--genus", type=int, default=None)
-    _add_common(sub)
-
+    for name, (description, flags) in _SUBCOMMANDS.items():
+        sub = subs.add_parser(name, description=description)
+        for flag in flags + _COMMON_FLAGS:
+            sub.add_argument(
+                "--" + flag.replace("_", "-"), dest=flag, default=None,
+                **_FLAG_KINDS.get(flag, {}),
+            )
     return parser
 
 
@@ -709,21 +669,19 @@ def _run(argv):
     try:
         args = parser.parse_args(argv)
         command = args.command
-        file_values = {}
-        if getattr(args, "config", None):
-            file_values = _load_config_file(args.config)
-        cfg = RunConfig(args, file_values)
+        cfg = RunConfig(args, _load_config_file(args.config) if args.config else {})
         cfg.get_int("workers", 1, minimum=1)
-        handler = _COMMANDS[args.command]
-        payload, note, code = handler(cfg)
+        fmt, seed = cfg.fmt, cfg.get_int("seed", 0)  # checked before any computing
+        table = _COMMANDS[command](cfg)
+        text = _render(fmt, command, seed, table)
         output = cfg.get_str("output")
         if output:
-            _write_output(output, payload)
+            _write_output(output, text)
         else:
-            sys.stdout.write(payload)
-        if note:
-            sys.stderr.write(note + "\n")
-        return code
+            sys.stdout.write(text)
+        if table.note:
+            sys.stderr.write(table.note + "\n")
+        return table.code
     except Exception as exc:
         for klass, kind, code in _ERROR_KINDS:
             if isinstance(exc, klass):

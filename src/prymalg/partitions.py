@@ -164,10 +164,6 @@ class DWeightedPartition:
     def num_blocks(self):
         return len(self.blocks)
 
-    @property
-    def set_partition(self):
-        return SetPartition(tuple(idx for idx, _ in self.blocks))
-
     def block_containing(self, i):
         for idx, weights in self.blocks:
             if i in idx:

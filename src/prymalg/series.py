@@ -20,14 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .abelian_group import SymbolicOrder, concrete_order
+from .abelian_group import SymbolicOrder, check_homology_parameters, concrete_order
 from .algebra import AlgebraSpec, Variant, graded_dimension
 from .errors import CapExceededError, InvalidParameterError, OracleMismatchError
 from .partitions import (
     MAX_COUNT_R,
     JVector,
     block_singleton_counts,
-    count_d_weighted_partitions,
     stirling2,
 )
 from .polynomial import M, IntPoly, as_poly, at_order
@@ -272,8 +271,7 @@ def putman_gap(r, p, k, level, genus):
     """Compare the untwisted-coefficient and deck-twisted tables at degree k."""
     if r < 0 or p < 0:
         raise InvalidParameterError("r and p must be >= 0")
-    if level < 2:
-        raise InvalidParameterError("level must be >= 2")
+    check_homology_parameters(genus, level)
     if k % 2 == 1:
         raise InvalidParameterError(
             "k must be even: both compared dimensions vanish for odd k"
@@ -348,8 +346,7 @@ def j_twisted_dims(j_vector, level, genus, max_k=20):
     """Slot-tagged twisted table in the one-marked-point setting."""
     if not isinstance(j_vector, JVector):
         j_vector = JVector(tuple(j_vector))
-    if level < 2 or genus < 0:
-        raise InvalidParameterError("need level >= 2 and genus >= 0")
+    check_homology_parameters(genus, level)
     if not 0 <= max_k <= MAX_STABLE_DEGREE:
         raise InvalidParameterError("max_k must lie in [0, %d]" % MAX_STABLE_DEGREE)
     factor = [j_factor_dimension(j_vector, b) for b in range(max_k + 1)]
@@ -374,8 +371,3 @@ def stratum_census(r, codim):
     if not 0 <= codim <= r:
         raise InvalidParameterError("codim must lie in [0, r]")
     return IntPoly.monomial(stirling2(r, r - codim), codim)
-
-
-def stratum_census_total(r):
-    """Census summed over codimensions; equals the weighted-partition count."""
-    return count_d_weighted_partitions(r)

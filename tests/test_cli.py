@@ -160,6 +160,43 @@ def test_deck_group_literal_and_level_genus_give_one_value():
                     assert columns[0] and all(v.isdigit() for v in columns[0])
 
 
+def test_lone_genus_twisted_and_untwisted_group_tables_unchanged():
+    # a lone --genus only sets the stable-range flags; m stays unbound
+    proc = run_cli(
+        "twisted", "--r", "1", "--mode", "full-mcg", "--genus", "3", "--max-k", "4",
+        "--format", "csv", "--allow-extrapolated",
+    )
+    assert proc.stdout == (
+        b"k,cohomological_degree,dim_polynomial_in_m,dim_at_concrete_m,"
+        b"in_stable_range,provenance\n"
+        b"0,-1,0,0,true,formula\n"
+        b"1,0,0,0,true,formula\n"
+        b"2,1,1,1,false,extrapolated\n"
+        b"3,2,0,0,false,extrapolated\n"
+        b"4,3,2,2,false,extrapolated\n"
+    )
+    proc = run_cli(
+        "twisted", "--r", "2", "--p", "1", "--genus", "30", "--max-k", "4",
+        "--format", "csv", "--allow-extrapolated",
+    )
+    assert proc.stdout.decode().splitlines()[3:] == [
+        "2,0,m,,true,formula",
+        "3,1,0,,false,extrapolated",
+        "4,2,3m+1,,false,extrapolated",
+    ]
+    # an untwisted variant reads a well-formed --group and drops it
+    proc = run_cli(
+        "dims", "--variant", "looijenga-full", "--r", "2", "--group", "Z3",
+        "--degree", "2", "--format", "pretty",
+    )
+    assert proc.stdout == (
+        b"# command = dims\n# seed = 0\n# variant = looijenga-full\n# r = 2\n"
+        b"# group = -\n"
+        b"degree  dim_polynomial_in_m  dim_at_concrete_m  provenance\n"
+        b"2       3                    3                  formula\n"
+    )
+
+
 def test_oracle_check_small_grid_passes():
     proc = run_cli(
         "oracle-check", "--max-r", "2", "--max-degree", "4",
@@ -197,6 +234,19 @@ def test_invalid_config_exits_2_with_single_line_error(tmp_path):
         ("oracle-check", "--groups", " "),
         ("strata", "--r", "2", "--output", str(tmp_path / "missing" / "x.txt")),
         ("strata", "--r", "2", "--output", str(tmp_path)),
+        # a deck group is a literal, or a full --level/--genus pair, never both
+        ("dims", "--variant", "looijenga-full", "--r", "2", "--group", "garbage",
+         "--degree", "2"),
+        ("strata", "--r", "2", "--level", "3"),
+        ("dims", "--variant", "level-full", "--r", "2", "--symbolic", "--level", "3",
+         "--degree", "2"),
+        ("twisted", "--r", "1", "--level", "3", "--max-k", "2"),
+        ("dims", "--variant", "level-full", "--r", "2", "--symbolic", "--genus", "3",
+         "--degree", "2"),
+        ("strata", "--r", "2", "--genus", "3"),
+        ("strata", "--r", "2", "--group", "Z2", "--genus", "3"),
+        ("dims", "--variant", "level-prime", "--r", "2", "--group", "Z2", "--level", "3",
+         "--genus", "1", "--degree", "2"),
     ):
         proc = run_cli(*argv, expect_code=2)
         err = proc.stderr.decode()
@@ -378,6 +428,45 @@ def test_output_file(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "table.csv"]
 
 
+# one run of each subcommand, as flag -> value (True for a switch)
+_PIPELINE_RUNS = {
+    "dims": {"variant": "level-prime", "r": "2", "group": "Z3", "max-degree": "4"},
+    "twisted": {"r": "2", "level": "2", "genus": "24", "max-k": "4"},
+    "gap": {"r": "2", "k": "2", "level": "2", "genus": "24"},
+    "character": {"variant": "level-full", "r": "3", "degree": "4", "group": "Z2"},
+    "commutant": {"h": "2", "fixture": "plane-swap", "include-basis": True},
+    "oracle-check": {"max-r": "1", "max-degree": "2", "groups": "Z1,Z2"},
+    "strata": {"r": "3", "level": "3", "genus": "2"},
+}
+
+
+def _main_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_config_file_and_output_match_flags_for_every_command(tmp_path):
+    assert sorted(_PIPELINE_RUNS) == sorted(cli._COMMANDS)
+    for command, values in _PIPELINE_RUNS.items():
+        for fmt in ("csv", "json", "pretty"):
+            settings = dict(values, format=fmt, seed="7")
+            flags = [command]
+            for flag, value in settings.items():
+                flags += ["--" + flag] if value is True else ["--" + flag, value]
+            config = tmp_path / "run.cfg"
+            config.write_text(
+                "".join("%s=%s\n" % (k, "true" if v is True else v) for k, v in settings.items())
+            )
+            code, out, err = _main_in_process(flags)
+            assert code == 0 and out, (command, fmt, err)
+            assert _main_in_process([command, "--config", str(config)]) == (code, out, err)
+            target = tmp_path / "out.txt"
+            assert _main_in_process(flags + ["--output", str(target)]) == (code, "", err)
+            assert target.read_bytes() == out.encode(), (command, fmt)
+
+
 def test_byte_determinism_across_workers():
     args = (
         "twisted", "--r", "2", "--p", "1", "--max-k", "8", "--format", "json",
@@ -455,7 +544,7 @@ _INTS = {
 }
 # the flags a subcommand needs before it computes anything
 _REQUIRED = {
-    "dims": ("--variant", "--r", "--max-degree", "--group"),
+    "dims": ("--variant", "--r", "--max-degree"),
     "twisted": ("--r", "--max-k"),
     "gap": ("--r", "--k", "--level", "--genus"),
     "character": ("--r", "--degree", "--group"),
@@ -463,6 +552,15 @@ _REQUIRED = {
     "oracle-check": (),
     "strata": ("--r",),
 }
+# deck-group flag mixes for dims, strata and twisted, each cut to the flags
+# the subcommand has: valid ones first (Hypothesis favours early entries),
+# then halves of a level/genus pair and contradictions
+_DECK_MIXES = (
+    ("--group",), ("--level", "--genus"), ("--symbolic",),
+    ("--symbolic", "--level", "--genus"), (), ("--level",), ("--genus",),
+    ("--symbolic", "--level"), ("--symbolic", "--genus"), ("--group", "--symbolic"),
+    ("--group", "--genus"), ("--group", "--level", "--genus"),
+)
 
 
 def _typed(draw, flag):
@@ -477,17 +575,26 @@ def _typed(draw, flag):
 @st.composite
 def _argv(draw):
     """A subcommand and some of its flags.  Nine draws in ten supply the
-    flags the subcommand needs, with values of their type; up to three
-    more flags follow, whose values are sometimes junk tokens, and a
-    stray junk token may land anywhere."""
+    flags the subcommand needs, with values of their type; dims, strata
+    and twisted add a mix of deck-group flags.  Up to three more flags
+    follow, whose values are sometimes junk tokens, and a stray junk
+    token may land anywhere."""
     command = draw(st.sampled_from(sorted(_FLAGS)))
     flags = _FLAGS[command]
     one_in_ten = st.sampled_from(range(10))
     required = _REQUIRED[command] if draw(one_in_ten) else ()
+    deck, deck_flags = (), ()
+    if command in ("dims", "strata", "twisted"):
+        deck_flags = {flag for mix in _DECK_MIXES for flag in mix}
+        deck = draw(st.sampled_from(list(dict.fromkeys(
+            tuple(flag for flag in mix if flag in flags) for mix in _DECK_MIXES
+        ))))
     argv = [command]
-    for flag in required:
-        argv += [flag, _typed(draw, flag)]
-    others = sorted(set(flags) - set(required))
+    for flag in required + deck:
+        argv.append(flag)
+        if flags[flag].nargs != 0:
+            argv.append(_typed(draw, flag))
+    others = sorted(set(flags) - set(required) - set(deck_flags))
     for flag in draw(st.lists(st.sampled_from(others), unique=True, max_size=3)):
         argv.append(flag)
         if flags[flag].nargs == 0 and draw(one_in_ten):

@@ -25,7 +25,6 @@ from prymalg.series import (
     putman_gap,
     stable_cohomology_dims,
     stratum_census,
-    stratum_census_total,
     twisted_cohomology_dims,
 )
 
@@ -115,6 +114,26 @@ def test_large_genus_order_is_one_power():
         _algebra_factor_spec("level", 1, 1, 24)
     with pytest.raises(InvalidParameterError, match="genus must be >= 0"):
         _algebra_factor_spec("level", 1, 2, -1)
+
+
+def test_level_and_genus_are_checked_in_one_place():
+    # a level alone names no deck group: refused, not a silent symbolic table
+    with pytest.raises(InvalidParameterError, match="level needs a genus"):
+        twisted_cohomology_dims(1, 0, level=3)
+    with pytest.raises(InvalidParameterError, match="level needs a genus"):
+        _algebra_factor_spec("level", 1, 3, None)
+    with pytest.raises(InvalidParameterError, match="level needs a genus"):
+        SymbolicOrder(level=3)
+    # a genus alone still fixes the stable-range flags, with m unbound
+    table = twisted_cohomology_dims(1, 0, genus=3, max_k=4)
+    assert table.symbolic and table.flag(2) is False
+    assert twisted_cohomology_dims(1, 0, mode="full-mcg", genus=3, max_k=4).flag(0)
+    # j_twisted_dims and putman_gap share check_homology_parameters' texts
+    for level, genus, text in ((1, 3, "level must be >= 2"), (2, -1, "genus must be >= 0")):
+        with pytest.raises(InvalidParameterError, match=text):
+            j_twisted_dims(JVector((1,)), level, genus, max_k=2)
+        with pytest.raises(InvalidParameterError, match=text):
+            putman_gap(1, 0, 2, level, genus)
 
 
 def test_twisted_full_mcg():
@@ -323,7 +342,6 @@ def test_stratum_census_sums_to_total_count():
         for codim in range(r + 1):
             total = total + stratum_census(r, codim)
         assert total == count_d_weighted_partitions(r)
-        assert stratum_census_total(r) == total
 
 
 def test_in_stable_range_examples():
