@@ -387,7 +387,7 @@ def test_internal_errors_exit_5(monkeypatch, capsys, tmp_path):
     assert capsys.readouterr().err == "error: internal: [strata] PrymAlgError: no kind\n"
 
 
-def test_config_file_flags_win(tmp_path):
+def test_config_file_flags_win(tmp_path, monkeypatch):
     config = tmp_path / "run.cfg"
     config.write_text("variant=level-prime\nr=2\ngroup=Z3\ndegree=2\nformat=csv\n")
     proc = run_cli("dims", "--config", str(config))
@@ -395,6 +395,20 @@ def test_config_file_flags_win(tmp_path):
     # a flag overrides the config value
     proc = run_cli("dims", "--config", str(config), "--group", "Z2")
     assert proc.stdout.decode().splitlines()[1] == "2,m,2,formula"
+    # keys that name no flag of the subcommand are ignored
+    argv = ["twisted", "--r", "1", "--level", "2", "--genus", "30", "--max-k", "2"]
+    config.write_text("group=Z2\nsymbolic=maybe\ndegree=x\n")
+    assert _main_in_process(argv + ["--config", str(config)]) == _main_in_process(argv)
+    # a bad format from the file is refused before the handler runs
+    config.write_text("format=xml\n")
+
+    def never(cfg):
+        raise AssertionError("handler ran")
+
+    monkeypatch.setitem(cli._COMMANDS, "strata", never)
+    assert _main_in_process(["strata", "--r", "2", "--config", str(config)]) == (
+        2, "", "error: invalid-config: [strata] unknown format 'xml'\n"
+    )
 
 
 def test_output_file(tmp_path):
