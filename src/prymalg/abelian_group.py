@@ -117,6 +117,8 @@ class SymbolicOrder:
     def __post_init__(self):
         if self.level is not None and self.genus is None:
             raise InvalidParameterError("a level needs a genus: alone it names no deck group")
+        if self.genus is not None and self.genus < 0:
+            raise InvalidParameterError("genus must be >= 0")
         if self.is_bound:
             check_homology_parameters(self.genus, self.level)
 

@@ -336,7 +336,7 @@ def cmd_dims(cfg):
         group, m = None, 1  # no deck weights: a valid group is read and dropped
     elif group is None:
         raise InvalidParameterError(
-            "specify --group <literal>, or --symbolic (optionally with --level/--genus)"
+            "specify --group <literal>, --level with --genus, or --symbolic"
         )
     degree = cfg.get_int("degree")
     max_degree = cfg.get_int("max_degree", minimum=0)

@@ -80,7 +80,8 @@ class RowReducer:
         return other
 
 
-def _sparse(row):
+def sparse_row(row):
+    """The nonzero entries of a dense row, as a dict column -> Fraction."""
     return {c: Fraction(v) for c, v in enumerate(row) if v}
 
 
@@ -93,7 +94,7 @@ def rref(rows):
     ncols = 0
     for row in rows:
         ncols = len(row)
-        reducer.add(_sparse(row))
+        reducer.add(sparse_row(row))
     reduced = []
     for row in reducer.reduced_pivots().values():
         dense = [Fraction(0)] * ncols
@@ -106,18 +107,26 @@ def rref(rows):
 def null_space(rows, ncols):
     """Basis of {x : A x = 0} in reduced echelon order.
 
-    Returns (basis_vectors, free_columns); basis vector i has entry 1 at
+    The rows of A are sparse (dicts column -> value).  Returns
+    (basis_vectors, free_columns); basis vector i has entry 1 at
     free_columns[i] and 0 at every other free column.
     """
-    reduced, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
+    reducer = RowReducer()
+    for row in rows:
+        reducer.add(row)
+    reduced = reducer.reduced_pivots()
+    free = [c for c in range(ncols) if c not in reduced]
+    entries = {f: [(f, Fraction(1))] for f in free}
+    # every non-lead entry of a reduced pivot row lies in a free column
+    for lead, row in reduced.items():
+        for c, v in row.items():
+            if c != lead:
+                entries[c].append((lead, -v))
     basis = []
     for f in free:
         vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for row, p in zip(reduced, pivots):
-            vec[p] = -row[f]
+        for c, v in entries[f]:
+            vec[c] = v
         basis.append(tuple(vec))
     return basis, free
 
@@ -125,7 +134,7 @@ def null_space(rows, ncols):
 def matrix_rank(rows):
     reducer = RowReducer()
     for r in rows:
-        reducer.add(_sparse(r))
+        reducer.add(sparse_row(r))
     return reducer.rank
 
 
@@ -141,10 +150,18 @@ def transpose(mat):
 
 
 def mat_mul(a, b):
-    bt = transpose(b)
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    """Product a b; its cost follows the nonzero entries of a and b."""
+    width = len(b[0]) if b else 0
+    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [Fraction(0)] * width
+        for x, b_row in zip(row, b_rows):
+            if x:
+                for j, y in b_row:
+                    acc[j] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def mat_neg(a):
@@ -187,7 +204,7 @@ def determinant(mat):
     det = Fraction(1)
     leads = []
     for row in mat:
-        residual = reducer.reduce(_sparse(row))
+        residual = reducer.reduce(sparse_row(row))
         if not residual:
             return Fraction(0)
         lead = min(residual)

@@ -188,34 +188,51 @@ def check_commutant_h(h):
         raise CapExceededError("h=%d exceeds commutant cap %d" % (h, MAX_COMMUTANT_H))
 
 
+def _equation(terms):
+    """One sparse row {column: coefficient} summing (column, coefficient)
+    terms, without its zero entries."""
+    row = {}
+    for col, val in terms:
+        row[col] = row.get(col, 0) + val
+    return {c: v for c, v in row.items() if v}
+
+
+def _rows_and_columns(M):
+    """The nonzero entries of each row and of each column of M."""
+    return (
+        [linalg.sparse_row(r) for r in M],
+        [linalg.sparse_row(c) for c in linalg.transpose(M)],
+    )
+
+
 def commutant_sp(action, order_cap=DEFAULT_ORDER_CAP):
     """Null space of {X^T J + J X = 0} and {X M = M X for each generator}.
 
-    Rows are stacked into one rational system and solved by exact
-    elimination; the basis comes back in reduced echelon order.
+    Unknown a n + b is the entry X[a][b].  Each equation is one sparse
+    row holding only its nonzero coefficients; the rows are solved by
+    exact elimination, and the basis comes back in reduced echelon order.
     """
     check_commutant_h(action.space.h)
     action.validate(order_cap=order_cap)
     n = action.space.dim
-    J = action.space.form
+    J_rows, J_cols = _rows_and_columns(action.space.form)
     rows = []
     # (X^T J + J X)[i][j] = sum_k X[k][i] J[k][j] + J[i][k] X[k][j]
     for i in range(n):
         for j in range(n):
-            row = [Fraction(0)] * (n * n)
-            for k in range(n):
-                row[k * n + i] += J[k][j]
-                row[k * n + j] += J[i][k]
-            rows.append(row)
+            rows.append(_equation(
+                [(k * n + i, v) for k, v in J_cols[j].items()]
+                + [(k * n + j, v) for k, v in J_rows[i].items()]
+            ))
     for M in action.generators:
+        M_rows, M_cols = _rows_and_columns(M)
         # (X M - M X)[i][j] = sum_k X[i][k] M[k][j] - M[i][k] X[k][j]
         for i in range(n):
             for j in range(n):
-                row = [Fraction(0)] * (n * n)
-                for k in range(n):
-                    row[i * n + k] += M[k][j]
-                    row[k * n + j] -= M[i][k]
-                rows.append(row)
+                rows.append(_equation(
+                    [(i * n + k, v) for k, v in M_cols[j].items()]
+                    + [(k * n + j, -v) for k, v in M_rows[i].items()]
+                ))
     vectors, free_cols = linalg.null_space(rows, n * n)
     basis = tuple(_unflatten(v, n) for v in vectors)
     return LieSubalgebraReport(
@@ -263,65 +280,24 @@ def adjoint_matrix(action, F, report):
     return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
 
 
-def _pairing(J, u, v):
-    return sum(
-        u[i] * J[i][j] * v[j] for i in range(len(u)) for j in range(len(v))
-    )
-
-
-def standard_symplectic_basis(space):
-    """Vectors ordered alpha_1, beta_1, ..., alpha_h, beta_h."""
-    n = space.dim
-    ident = linalg.identity(n)
-    out = []
-    for j in range(space.h):
-        out.append(ident[j])
-        out.append(ident[space.h + j])
-    return tuple(out)
-
-
-def validate_symplectic_basis(space, vectors):
-    J = space.form
-    h = space.h
-    if len(vectors) != 2 * h:
-        raise InvalidParameterError("need 2h basis vectors")
-    alphas = vectors[0::2]
-    betas = vectors[1::2]
-    for i in range(h):
-        for j in range(h):
-            if _pairing(J, alphas[i], alphas[j]) != 0:
-                raise InvalidParameterError("non-symplectic basis: <a_i, a_j> != 0")
-            if _pairing(J, betas[i], betas[j]) != 0:
-                raise InvalidParameterError("non-symplectic basis: <b_i, b_j> != 0")
-            expected = Fraction(1) if i == j else Fraction(0)
-            if _pairing(J, alphas[i], betas[j]) != expected:
-                raise InvalidParameterError(
-                    "non-symplectic basis: <a_i, b_j> != delta_ij"
-                )
-    return alphas, betas
-
-
-def tensor_square_embedding(space, X, basis_vectors=None):
+def tensor_square_embedding(space, X):
     """Image of X in the tensor square, flattened row-major.
 
     The embedding sends X to sum_j beta_j (x) X alpha_j - alpha_j (x) X beta_j
-    over a symplectic basis; it is linear and injective and intertwines
-    conjugation with the diagonal tensor-square action.
+    over the standard symplectic basis alpha_j = e_j, beta_j = e_(h+j), so
+    X alpha_j and X beta_j are columns j and h + j of X; it is linear and
+    injective and intertwines conjugation with the diagonal tensor-square
+    action.
     """
     X = as_matrix(X)
     if not preserves_form_infinitesimally(space, X):
         raise InvalidParameterError("X is not in the symplectic Lie algebra")
-    if basis_vectors is None:
-        basis_vectors = standard_symplectic_basis(space)
-    alphas, betas = validate_symplectic_basis(space, tuple(tuple(map(Fraction, v)) for v in basis_vectors))
-    n = space.dim
+    h, n = space.h, space.dim
     out = [Fraction(0)] * (n * n)
-    for j in range(space.h):
-        xa = linalg.mat_vec(X, alphas[j])
-        xb = linalg.mat_vec(X, betas[j])
-        for i in range(n):
-            for k in range(n):
-                out[i * n + k] += betas[j][i] * xa[k] - alphas[j][i] * xb[k]
+    for j in range(h):
+        for k in range(n):
+            out[(h + j) * n + k] = X[k][j]
+            out[j * n + k] = -X[k][h + j]
     return tuple(out)
 
 

@@ -195,6 +195,8 @@ def twisted_cohomology_dims(
     """
     if r < 0 or p < 0:
         raise InvalidParameterError("r and p must be >= 0")
+    if genus is not None and genus < 0:
+        raise InvalidParameterError("genus must be >= 0")
     if closed_surface:
         if p == 0:
             raise InvalidParameterError(

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 from prymalg import linalg
 from prymalg.abelian_group import FiniteAbelianGroup
+from prymalg.rigidity import AbelianSymplecticAction, SymplecticSpace
 from prymalg.partitions import enumerate_set_partitions, integer_partitions
 from prymalg.polynomial import IntPoly
 
@@ -137,6 +138,83 @@ def dense_rref(rows):
         pivots.append(col)
         rank += 1
     return rows[:rank], pivots
+
+
+def dense_null_space(rows, ncols):
+    """Reference null space of dense rows from ``dense_rref``, in the
+    (basis_vectors, free_columns) form of ``linalg.null_space``."""
+    reduced, pivots = dense_rref(rows)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for f in free:
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for row, p in zip(reduced, pivots):
+            vec[p] = -row[f]
+        basis.append(tuple(vec))
+    return basis, free
+
+
+def dense_commutant_system(action):
+    """Reference commutant system as dense rows over the (2h)^2 entries
+    of X: X^T J + J X = 0, then X M - M X = 0 for each generator."""
+    n = action.space.dim
+    J = action.space.form
+    rows = []
+    # (X^T J + J X)[i][j] = sum_k X[k][i] J[k][j] + J[i][k] X[k][j]
+    for i in range(n):
+        for j in range(n):
+            row = [Fraction(0)] * (n * n)
+            for k in range(n):
+                row[k * n + i] += J[k][j]
+                row[k * n + j] += J[i][k]
+            rows.append(row)
+    for M in action.generators:
+        # (X M - M X)[i][j] = sum_k X[i][k] M[k][j] - M[i][k] X[k][j]
+        for i in range(n):
+            for j in range(n):
+                row = [Fraction(0)] * (n * n)
+                for k in range(n):
+                    row[i * n + k] += M[k][j]
+                    row[k * n + j] -= M[i][k]
+                rows.append(row)
+    return rows
+
+
+def cover_action(group, genus):
+    """Permutation model of the Prym action of an unbranched regular
+    D-cover of the closed genus-g surface: by Chevalley-Weil its rational
+    homology is Q^2 + Q[D]^(2g-2), modelled as one trivial hyperbolic
+    plane plus Q[D]^(g-1) on the alpha side, so h = 1 + |D|(g-1).  Each
+    cyclic generator of D acts by diag(P, P) with P its translation
+    permutation, which is orthogonal, so diag(P, P) preserves J.  This
+    models the capped cover; it claims nothing about punctures."""
+    elements = group.elements()
+    index = {x: i for i, x in enumerate(elements)}
+    h = 1 + len(elements) * (genus - 1)
+    gens = []
+    for f in range(len(group.cyclic_factors)):
+        shift = group.element([int(i == f) for i in range(len(group.cyclic_factors))])
+        perm = [0]  # the trivial plane is fixed
+        for copy in range(genus - 1):
+            base = 1 + copy * len(elements)
+            perm += [base + index[group.add(x, shift)] for x in elements]
+        M = [[Fraction(0)] * (2 * h) for _ in range(2 * h)]
+        for src, dst in enumerate(perm):
+            M[dst][src] = M[h + dst][h + src] = Fraction(1)
+        gens.append(tuple(tuple(row) for row in M))
+    return AbelianSymplecticAction(SymplecticSpace(h), tuple(gens))
+
+
+def cover_commutant_dimension(group, genus):
+    """dim of the commutant of ``cover_action`` by isotypic components:
+    the trivial character gives sp(2g), each of the t2 - 1 nontrivial
+    real characters sp(2g-2), and each of the (|D| - t2)/2 conjugate
+    pairs gl(2g-2), where t2 is the number of x with 2x = 0."""
+    g = genus
+    t2 = group.torsion_count(2)
+    pairs = (group.order() - t2) // 2
+    return g * (2 * g + 1) + (t2 - 1) * (g - 1) * (2 * g - 1) + pairs * (2 * g - 2) ** 2
 
 
 def dense_determinant(mat):

@@ -256,6 +256,20 @@ def test_invalid_config_exits_2_with_single_line_error(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["row.json", "scalar.json"]
 
 
+def test_deck_group_errors_name_the_bad_flag():
+    for argv, line in (
+        (("twisted", "--r", "0", "--genus", "-1", "--max-k", "6"),
+         "[twisted] genus must be >= 0"),
+        (("twisted", "--r", "0", "--genus", "-1", "--max-k", "6", "--mode", "full-mcg"),
+         "[twisted] genus must be >= 0"),
+        (("dims", "--variant", "level-prime", "--r", "2", "--degree", "2"),
+         "[dims] specify --group <literal>, --level with --genus, or --symbolic"),
+    ):
+        proc = run_cli(*argv, expect_code=2)
+        assert proc.stderr.decode() == "error: invalid-config: %s\n" % line
+        assert proc.stdout == b""
+
+
 def test_cap_exceeded_exits_3():
     proc = run_cli("strata", "--r", "40", expect_code=3)
     assert proc.stderr.decode().startswith("error: cap-exceeded:")

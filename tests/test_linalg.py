@@ -16,10 +16,11 @@ from prymalg.rigidity import (
     scalar_action,
 )
 
-from helpers import dense_determinant, dense_rref
+from helpers import dense_determinant, dense_null_space, dense_rref
 
 
 def _commutant_systems():
+    """The dense form of each sparse system ``commutant_sp`` solves."""
     actions = [plane_swap_action()]
     for h in (1, 2, 3, 4, 8):
         actions += [fixture_action(name, h) for name in ("trivial", "scalar", "rotation")]
@@ -30,13 +31,15 @@ def _commutant_systems():
     real = linalg.null_space
 
     def spy(rows, ncols):
-        systems.append(rows)
+        rows = list(rows)
+        systems.append([[row.get(c, 0) for c in range(ncols)] for row in rows])
         return real(rows, ncols)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "null_space", spy)
         for action in actions:
             commutant_sp(action)
+    assert len(systems) == len(actions)
     return systems
 
 
@@ -88,7 +91,8 @@ def test_rref_and_determinant_match_dense_reference_on_random_matrices():
         ncols = len(mat[0]) if mat else 0
         pivots = _check_against_reference(mat)
         # the echelon basis of the kernel
-        basis, free = linalg.null_space(mat, ncols)
+        basis, free = linalg.null_space([linalg.sparse_row(row) for row in mat], ncols)
+        assert (basis, free) == dense_null_space(mat, ncols)
         assert free == [c for c in range(ncols) if c not in pivots]
         for f, vec in zip(free, basis):
             assert [vec[c] for c in free] == [int(c == f) for c in free]

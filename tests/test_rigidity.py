@@ -23,13 +23,21 @@ from prymalg.rigidity import (
     rotation_action,
     scalar_action,
     sp_dimension,
-    standard_symplectic_basis,
     standard_symplectic_form,
     tensor_square_embedding,
     trivial_action,
 )
 
-from helpers import invariant_sp_dimension, random_symplectic
+from prymalg.abelian_group import parse_group_literal
+
+from helpers import (
+    cover_action,
+    cover_commutant_dimension,
+    dense_commutant_system,
+    dense_null_space,
+    invariant_sp_dimension,
+    random_symplectic,
+)
 
 
 def test_sp_dimension():
@@ -153,6 +161,38 @@ def test_commutant_dimension_matches_character_formula():
         ), (action.space.h, action.generators)
 
 
+def test_commutant_basis_matches_dense_reference():
+    actions = [plane_swap_action()]
+    for h in range(0, 9):
+        actions += [fixture_action(name, h) for name in ("trivial", "scalar", "rotation")]
+    actions += [_scalar_and_rotation(h) for h in (1, 2, 3, 4)]
+    rng = random.Random(16)
+    for action in list(actions):
+        if 1 <= action.space.h <= 3:
+            actions.append(_conjugate(action, random_symplectic(action.space.h, rng)))
+    for action in actions:
+        n = action.space.dim
+        vectors, free = dense_null_space(dense_commutant_system(action), n * n)
+        report = commutant_sp(action)
+        assert report.basis == tuple(
+            tuple(tuple(v[i * n : (i + 1) * n]) for i in range(n)) for v in vectors
+        ), (action.space.h, action.generators)
+        assert report.free_coordinates == tuple(free)
+
+
+def test_commutant_of_cover_models():
+    cases = [("Z2", 2), ("Z2", 3), ("Z3", 2), ("Z3", 3), ("Z4", 2), ("Z2xZ2", 2),
+             ("Z2xZ4", 2), ("H1(g=2,l=2)", 2)]
+    for literal, genus in cases:
+        group = parse_group_literal(literal)
+        action = cover_action(group, genus)
+        assert action.space.h == 1 + group.order() * (genus - 1)
+        dim = commutant_sp(action).dimension
+        assert dim == cover_commutant_dimension(group, genus), (literal, genus)
+        assert dim == invariant_sp_dimension(action.generators, action.space.dim)
+    assert cover_commutant_dimension(parse_group_literal("H1(g=2,l=2)"), 2) == 55
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     name=st.sampled_from(["trivial", "scalar", "rotation", "plane-swap", "scalar+rotation"]),
@@ -251,6 +291,11 @@ def test_tensor_square_zero_and_frozen_example():
     emb = tensor_square_embedding(space, X)
     # beta (x) alpha + alpha (x) beta = e2 (x) e1 + e1 (x) e2
     assert emb == (Fraction(0), Fraction(1), Fraction(1), Fraction(0))
+    # X alpha = 0 and X beta = alpha, so the image is -alpha (x) alpha
+    nilpotent = as_matrix([[0, 1], [0, 0]])
+    assert tensor_square_embedding(space, nilpotent) == (-1, 0, 0, 0)
+    with pytest.raises(InvalidParameterError):
+        tensor_square_embedding(space, linalg.identity(2))
 
 
 def test_tensor_square_rank_is_full():
@@ -276,16 +321,6 @@ def test_tensor_square_equivariance_exact():
                 left = tensor_square_embedding(space, conj)
                 right = linalg.mat_vec(FF, tensor_square_embedding(space, B))
                 assert left == tuple(right)
-
-
-def test_tensor_square_rejects_non_symplectic_basis():
-    space = SymplecticSpace(1)
-    X = as_matrix([[0, 1], [0, 0]])
-    bad = ((Fraction(1), Fraction(0)), (Fraction(2), Fraction(0)))
-    with pytest.raises(InvalidParameterError):
-        tensor_square_embedding(space, X, bad)
-    # the standard basis passes validation
-    assert tensor_square_embedding(space, X, standard_symplectic_basis(space))
 
 
 def test_matrix_text_forms():

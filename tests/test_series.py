@@ -124,6 +124,12 @@ def test_level_and_genus_are_checked_in_one_place():
         _algebra_factor_spec("level", 1, 3, None)
     with pytest.raises(InvalidParameterError, match="level needs a genus"):
         SymbolicOrder(level=3)
+    # a negative genus is refused by name, with or without a level
+    with pytest.raises(InvalidParameterError, match="genus must be >= 0"):
+        SymbolicOrder(genus=-1)
+    for mode in ("level", "full-mcg"):
+        with pytest.raises(InvalidParameterError, match="genus must be >= 0"):
+            twisted_cohomology_dims(0, 0, mode=mode, genus=-1, max_k=6)
     # a genus alone still fixes the stable-range flags, with m unbound
     table = twisted_cohomology_dims(1, 0, genus=3, max_k=4)
     assert table.symbolic and table.flag(2) is False
