@@ -116,19 +116,15 @@ def null_space(rows, ncols):
         reducer.add(row)
     reduced = reducer.reduced_pivots()
     free = [c for c in range(ncols) if c not in reduced]
-    entries = {f: [(f, Fraction(1))] for f in free}
+    basis = {f: [Fraction(0)] * ncols for f in free}
+    for f, vec in basis.items():
+        vec[f] = Fraction(1)
     # every non-lead entry of a reduced pivot row lies in a free column
     for lead, row in reduced.items():
         for c, v in row.items():
             if c != lead:
-                entries[c].append((lead, -v))
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
-        for c, v in entries[f]:
-            vec[c] = v
-        basis.append(tuple(vec))
-    return basis, free
+                basis[c][lead] = -v
+    return [tuple(vec) for vec in basis.values()], free
 
 
 def matrix_rank(rows):

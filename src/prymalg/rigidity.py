@@ -182,8 +182,10 @@ def _unflatten(vec, n):
 
 def check_commutant_h(h):
     """Refuse h > MAX_COMMUTANT_H: the commutant system has (2h)^2
-    columns and (2h)^2 rows per generator plus one, so its time and
-    memory grow like h^4 (h = 32 takes about 23 s and 600 MB)."""
+    columns and (2h)^2 rows per generator plus one.  On 2 vCPUs with
+    CPython 3.11 a bundled fixture at h = 32 takes about 1 s and 160 MB,
+    or 7 s and 1.5 GB with its basis printed as JSON; a dense rational
+    action costs far more (about 7 s already at h = 8)."""
     if h > MAX_COMMUTANT_H:
         raise CapExceededError("h=%d exceeds commutant cap %d" % (h, MAX_COMMUTANT_H))
 

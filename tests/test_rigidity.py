@@ -163,7 +163,7 @@ def test_commutant_dimension_matches_character_formula():
 
 def test_commutant_basis_matches_dense_reference():
     actions = [plane_swap_action()]
-    for h in range(0, 9):
+    for h in range(9):
         actions += [fixture_action(name, h) for name in ("trivial", "scalar", "rotation")]
     actions += [_scalar_and_rotation(h) for h in (1, 2, 3, 4)]
     rng = random.Random(16)
