@@ -12,6 +12,7 @@ from __future__ import annotations
 import collections
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -26,6 +27,13 @@ class GroupElement:
     """Residue vector with one entry per cyclic factor."""
 
     residues: tuple[int, ...]
+
+    @classmethod
+    def _trusted(cls, residues, _new=object.__new__, _set=object.__setattr__):
+        """Build from a tuple of residues already reduced, without checks."""
+        element = _new(cls)
+        _set(element, "residues", residues)
+        return element
 
     def __str__(self):
         return "(" + ",".join(str(x) for x in self.residues) + ")"
@@ -44,6 +52,7 @@ class FiniteAbelianGroup:
                 "cyclic factors must all be >= 2; the trivial group is ()"
             )
         object.__setattr__(self, "cyclic_factors", factors)
+        object.__setattr__(self, "_identity", GroupElement._trusted((0,) * len(factors)))
 
     def order(self):
         # one power per distinct factor: H1(g, l) has 2g equal factors
@@ -51,7 +60,7 @@ class FiniteAbelianGroup:
         return math.prod(f**k for f, k in counts.items())
 
     def identity(self):
-        return GroupElement((0,) * len(self.cyclic_factors))
+        return self._identity
 
     def element(self, residues):
         """Reduce a residue vector into the group (idempotent)."""
@@ -61,7 +70,7 @@ class FiniteAbelianGroup:
                 "expected %d residues, got %d"
                 % (len(self.cyclic_factors), len(residues))
             )
-        return GroupElement(tuple(x % f for x, f in zip(residues, self.cyclic_factors)))
+        return GroupElement._trusted(tuple(map(operator.mod, residues, self.cyclic_factors)))
 
     def elements(self, cap=DEFAULT_ENUMERATION_CAP):
         """All elements, identity first, in mixed-radix order."""
@@ -70,25 +79,28 @@ class FiniteAbelianGroup:
                 "group order %d exceeds enumeration cap %d" % (self.order(), cap)
             )
         return [
-            GroupElement(t)
+            GroupElement._trusted(t)
             for t in itertools.product(*(range(f) for f in self.cyclic_factors))
         ]
 
     def add(self, x, y):
-        return GroupElement(
+        return GroupElement._trusted(
             tuple(
-                (a + b) % f
-                for a, b, f in zip(x.residues, y.residues, self.cyclic_factors)
+                map(
+                    operator.mod,
+                    map(operator.add, x.residues, y.residues),
+                    self.cyclic_factors,
+                )
             )
         )
 
     def negate(self, x):
-        return GroupElement(
-            tuple((-a) % f for a, f in zip(x.residues, self.cyclic_factors))
+        return GroupElement._trusted(
+            tuple(map(operator.mod, map(operator.neg, x.residues), self.cyclic_factors))
         )
 
     def is_identity(self, x):
-        return all(a == 0 for a in x.residues)
+        return not any(x.residues)
 
     def torsion_count(self, n):
         """Number of x with n*x = 0, one gcd per cyclic factor."""

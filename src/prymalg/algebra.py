@@ -53,7 +53,6 @@ from .partitions import (
     parse_block,
     rebase_offsets,
     relabel,
-    validate_permutation,
 )
 from .polynomial import IntPoly, at_order
 
@@ -215,24 +214,16 @@ class AlgebraElement:
         return AlgebraElement.of_terms(self.terms + other.terms)
 
 
-def all_singleton_partition(r, group):
-    blocks = tuple(((i,), ()) for i in range(1, r + 1))
-    return DWeightedPartition._trusted(group, blocks)
-
-
-def unit_monomial(r, group):
-    return NormalMonomial._trusted(all_singleton_partition(r, group), (0,) * r)
-
-
-def multiply(spec, x, y, rng=None):
+def multiply(spec, x, y):
     """Product of two normal monomials in a full-variant algebra.
 
-    Blocks of the two partitions are merged pairwise wherever they share
-    an index: each merge of blocks sharing t indices contributes t - 1 to
-    the merged block's exponent, weight offsets must agree up to a common
-    shift or the product is zero, and exponents accumulate onto merged
-    blocks.  The merge order is immaterial; pass rng to randomize it (used
-    by the confluence checks).
+    Blocks of the two partitions merge along the connected components of
+    their overlaps: each block of y is merged, in turn, with every block
+    built so far that it shares an index with.  Each merge of blocks
+    sharing t indices contributes t - 1 to the merged block's exponent,
+    weight offsets must agree up to a common shift or the product is
+    zero, and exponents accumulate onto merged blocks.  The merge order is
+    immaterial.
     """
     if not spec.variant.is_full:
         raise InvalidParameterError(
@@ -246,32 +237,38 @@ def multiply(spec, x, y, rng=None):
         if mon.partition.group != group:
             raise InvalidParameterError("monomial group does not match spec")
 
-    items = [
-        (block_offsets(group, idx, weights), exponent)
-        for mon in (x, y)
-        for (idx, weights), exponent in zip(mon.partition.blocks, mon.exponents)
-    ]
+    items = {}  # key -> (offsets, exponent) of a block built so far
+    owner = {}  # index -> key of the block holding it
+    for key, ((idx, weights), exponent) in enumerate(
+        zip(x.partition.blocks, x.exponents)
+    ):
+        items[key] = block_offsets(group, idx, weights), exponent
+        owner.update(dict.fromkeys(idx, key))
+    key = len(items)
+    for (idx, weights), exponent in zip(y.partition.blocks, y.exponents):
+        if len(idx) == 1:
+            # a singleton pins no offset: its exponent joins its block's
+            other = owner[idx[0]]
+            off_o, exp_o = items[other]
+            items[other] = off_o, exp_o + exponent
+            continue
+        offsets = block_offsets(group, idx, weights)
+        for other in dict.fromkeys([owner[i] for i in idx]):
+            off_o, exp_o = items.pop(other)
+            exponent += exp_o
+            if len(off_o) > 1:
+                shared = len(off_o.keys() & offsets.keys())
+                offsets = merge_offsets(group, off_o, offsets)
+                if offsets is None:
+                    return AlgebraElement.zero()
+                exponent += shared - 1
+        items[key] = offsets, exponent
+        owner.update(dict.fromkeys(offsets, key))
+        key += 1
 
-    while True:
-        overlaps = []
-        for a in range(len(items)):
-            for b in range(a + 1, len(items)):
-                if items[a][0].keys() & items[b][0].keys():
-                    overlaps.append((a, b))
-        if not overlaps:
-            break
-        a, b = overlaps[0] if rng is None else overlaps[rng.randrange(len(overlaps))]
-        (off_a, exp_a), (off_b, exp_b) = items[a], items[b]
-        merged = merge_offsets(group, off_a, off_b)
-        if merged is None:
-            return AlgebraElement.zero()
-        exponent = exp_a + exp_b + len(off_a.keys() & off_b.keys()) - 1
-        items = [it for i, it in enumerate(items) if i not in (a, b)]
-        items.append((merged, exponent))
-
+    # blocks are disjoint, so sorting them compares first indices only
     blocks = sorted(
-        ((rebase_offsets(group, offsets), exponent) for offsets, exponent in items),
-        key=lambda be: be[0][0][0],
+        (rebase_offsets(group, offsets), exponent) for offsets, exponent in items.values()
     )
     partition = DWeightedPartition._trusted(group, tuple(b for b, _ in blocks))
     monomial = NormalMonomial._trusted(partition, tuple(e for _, e in blocks))
@@ -279,27 +276,20 @@ def multiply(spec, x, y, rng=None):
     return AlgebraElement.of_monomial(monomial)
 
 
-def element_multiply(spec, ex, ey, rng=None):
-    """Bilinear extension of multiply to algebra elements."""
-    out = []
-    for cx, mx in ex.terms:
-        for cy, my in ey.terms:
-            prod = multiply(spec, mx, my, rng=rng)
-            for cp, mp in prod.terms:
-                out.append((cx * cy * cp, mp))
-    return AlgebraElement.of_terms(out)
-
-
 def relabel_monomial(monomial, sigma):
-    """Push a normal monomial forward along a permutation of the indices."""
+    """Push a normal monomial forward along a permutation of the indices.
+
+    ``relabel`` checks sigma; each exponent then moves to the image block
+    of the point that carried it.
+    """
+    sigma = tuple(sigma)
     partition = monomial.partition
-    sigma = validate_permutation(sigma, partition.r)
     new_partition = relabel(partition, sigma)
-    exp_by_block = {}
+    exponent_at = [0] * (partition.r + 1)
     for (idx, _), e in zip(partition.blocks, monomial.exponents):
-        image = tuple(sorted(sigma[i - 1] for i in idx))
-        exp_by_block[image] = e
-    exponents = tuple(exp_by_block[idx] for idx, _ in new_partition.blocks)
+        for i in idx:
+            exponent_at[sigma[i - 1]] = e
+    exponents = tuple(exponent_at[idx[0]] for idx, _ in new_partition.blocks)
     return NormalMonomial._trusted(new_partition, exponents)
 
 

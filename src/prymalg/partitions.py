@@ -15,8 +15,9 @@ weight list belongs to singleton blocks.
 One kernel owns that convention for relabeling, the algebra product and
 the oracle: ``block_offsets``, ``merge_offsets`` and ``rebase_offsets``
 turn a block into an offset dict, unite two of them (or report that they
-contradict), and re-base one on its minimal index.  Parsers and public
-constructors validate; ``DWeightedPartition._trusted`` does not.
+contradict), and re-base (index, offset) pairs on their minimal index.
+Parsers and public constructors validate; ``DWeightedPartition._trusted``
+does not.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -142,6 +144,8 @@ class DWeightedPartition:
                     % (idx, len(idx) - 1, len(weights))
                 )
             for w in weights:
+                if not isinstance(w, GroupElement):
+                    raise InvalidParameterError("weight %r is not a group element" % (w,))
                 if len(w.residues) != nfac:
                     raise InvalidParameterError("weight %s has wrong arity" % (w,))
                 if w != self.group.element(w.residues):
@@ -304,10 +308,18 @@ def _compositions(total, parts):
 
 
 def validate_permutation(sigma, r):
-    sigma = tuple(int(s) for s in sigma)
-    if sorted(sigma) != list(range(1, r + 1)):
-        raise InvalidParameterError("not a permutation of 1..%d: %r" % (r, sigma))
-    return sigma
+    """sigma as a tuple of ints, when its entries are integers forming a
+    permutation of 1..r."""
+    try:
+        entries = tuple(map(operator.index, sigma))
+    except TypeError:
+        raise InvalidParameterError(
+            "a permutation is a sequence of integers, got %r" % (sigma,)
+        ) from None
+    # r entries covering 1..r are exactly a permutation of it
+    if len(entries) != r or not set(entries).issuperset(range(1, r + 1)):
+        raise InvalidParameterError("not a permutation of 1..%d: %r" % (r, entries))
+    return entries
 
 
 def block_offsets(group, idx, weights):
@@ -322,10 +334,17 @@ def merge_offsets(group, off_a, off_b):
 
     Offsets are only defined up to a common shift, so off_b is shifted to
     agree with off_a at their smallest shared index; the union exists when
-    the shifted off_b agrees with off_a at every shared index.
+    the shifted off_b agrees with off_a at every shared index.  When the
+    two already agree at that index the shift is the identity and is
+    skipped.
     """
-    common = sorted(off_a.keys() & off_b.keys())
-    pin = common[0]
+    common = off_a.keys() & off_b.keys()
+    pin = min(common)
+    if off_a[pin] == off_b[pin]:
+        for q in common:
+            if off_a[q] != off_b[q]:
+                return None
+        return {**off_b, **off_a}
     shift = group.add(off_a[pin], group.negate(off_b[pin]))
     for q in common:
         if off_a[q] != group.add(off_b[q], shift):
@@ -338,10 +357,21 @@ def merge_offsets(group, off_a, off_b):
 
 
 def rebase_offsets(group, offsets):
-    """(indices, weights) of an offset dict re-based on its minimal index."""
-    idx = tuple(sorted(offsets))
-    neg_base = group.negate(offsets[idx[0]])
-    return idx, tuple(group.add(offsets[i], neg_base) for i in idx[1:])
+    """(indices, weights) of a block re-based on its minimal index.
+
+    ``offsets`` holds (index, offset) pairs, or is an offset dict.  When
+    the minimal index already sits at the identity the offsets are the
+    weights as they stand.
+    """
+    if isinstance(offsets, dict):
+        offsets = offsets.items()
+    # indices are distinct, so sorting the pairs compares indices only
+    idx, offs = zip(*sorted(offsets))
+    base = offs[0]
+    if group.is_identity(base):
+        return idx, offs[1:]
+    neg_base = group.negate(base)
+    return idx, tuple([group.add(off, neg_base) for off in offs[1:]])
 
 
 def relabel(partition, sigma):
@@ -358,13 +388,13 @@ def relabel(partition, sigma):
     """
     group = partition.group
     sigma = validate_permutation(sigma, partition.r)
-    new_blocks = []
-    for idx, weights in partition.blocks:
-        offsets = block_offsets(group, idx, weights)
-        image = {sigma[i - 1]: off for i, off in offsets.items()}
-        new_blocks.append(rebase_offsets(group, image))
-    new_blocks.sort(key=lambda b: b[0][0])
-    return DWeightedPartition._trusted(group, tuple(new_blocks))
+    base_offset = (group.identity(),)
+    moved = [
+        rebase_offsets(group, zip([sigma[i - 1] for i in idx], base_offset + weights))
+        for idx, weights in partition.blocks
+    ]
+    # blocks are disjoint, so sorting them compares first indices only
+    return DWeightedPartition._trusted(group, tuple(sorted(moved)))
 
 
 def compatible_with(partition, j_vector):

@@ -5,8 +5,18 @@ from fractions import Fraction
 
 from prymalg import linalg
 from prymalg.abelian_group import FiniteAbelianGroup
+from prymalg.algebra import AlgebraElement, NormalMonomial, multiply
+from prymalg.errors import InvalidParameterError
 from prymalg.rigidity import AbelianSymplecticAction, SymplecticSpace
-from prymalg.partitions import enumerate_set_partitions, integer_partitions
+from prymalg.partitions import (
+    DWeightedPartition,
+    block_offsets,
+    enumerate_set_partitions,
+    integer_partitions,
+    merge_offsets,
+    rebase_offsets,
+    validate_permutation,
+)
 from prymalg.polynomial import IntPoly
 
 
@@ -378,3 +388,71 @@ def invariant_sp_dimension(generators, n):
     dim = Fraction(total, 2 * len(group))
     assert dim.denominator == 1
     return int(dim)
+
+
+def reference_relabel(partition, sigma):
+    """Reference relabel: one offset dict per block, moved along sigma and
+    re-based on its new minimal index."""
+    group = partition.group
+    sigma = validate_permutation(sigma, partition.r)
+    new_blocks = []
+    for idx, weights in partition.blocks:
+        offsets = block_offsets(group, idx, weights)
+        image = {sigma[i - 1]: off for i, off in offsets.items()}
+        new_blocks.append(rebase_offsets(group, image))
+    new_blocks.sort(key=lambda b: b[0][0])
+    return DWeightedPartition._trusted(group, tuple(new_blocks))
+
+
+def reference_multiply(spec, x, y, rng=None):
+    """Reference product: after each merge every pair of blocks is
+    rescanned for an overlap, and the first one merged next, or a random
+    one when rng is given, so the merge order can be varied."""
+    if not spec.variant.is_full:
+        raise InvalidParameterError("multiply is defined on the full variants")
+    group = spec.concrete_group()
+    items = [
+        (block_offsets(group, idx, weights), exponent)
+        for mon in (x, y)
+        for (idx, weights), exponent in zip(mon.partition.blocks, mon.exponents)
+    ]
+    while True:
+        overlaps = []
+        for a in range(len(items)):
+            for b in range(a + 1, len(items)):
+                if items[a][0].keys() & items[b][0].keys():
+                    overlaps.append((a, b))
+        if not overlaps:
+            break
+        a, b = overlaps[0] if rng is None else overlaps[rng.randrange(len(overlaps))]
+        (off_a, exp_a), (off_b, exp_b) = items[a], items[b]
+        merged = merge_offsets(group, off_a, off_b)
+        if merged is None:
+            return AlgebraElement.zero()
+        exponent = exp_a + exp_b + len(off_a.keys() & off_b.keys()) - 1
+        items = [it for i, it in enumerate(items) if i not in (a, b)]
+        items.append((merged, exponent))
+    blocks = sorted(
+        ((rebase_offsets(group, offsets), exponent) for offsets, exponent in items),
+        key=lambda be: be[0][0][0],
+    )
+    partition = DWeightedPartition._trusted(group, tuple(b for b, _ in blocks))
+    monomial = NormalMonomial._trusted(partition, tuple(e for _, e in blocks))
+    assert monomial.degree == x.degree + y.degree
+    return AlgebraElement.of_monomial(monomial)
+
+
+def unit_monomial(r, group):
+    """The empty product: every index a singleton with exponent 0."""
+    blocks = tuple(((i,), ()) for i in range(1, r + 1))
+    return NormalMonomial._trusted(DWeightedPartition._trusted(group, blocks), (0,) * r)
+
+
+def element_multiply(spec, ex, ey):
+    """Bilinear extension of multiply to algebra elements."""
+    out = []
+    for cx, mx in ex.terms:
+        for cy, my in ey.terms:
+            for cp, mp in multiply(spec, mx, my).terms:
+                out.append((cx * cy * cp, mp))
+    return AlgebraElement.of_terms(out)

@@ -16,7 +16,6 @@ from prymalg.algebra import (
     Variant,
     basis,
     element_from_json,
-    element_multiply,
     element_to_json,
     format_monomial,
     graded_dimension,
@@ -25,7 +24,6 @@ from prymalg.algebra import (
     oracle_graded_dimension,
     parse_monomial,
     relabel_monomial,
-    unit_monomial,
     _covers_all_indices,
     _monomials_of_degree,
     _oracle_columns,
@@ -35,10 +33,20 @@ from prymalg.algebra import (
 )
 from prymalg.errors import CapExceededError, InvalidParameterError, ParseError
 from prymalg.linalg import RowReducer
-from prymalg.partitions import DWeightedPartition
+from prymalg.partitions import (
+    DWeightedPartition,
+    enumerate_d_weighted_partitions,
+    relabel,
+)
 from prymalg.polynomial import IntPoly
 
-from helpers import graded_dimension_by_shapes
+from helpers import (
+    element_multiply,
+    graded_dimension_by_shapes,
+    reference_multiply,
+    reference_relabel,
+    unit_monomial,
+)
 
 TRIVIAL = FiniteAbelianGroup(())
 Z2 = FiniteAbelianGroup((2,))
@@ -132,7 +140,7 @@ def test_confluence_and_associativity_random_triples():
                 left = element_multiply(spec, xy, AlgebraElement.of_monomial(z))
                 right = element_multiply(spec, AlgebraElement.of_monomial(x), yz)
                 assert left == right
-                shuffled = multiply(spec, x, y, rng=rng)
+                shuffled = reference_multiply(spec, x, y, rng=rng)
                 assert shuffled == xy
 
 
@@ -168,7 +176,30 @@ def test_merge_order_invariance_exhaustive_small():
         x, y = rng.choice(pool), rng.choice(pool)
         default = multiply(spec, x, y)
         for trial in range(4):
-            assert multiply(spec, x, y, rng=rng) == default
+            assert reference_multiply(spec, x, y, rng=rng) == default
+
+
+def test_product_and_relabel_match_references_exhaustive():
+    # relabel against the offset-dict reference: every partition with
+    # r <= 4 over each group, under every permutation
+    for literal in ("Z1", "Z2", "Z3", "Z4", "Z2xZ2"):
+        group = parse_group_literal(literal)
+        for r in range(5):
+            perms = list(itertools.permutations(range(1, r + 1)))
+            for p in enumerate_d_weighted_partitions(r, group):
+                for sigma in perms:
+                    assert relabel(p, sigma) == reference_relabel(p, sigma), (p, sigma)
+    # multiply against the pairwise-rescan reference on all ordered pairs
+    for r, group, degree in ((4, Z2, 4), (3, Z3, 4)):
+        spec = AlgebraSpec(Variant.LEVEL_FULL, r, group)
+        pool = basis(spec, degree)
+        nonzero = 0
+        for x in pool:
+            for y in pool:
+                product = multiply(spec, x, y)
+                assert product == reference_multiply(spec, x, y), (x, y)
+                nonzero += not product.is_zero()
+        assert 0 < nonzero < len(pool) ** 2
 
 
 def test_graded_dimension_level_prime_r2():

@@ -4,7 +4,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prymalg.abelian_group import FiniteAbelianGroup, parse_group_literal
+from prymalg.abelian_group import FiniteAbelianGroup, GroupElement, parse_group_literal
 from prymalg.algebra import AlgebraSpec, Variant, graded_dimension
 from prymalg.errors import CapExceededError, InvalidParameterError, ParseError
 from prymalg.partitions import (
@@ -24,6 +24,7 @@ from prymalg.partitions import (
     relabel,
     stirling2,
     stirling2_no_singletons,
+    validate_permutation,
 )
 from prymalg.polynomial import IntPoly
 
@@ -70,6 +71,27 @@ def test_set_partition_validation():
     with pytest.raises(InvalidParameterError):
         SetPartition(((1, 3),))
     assert SetPartition.of([(3,), (1, 2)]).blocks == ((1, 2), (3,))
+    # the deck-weighted constructor checks every weight
+    one = Z3.element([1])
+    assert DWeightedPartition(Z3, (((1, 2), (one,)),)).r == 2
+    for weights in ((), (one, one), ((1,),), (1,), (Z22.element([1, 0]),)):
+        with pytest.raises(InvalidParameterError):
+            DWeightedPartition(Z3, (((1, 2), weights),))
+    with pytest.raises(InvalidParameterError):
+        DWeightedPartition(Z3, (((1, 2), (GroupElement((4,)),)),))  # not reduced
+
+
+def test_validate_permutation_takes_only_integers():
+    assert validate_permutation([2, 1, 3], 3) == (2, 1, 3)
+    assert validate_permutation((), 0) == ()
+    for sigma in ((1.5, 2.2), (1.0, 2.0), ("1", "2"), ("a", 2), 12):
+        with pytest.raises(InvalidParameterError):
+            validate_permutation(sigma, 2)
+    for sigma in ((1, 1), (1, 3), (1, 2, 3), (0, 1), (2,)):
+        with pytest.raises(InvalidParameterError):
+            validate_permutation(sigma, 2)
+    with pytest.raises(InvalidParameterError):
+        relabel(enumerate_d_weighted_partitions(2, Z2)[0], (1.5, 2.2))
 
 
 def test_count_polynomials():
