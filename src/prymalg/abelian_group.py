@@ -29,10 +29,10 @@ class GroupElement:
     residues: tuple[int, ...]
 
     @classmethod
-    def _trusted(cls, residues, _new=object.__new__, _set=object.__setattr__):
+    def _trusted(cls, residues):
         """Build from a tuple of residues already reduced, without checks."""
-        element = _new(cls)
-        _set(element, "residues", residues)
+        element = object.__new__(cls)
+        object.__setattr__(element, "residues", residues)
         return element
 
     def __str__(self):
