@@ -84,20 +84,12 @@ class FiniteAbelianGroup:
         ]
 
     def add(self, x, y):
-        return GroupElement._trusted(
-            tuple(
-                map(
-                    operator.mod,
-                    map(operator.add, x.residues, y.residues),
-                    self.cyclic_factors,
-                )
-            )
-        )
+        residues = map(operator.add, x.residues, y.residues)
+        return GroupElement._trusted(tuple(map(operator.mod, residues, self.cyclic_factors)))
 
     def negate(self, x):
-        return GroupElement._trusted(
-            tuple(map(operator.mod, map(operator.neg, x.residues), self.cyclic_factors))
-        )
+        residues = map(operator.neg, x.residues)
+        return GroupElement._trusted(tuple(map(operator.mod, residues, self.cyclic_factors)))
 
     def is_identity(self, x):
         return not any(x.residues)

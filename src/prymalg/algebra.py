@@ -285,7 +285,7 @@ def relabel_monomial(monomial, sigma):
     sigma = tuple(sigma)
     partition = monomial.partition
     new_partition = relabel(partition, sigma)
-    exponent_at = [0] * (partition.r + 1)
+    exponent_at = [0] * (len(sigma) + 1)
     for (idx, _), e in zip(partition.blocks, monomial.exponents):
         for i in idx:
             exponent_at[sigma[i - 1]] = e
