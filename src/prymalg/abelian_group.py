@@ -14,19 +14,19 @@ import itertools
 import math
 import operator
 import re
-from dataclasses import dataclass
-
-from .errors import CapExceededError, InvalidParameterError, ParseError
+from .errors import CapExceededError, InvalidParameterError, ParseError, _Value
 
 DEFAULT_ENUMERATION_CAP = 10**6
 MAX_GROUP_RANK = 10**4
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(_Value):
     """Residue vector with one entry per cyclic factor."""
 
-    residues: tuple[int, ...]
+    __slots__ = ("residues",)
+
+    def __init__(self, residues):
+        object.__setattr__(self, "residues", residues)
 
     @classmethod
     def _trusted(cls, residues):
@@ -39,11 +39,14 @@ class GroupElement:
         return "(" + ",".join(str(x) for x in self.residues) + ")"
 
 
-@dataclass(frozen=True)
-class FiniteAbelianGroup:
+class FiniteAbelianGroup(_Value, fields=("cyclic_factors",)):
     """Direct sum of cyclic groups; factor order is irrelevant to semantics."""
 
-    cyclic_factors: tuple[int, ...]
+    __slots__ = ("cyclic_factors", "_identity")
+
+    def __init__(self, cyclic_factors):
+        object.__setattr__(self, "cyclic_factors", cyclic_factors)
+        self.__post_init__()
 
     def __post_init__(self):
         factors = tuple(int(f) for f in self.cyclic_factors)
@@ -106,8 +109,7 @@ class FiniteAbelianGroup:
         return "x".join("Z%d" % f for f in self.cyclic_factors)
 
 
-@dataclass(frozen=True)
-class SymbolicOrder:
+class SymbolicOrder(_Value):
     """The deck-group order l^(2g) kept as the indeterminate m.
 
     Optionally bound to concrete (level, genus); ``concrete_order`` then
@@ -115,8 +117,12 @@ class SymbolicOrder:
     fixes stable ranges); a level alone names no group and is refused.
     """
 
-    level: int | None = None
-    genus: int | None = None
+    __slots__ = ("level", "genus")
+
+    def __init__(self, level=None, genus=None):
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "genus", genus)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.level is not None and self.genus is None:

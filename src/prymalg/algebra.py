@@ -33,7 +33,6 @@ import itertools
 import math
 import re
 import typing
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .abelian_group import (
@@ -42,7 +41,7 @@ from .abelian_group import (
     SymbolicOrder,
     concrete_order,
 )
-from .errors import CapExceededError, InvalidParameterError, ParseError
+from .errors import CapExceededError, InvalidParameterError, ParseError, _Value
 from .partitions import (
     DWeightedPartition,
     _compositions,
@@ -96,13 +95,17 @@ _SINGLETON_MIN = {
 }
 
 
-@dataclass(frozen=True)
-class AlgebraSpec:
-    """Which algebra: variant, number of indices, and deck group if twisted."""
+class AlgebraSpec(_Value):
+    """Which algebra: variant, number of indices, and deck group if twisted
+    (a FiniteAbelianGroup or a SymbolicOrder)."""
 
-    variant: Variant
-    r: int
-    group: FiniteAbelianGroup | SymbolicOrder | None = None
+    __slots__ = ("variant", "r", "group")
+
+    def __init__(self, variant, r, group=None):
+        object.__setattr__(self, "variant", variant)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "group", group)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.r < 0:
@@ -137,12 +140,15 @@ class AlgebraSpec:
         return concrete_order(self.group)
 
 
-@dataclass(frozen=True)
-class NormalMonomial:
+class NormalMonomial(_Value):
     """Deck-weighted partition plus one exponent per block."""
 
-    partition: DWeightedPartition
-    exponents: tuple[int, ...]
+    __slots__ = ("partition", "exponents")
+
+    def __init__(self, partition, exponents):
+        object.__setattr__(self, "partition", partition)
+        object.__setattr__(self, "exponents", exponents)
+        self.__post_init__()
 
     def __post_init__(self):
         exponents = tuple(int(e) for e in self.exponents)
@@ -178,18 +184,24 @@ class NormalMonomial:
         return format_monomial(self)
 
 
-@dataclass(frozen=True)
-class AlgebraElement:
-    """Finite rational combination of normal monomials, canonically sorted."""
+_ONE = Fraction(1)
 
-    terms: tuple[tuple[Fraction, NormalMonomial], ...]
+
+class AlgebraElement(_Value):
+    """Finite rational combination of normal monomials, canonically sorted:
+    (Fraction, NormalMonomial) terms."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms):
+        object.__setattr__(self, "terms", terms)
 
     @classmethod
     def zero(cls):
         return cls(())
 
     @classmethod
-    def of_monomial(cls, monomial, coeff=Fraction(1)):
+    def of_monomial(cls, monomial, coeff=_ONE):
         coeff = Fraction(coeff)
         if coeff == 0:
             return cls.zero()
@@ -270,10 +282,10 @@ def multiply(spec, x, y):
     blocks = sorted(
         (rebase_offsets(group, offsets), exponent) for offsets, exponent in items.values()
     )
-    partition = DWeightedPartition._trusted(group, tuple(b for b, _ in blocks))
+    partition = DWeightedPartition._trusted(group, tuple(b for b, _ in blocks), spec.r)
     monomial = NormalMonomial._trusted(partition, tuple(e for _, e in blocks))
     assert monomial.degree == x.degree + y.degree
-    return AlgebraElement.of_monomial(monomial)
+    return AlgebraElement(((_ONE, monomial),))
 
 
 def relabel_monomial(monomial, sigma):
@@ -353,7 +365,7 @@ def basis(spec, degree, cap=DEFAULT_ENUMERATION_CAP, degree_cap=DEFAULT_BASIS_DE
         ]
         for assignment in itertools.product(*weight_choices):
             partition = DWeightedPartition._trusted(
-                group, tuple(zip(sp.blocks, assignment))
+                group, tuple(zip(sp.blocks, assignment)), spec.r
             )
             for extra in _compositions(t, sp.num_blocks):
                 exponents = tuple(m0 + e for m0, e in zip(mins, extra))
@@ -723,18 +735,3 @@ def parse_monomial(text, spec):
     partition = DWeightedPartition(group, tuple(ordered))
     exps = tuple(exponents.get(idx, 0) for idx, _ in partition.blocks)
     return NormalMonomial(partition, exps)
-
-
-def element_to_json(element):
-    """JSON form: list of (numerator, denominator, monomial string)."""
-    return [
-        [coeff.numerator, coeff.denominator, format_monomial(mon)]
-        for coeff, mon in element.terms
-    ]
-
-
-def element_from_json(data, spec):
-    pairs = []
-    for num, den, text in data:
-        pairs.append((Fraction(int(num), int(den)), parse_monomial(text, spec)))
-    return AlgebraElement.of_terms(pairs)

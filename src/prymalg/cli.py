@@ -22,7 +22,6 @@ import os
 import shutil
 import sys
 import tempfile
-from dataclasses import dataclass
 
 from .abelian_group import SymbolicOrder, concrete_order, parse_group_literal
 from .algebra import (
@@ -36,6 +35,7 @@ from .errors import (
     CapExceededError,
     InvalidParameterError,
     OracleMismatchError,
+    _Value,
 )
 from .polynomial import IntPoly, at_order
 from .rigidity import (
@@ -221,20 +221,22 @@ def _exact_integer_text():
         sys.set_int_max_str_digits(limit)
 
 
-@dataclass
-class Table:
+class Table(_Value, frozen=False):
     """What a handler returns: the table to render and how the run ends.
 
     ``payload``, when set, is the command's own JSON document and replaces
     the standard one under --format json.
     """
 
-    columns: tuple
-    rows: list
-    metadata: dict | None = None
-    note: str | None = None  # one line for stderr
-    code: int = EXIT_OK
-    payload: dict | None = None
+    __slots__ = ("columns", "rows", "metadata", "note", "code", "payload")
+
+    def __init__(self, columns, rows, metadata=None, note=None, code=EXIT_OK, payload=None):
+        self.columns = columns
+        self.rows = rows
+        self.metadata = metadata
+        self.note = note  # one line for stderr
+        self.code = code
+        self.payload = payload
 
 
 def _cell_text(value):

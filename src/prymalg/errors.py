@@ -1,10 +1,12 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy and value-class base shared by all modules.
 
 The CLI maps these onto process exit codes: invalid parameters and parse
 failures exit 2, cap violations exit 3, oracle mismatches exit 4.  Any
 other exception, including a PrymAlgError of no listed kind, is a bug
 and exits 5.
 """
+
+from operator import attrgetter
 
 
 class PrymAlgError(Exception):
@@ -25,3 +27,63 @@ class CapExceededError(PrymAlgError):
 
 class OracleMismatchError(PrymAlgError):
     """An independent cross-check disagreed with the closed-form value."""
+
+
+class _Value:
+    """Base of the package's value classes, in place of ``dataclasses``
+    (whose import, with the ``inspect`` it pulls in, and class building
+    would cost more than the rest of the CLI's start-up).
+
+    A subclass declares ``__slots__`` and its own ``__init__``.  Its
+    fields are its slots, or the ``fields`` class keyword when some slots
+    stay out of equality.  As for a frozen dataclass, ``==`` compares the
+    fields of two instances of the same class (``NotImplemented`` for any
+    other class), the hash is that of the tuple of fields, and the repr is
+    ``Name(field=value, ...)``.  A frozen class refuses attribute
+    assignment and deletion, so its ``__init__`` stores with
+    ``object.__setattr__``; ``frozen=False`` gives a mutable, unhashable
+    record.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, fields=None, frozen=True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = tuple(cls.__slots__ if fields is None else fields)
+        if len(fields) == 1:
+            get = attrgetter(fields[0])
+
+            def key(obj):
+                return (get(obj),)
+
+        else:
+            key = attrgetter(*fields)
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return key(self) == key(other)
+            return NotImplemented
+
+        def __hash__(self):
+            return hash(key(self))
+
+        def __repr__(self):
+            return "%s(%s)" % (
+                self.__class__.__qualname__,
+                ", ".join("%s=%r" % (f, getattr(self, f)) for f in fields),
+            )
+
+        cls.__eq__ = __eq__
+        cls.__repr__ = __repr__
+        if frozen:
+            cls.__hash__ = __hash__
+        else:
+            cls.__hash__ = None
+            cls.__setattr__ = object.__setattr__
+            cls.__delattr__ = object.__delattr__
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)

@@ -127,13 +127,6 @@ def null_space(rows, ncols):
     return [tuple(vec) for vec in basis.values()], free
 
 
-def matrix_rank(rows):
-    reducer = RowReducer()
-    for r in rows:
-        reducer.add(sparse_row(r))
-    return reducer.rank
-
-
 def identity(n):
     return tuple(
         tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))
@@ -164,10 +157,6 @@ def mat_neg(a):
     return tuple(tuple(-x for x in row) for row in a)
 
 
-def mat_vec(a, v):
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
-
-
 def mat_inv(mat):
     """Inverse via Gauss-Jordan; raises ValueError on singular input."""
     n = len(mat)
@@ -177,16 +166,6 @@ def mat_inv(mat):
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return tuple(tuple(row[n:]) for row in reduced)
-
-
-def kron(a, b):
-    """Kronecker product consistent with row-major flattening of u (x) v."""
-    nb = len(b)
-    return tuple(
-        tuple(a[i][j] * b[k][l] for j in range(len(a[0])) for l in range(len(b[0])))
-        for i in range(len(a))
-        for k in range(nb)
-    )
 
 
 def determinant(mat):

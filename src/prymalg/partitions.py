@@ -27,15 +27,13 @@ import itertools
 import math
 import operator
 import re
-from dataclasses import dataclass
 
 from .abelian_group import (
     DEFAULT_ENUMERATION_CAP,
-    FiniteAbelianGroup,
     GroupElement,
     concrete_order,
 )
-from .errors import CapExceededError, InvalidParameterError, ParseError
+from .errors import CapExceededError, InvalidParameterError, ParseError, _Value
 from .polynomial import IntPoly, at_order
 
 MAX_SET_PARTITION_R = 12
@@ -65,11 +63,14 @@ def _validate_blocks(blocks):
         raise InvalidParameterError("blocks must partition {1..r}")
 
 
-@dataclass(frozen=True)
-class SetPartition:
+class SetPartition(_Value):
     """Partition of {1..r} in canonical form."""
 
-    blocks: tuple[tuple[int, ...], ...]
+    __slots__ = ("blocks",)
+
+    def __init__(self, blocks):
+        object.__setattr__(self, "blocks", blocks)
+        self.__post_init__()
 
     def __post_init__(self):
         blocks = tuple(tuple(int(i) for i in b) for b in self.blocks)
@@ -96,11 +97,14 @@ class SetPartition:
         return "|".join("{" + "<".join(map(str, b)) + "}" for b in self.blocks)
 
 
-@dataclass(frozen=True)
-class WeightedPartition:
+class WeightedPartition(_Value):
     """Set partition whose blocks carry integer weights, i + |S| >= 2."""
 
-    pairs: tuple[tuple[tuple[int, ...], int], ...]
+    __slots__ = ("pairs",)
+
+    def __init__(self, pairs):
+        object.__setattr__(self, "pairs", pairs)
+        self.__post_init__()
 
     def __post_init__(self):
         pairs = tuple((tuple(int(i) for i in b), int(w)) for b, w in self.pairs)
@@ -123,12 +127,19 @@ class WeightedPartition:
         return sum(w + len(b) - 1 for b, w in self.pairs)
 
 
-@dataclass(frozen=True)
-class DWeightedPartition:
-    """Set partition with deck-group weights, one per non-base index."""
+class DWeightedPartition(_Value, fields=("group", "blocks")):
+    """Set partition with deck-group weights, one per non-base index.
 
-    group: FiniteAbelianGroup
-    blocks: tuple[tuple[tuple[int, ...], tuple[GroupElement, ...]], ...]
+    ``r``, the number of indices, is stored once and is not a field.
+    """
+
+    __slots__ = ("group", "blocks", "r")
+
+    def __init__(self, group, blocks):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "blocks", blocks)
+        self.__post_init__()
+        object.__setattr__(self, "r", sum(len(idx) for idx, _ in self.blocks))
 
     def __post_init__(self):
         blocks = tuple(
@@ -152,17 +163,15 @@ class DWeightedPartition:
                     raise InvalidParameterError("weight %s is not reduced" % (w,))
 
     @classmethod
-    def _trusted(cls, group, blocks):
+    def _trusted(cls, group, blocks, r):
         """Build without checks from blocks that __post_init__ would accept
-        unchanged: (index tuple, reduced weight tuple) pairs by minimum."""
+        unchanged: (index tuple, reduced weight tuple) pairs by minimum,
+        covering {1..r}."""
         partition = object.__new__(cls)
         object.__setattr__(partition, "group", group)
         object.__setattr__(partition, "blocks", blocks)
+        object.__setattr__(partition, "r", r)
         return partition
-
-    @property
-    def r(self):
-        return sum(len(idx) for idx, _ in self.blocks)
 
     @property
     def num_blocks(self):
@@ -178,11 +187,14 @@ class DWeightedPartition:
         return format_partition(self)
 
 
-@dataclass(frozen=True)
-class JVector:
+class JVector(_Value):
     """0/1 tags for tensor slots: 1 selects the punctured-cover module."""
 
-    entries: tuple[int, ...]
+    __slots__ = ("entries",)
+
+    def __init__(self, entries):
+        object.__setattr__(self, "entries", entries)
+        self.__post_init__()
 
     def __post_init__(self):
         entries = tuple(int(e) for e in self.entries)
@@ -235,10 +247,6 @@ def stirling2(n, k):
     return row[k]
 
 
-def bell_number(n):
-    return sum(stirling2(n, k) for k in range(n + 1))
-
-
 def count_d_weighted_partitions(r):
     """Number of deck-weighted partitions of {1..r} as a polynomial in m."""
     if r < 0:
@@ -272,7 +280,7 @@ def enumerate_d_weighted_partitions(r, group, cap=DEFAULT_ENUMERATION_CAP):
         ]
         for assignment in itertools.product(*weight_choices):
             result.append(
-                DWeightedPartition._trusted(group, tuple(zip(sp.blocks, assignment)))
+                DWeightedPartition._trusted(group, tuple(zip(sp.blocks, assignment)), r)
             )
     return result
 
@@ -394,7 +402,7 @@ def relabel(partition, sigma):
         for idx, weights in partition.blocks
     ]
     # blocks are disjoint, so sorting them compares first indices only
-    return DWeightedPartition._trusted(group, tuple(sorted(moved)))
+    return DWeightedPartition._trusted(group, tuple(sorted(moved)), partition.r)
 
 
 def compatible_with(partition, j_vector):

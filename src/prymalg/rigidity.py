@@ -13,10 +13,9 @@ particular cover.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CapExceededError, InvalidParameterError, ParseError
+from .errors import CapExceededError, InvalidParameterError, ParseError, _Value
 from . import linalg
 
 DEFAULT_ORDER_CAP = 24
@@ -73,11 +72,14 @@ def format_matrix(mat):
     ]
 
 
-@dataclass(frozen=True)
-class SymplecticSpace:
+class SymplecticSpace(_Value):
     """2h-dimensional rational space with the standard skew form."""
 
-    h: int
+    __slots__ = ("h",)
+
+    def __init__(self, h):
+        object.__setattr__(self, "h", h)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.h < 0:
@@ -125,12 +127,15 @@ def matrix_order(M, cap=DEFAULT_ORDER_CAP):
     raise CapExceededError("matrix order exceeds cap %d (infinite order?)" % cap)
 
 
-@dataclass(frozen=True)
-class AbelianSymplecticAction:
+class AbelianSymplecticAction(_Value):
     """Commuting finite-order symplectic generators on a symplectic space."""
 
-    space: SymplecticSpace
-    generators: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    __slots__ = ("space", "generators")
+
+    def __init__(self, space, generators):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "generators", generators)
+        self.__post_init__()
 
     def __post_init__(self):
         gens = tuple(as_matrix(g) for g in self.generators)
@@ -156,13 +161,15 @@ class AbelianSymplecticAction:
                     )
 
 
-@dataclass(frozen=True)
-class LieSubalgebraReport:
+class LieSubalgebraReport(_Value):
     """Dimension and reduced-echelon basis of a commutant subalgebra."""
 
-    dimension: int
-    basis: tuple[tuple[tuple[Fraction, ...], ...], ...]
-    free_coordinates: tuple[int, ...]
+    __slots__ = ("dimension", "basis", "free_coordinates")
+
+    def __init__(self, dimension, basis, free_coordinates):
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "free_coordinates", free_coordinates)
 
 
 def sp_dimension(h):
@@ -240,13 +247,6 @@ def commutant_sp(action, order_cap=DEFAULT_ORDER_CAP):
     return LieSubalgebraReport(
         dimension=len(basis), basis=basis, free_coordinates=tuple(free_cols)
     )
-
-
-def in_commutant_group(action, F):
-    """Whether F is symplectic and commutes with every generator."""
-    if not is_symplectic(action.space, F):
-        return False
-    return all(commutes_with(F, M) for M in action.generators)
 
 
 def adjoint_matrix(action, F, report):

@@ -18,11 +18,9 @@ the hypotheses of every twisted table here and is rejected explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .abelian_group import SymbolicOrder, check_homology_parameters, concrete_order
 from .algebra import AlgebraSpec, Variant, graded_dimension
-from .errors import CapExceededError, InvalidParameterError, OracleMismatchError
+from .errors import CapExceededError, InvalidParameterError, OracleMismatchError, _Value
 from .partitions import (
     MAX_COUNT_R,
     JVector,
@@ -56,24 +54,31 @@ def in_stable_range(kind, genus, k):
     raise InvalidParameterError("unknown stable range kind %r" % (kind,))
 
 
-@dataclass
-class DimensionTable:
+class DimensionTable(_Value, frozen=False):
     """Map degree -> exact count, with per-entry stable-range flags.
 
     Twisted tables are keyed by the total degree k; the group-cohomology
     degree of the k-entry is k - r and is reported alongside.
+    ``poly_entries`` holds the entries as polynomials in m.  Each dict
+    field left out starts as a new empty dict.
     """
 
-    variant: str
-    entries: dict[int, object] = field(default_factory=dict)
-    in_range: dict[int, bool] = field(default_factory=dict)
-    r: int | None = None
-    p: int | None = None
-    level: int | None = None
-    genus: int | None = None
-    symbolic: bool = False
-    # the entries as polynomials in m
-    poly_entries: dict[int, IntPoly] = field(default_factory=dict)
+    __slots__ = (
+        "variant", "entries", "in_range", "r", "p", "level", "genus", "symbolic",
+        "poly_entries",
+    )
+
+    def __init__(self, variant, entries=None, in_range=None, r=None, p=None,
+                 level=None, genus=None, symbolic=False, poly_entries=None):
+        self.variant = variant
+        self.entries = {} if entries is None else entries
+        self.in_range = {} if in_range is None else in_range
+        self.r = r
+        self.p = p
+        self.level = level
+        self.genus = genus
+        self.symbolic = symbolic
+        self.poly_entries = {} if poly_entries is None else poly_entries
 
     def degrees(self):
         return sorted(self.entries)
@@ -99,29 +104,6 @@ class DimensionTable:
             }
             for k in self.degrees()
         ]
-
-    def to_json_dict(self):
-        return {
-            "metadata": {
-                "variant": self.variant,
-                "r": self.r,
-                "p": self.p,
-                "level": self.level,
-                "genus": self.genus,
-                "symbolic": self.symbolic,
-            },
-            "rows": [
-                {
-                    **row,
-                    "dim_at_concrete_m": (
-                        str(row["dim_at_concrete_m"])
-                        if row["dim_at_concrete_m"] is not None
-                        else None
-                    ),
-                }
-                for row in self.rows()
-            ],
-        }
 
 
 def _partition_counts(max_q):
@@ -247,18 +229,20 @@ def _convolve_into(table, stable, factor, m, kind):
         )
 
 
-@dataclass(frozen=True)
-class PutmanGapReport:
+class PutmanGapReport(_Value):
     """The two dimensions compared by the stability question for one k."""
 
-    r: int
-    p: int
-    k: int
-    level: int
-    genus: int
-    lhs_dim: int
-    rhs_dim: int
-    differ: bool
+    __slots__ = ("r", "p", "k", "level", "genus", "lhs_dim", "rhs_dim", "differ")
+
+    def __init__(self, r, p, k, level, genus, lhs_dim, rhs_dim, differ):
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "lhs_dim", lhs_dim)
+        object.__setattr__(self, "rhs_dim", rhs_dim)
+        object.__setattr__(self, "differ", differ)
 
     @property
     def verdict(self):

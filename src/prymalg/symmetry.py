@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .abelian_group import concrete_order
 from .algebra import DEFAULT_BASIS_DEGREE_CAP, basis, relabel_monomial
-from .errors import CapExceededError, InvalidParameterError, OracleMismatchError
+from .errors import CapExceededError, InvalidParameterError, OracleMismatchError, _Value
 from .partitions import (
     enumerate_set_partitions,
     integer_partitions,
@@ -29,12 +28,14 @@ from .partitions import (
 MAX_CHARACTER_R = 8
 
 
-@dataclass(frozen=True)
-class SrCharacter:
+class SrCharacter(_Value):
     """Class function on the symmetric group, indexed by cycle types."""
 
-    r: int
-    values: tuple[tuple[tuple[int, ...], int], ...]
+    __slots__ = ("r", "values")
+
+    def __init__(self, r, values):
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def from_dict(cls, r, mapping):
@@ -74,11 +75,6 @@ def centralizer_order(cycle_type):
     return z
 
 
-def class_size(cycle_type):
-    r = sum(cycle_type)
-    return math.factorial(r) // centralizer_order(cycle_type)
-
-
 def representative_permutation(cycle_type):
     """Canonical permutation of 1..r with the given cycle type (1-indexed)."""
     r = sum(cycle_type)
@@ -90,21 +86,6 @@ def representative_permutation(cycle_type):
             dst = start + (offset + 1) % length
             sigma[src - 1] = dst
         start += length
-    return tuple(sigma)
-
-
-def permutation_with_cycle_type(cycle_type, rng):
-    """Random permutation of the given cycle type (for class-constancy checks)."""
-    r = sum(cycle_type)
-    points = list(range(1, r + 1))
-    rng.shuffle(points)
-    sigma = [0] * r
-    pos = 0
-    for length in cycle_type:
-        cycle = points[pos : pos + length]
-        for i, src in enumerate(cycle):
-            sigma[src - 1] = cycle[(i + 1) % length]
-        pos += length
     return tuple(sigma)
 
 

@@ -5,9 +5,20 @@ from fractions import Fraction
 
 from prymalg import linalg
 from prymalg.abelian_group import FiniteAbelianGroup
-from prymalg.algebra import AlgebraElement, NormalMonomial, multiply
+from prymalg.algebra import (
+    AlgebraElement,
+    NormalMonomial,
+    format_monomial,
+    multiply,
+    parse_monomial,
+)
 from prymalg.errors import InvalidParameterError
-from prymalg.rigidity import AbelianSymplecticAction, SymplecticSpace
+from prymalg.rigidity import (
+    AbelianSymplecticAction,
+    SymplecticSpace,
+    commutes_with,
+    is_symplectic,
+)
 from prymalg.partitions import (
     DWeightedPartition,
     block_offsets,
@@ -15,9 +26,11 @@ from prymalg.partitions import (
     integer_partitions,
     merge_offsets,
     rebase_offsets,
+    stirling2,
     validate_permutation,
 )
 from prymalg.polynomial import IntPoly
+from prymalg.symmetry import centralizer_order
 
 
 def prime_factorization(n):
@@ -401,7 +414,7 @@ def reference_relabel(partition, sigma):
         image = {sigma[i - 1]: off for i, off in offsets.items()}
         new_blocks.append(rebase_offsets(group, image))
     new_blocks.sort(key=lambda b: b[0][0])
-    return DWeightedPartition._trusted(group, tuple(new_blocks))
+    return DWeightedPartition._trusted(group, tuple(new_blocks), partition.r)
 
 
 def reference_multiply(spec, x, y, rng=None):
@@ -436,7 +449,7 @@ def reference_multiply(spec, x, y, rng=None):
         ((rebase_offsets(group, offsets), exponent) for offsets, exponent in items),
         key=lambda be: be[0][0][0],
     )
-    partition = DWeightedPartition._trusted(group, tuple(b for b, _ in blocks))
+    partition = DWeightedPartition._trusted(group, tuple(b for b, _ in blocks), spec.r)
     monomial = NormalMonomial._trusted(partition, tuple(e for _, e in blocks))
     assert monomial.degree == x.degree + y.degree
     return AlgebraElement.of_monomial(monomial)
@@ -445,7 +458,7 @@ def reference_multiply(spec, x, y, rng=None):
 def unit_monomial(r, group):
     """The empty product: every index a singleton with exponent 0."""
     blocks = tuple(((i,), ()) for i in range(1, r + 1))
-    return NormalMonomial._trusted(DWeightedPartition._trusted(group, blocks), (0,) * r)
+    return NormalMonomial._trusted(DWeightedPartition._trusted(group, blocks, r), (0,) * r)
 
 
 def element_multiply(spec, ex, ey):
@@ -456,3 +469,100 @@ def element_multiply(spec, ex, ey):
             for cp, mp in multiply(spec, mx, my).terms:
                 out.append((cx * cy * cp, mp))
     return AlgebraElement.of_terms(out)
+
+
+# Functions with no caller in the package: checks and conversions that
+# only the tests use.
+
+
+def bell_number(n):
+    return sum(stirling2(n, k) for k in range(n + 1))
+
+
+def matrix_rank(rows):
+    reducer = linalg.RowReducer()
+    for r in rows:
+        reducer.add(linalg.sparse_row(r))
+    return reducer.rank
+
+
+def mat_vec(a, v):
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+
+
+def kron(a, b):
+    """Kronecker product consistent with row-major flattening of u (x) v."""
+    nb = len(b)
+    return tuple(
+        tuple(a[i][j] * b[k][l] for j in range(len(a[0])) for l in range(len(b[0])))
+        for i in range(len(a))
+        for k in range(nb)
+    )
+
+
+def in_commutant_group(action, F):
+    """Whether F is symplectic and commutes with every generator."""
+    if not is_symplectic(action.space, F):
+        return False
+    return all(commutes_with(F, M) for M in action.generators)
+
+
+def element_to_json(element):
+    """JSON form: list of (numerator, denominator, monomial string)."""
+    return [
+        [coeff.numerator, coeff.denominator, format_monomial(mon)]
+        for coeff, mon in element.terms
+    ]
+
+
+def element_from_json(data, spec):
+    pairs = []
+    for num, den, text in data:
+        pairs.append((Fraction(int(num), int(den)), parse_monomial(text, spec)))
+    return AlgebraElement.of_terms(pairs)
+
+
+def class_size(cycle_type):
+    r = sum(cycle_type)
+    return math.factorial(r) // centralizer_order(cycle_type)
+
+
+def permutation_with_cycle_type(cycle_type, rng):
+    """Random permutation of the given cycle type (for class-constancy checks)."""
+    r = sum(cycle_type)
+    points = list(range(1, r + 1))
+    rng.shuffle(points)
+    sigma = [0] * r
+    pos = 0
+    for length in cycle_type:
+        cycle = points[pos : pos + length]
+        for i, src in enumerate(cycle):
+            sigma[src - 1] = cycle[(i + 1) % length]
+        pos += length
+    return tuple(sigma)
+
+
+def table_to_json_dict(table):
+    """JSON form of a DimensionTable: its metadata and its rows, with the
+    concrete value as a string."""
+    return {
+        "metadata": {
+            "variant": table.variant,
+            "r": table.r,
+            "p": table.p,
+            "level": table.level,
+            "genus": table.genus,
+            "symbolic": table.symbolic,
+        },
+        "rows": [
+            {
+                **row,
+                "dim_at_concrete_m": (
+                    str(row["dim_at_concrete_m"])
+                    if row["dim_at_concrete_m"] is not None
+                    else None
+                ),
+            }
+            for row in table.rows()
+        ],
+    }

@@ -45,7 +45,6 @@ from prymalg.series import (
 )
 from prymalg.symmetry import (
     centralizer_order,
-    class_size,
     counted_character,
     cycle_types,
     decompose,
@@ -54,7 +53,14 @@ from prymalg.symmetry import (
 )
 from prymalg import linalg
 
-from helpers import all_abelian_groups, random_symplectic
+from helpers import (
+    all_abelian_groups,
+    class_size,
+    kron,
+    mat_vec,
+    matrix_rank,
+    random_symplectic,
+)
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -272,14 +278,14 @@ def test_criterion_08_rigidity():
         space = SymplecticSpace(h)
         report = commutant_sp(trivial_action(h))
         vectors = [tensor_square_embedding(space, B) for B in report.basis]
-        assert linalg.matrix_rank(vectors) == sp_dimension(h)
+        assert matrix_rank(vectors) == sp_dimension(h)
         F = random_symplectic(h, rng)
-        FF = linalg.kron(F, F)
+        FF = kron(F, F)
         Finv = linalg.mat_inv(F)
         for B in report.basis[:3]:
             conj = linalg.mat_mul(linalg.mat_mul(F, B), Finv)
             assert tensor_square_embedding(space, conj) == tuple(
-                linalg.mat_vec(FF, tensor_square_embedding(space, B))
+                mat_vec(FF, tensor_square_embedding(space, B))
             )
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, "runtime %.2fs exceeds 5 s" % elapsed

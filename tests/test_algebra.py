@@ -15,8 +15,6 @@ from prymalg.algebra import (
     NormalMonomial,
     Variant,
     basis,
-    element_from_json,
-    element_to_json,
     format_monomial,
     graded_dimension,
     in_subspace,
@@ -41,7 +39,9 @@ from prymalg.partitions import (
 from prymalg.polynomial import IntPoly
 
 from helpers import (
+    element_from_json,
     element_multiply,
+    element_to_json,
     graded_dimension_by_shapes,
     reference_multiply,
     reference_relabel,

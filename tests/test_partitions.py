@@ -12,7 +12,6 @@ from prymalg.partitions import (
     JVector,
     SetPartition,
     WeightedPartition,
-    bell_number,
     block_singleton_counts,
     compatible_with,
     count_d_weighted_partitions,
@@ -28,7 +27,7 @@ from prymalg.partitions import (
 )
 from prymalg.polynomial import IntPoly
 
-from helpers import bell_by_recurrence
+from helpers import bell_by_recurrence, bell_number
 
 TRIVIAL = FiniteAbelianGroup(())
 Z2 = FiniteAbelianGroup((2,))

@@ -15,7 +15,6 @@ from prymalg.rigidity import (
     commutes_with,
     fixture_action,
     format_matrix,
-    in_commutant_group,
     is_symplectic,
     matrix_order,
     plane_swap_action,
@@ -35,7 +34,11 @@ from helpers import (
     cover_commutant_dimension,
     dense_commutant_system,
     dense_null_space,
+    in_commutant_group,
     invariant_sp_dimension,
+    kron,
+    mat_vec,
+    matrix_rank,
     random_symplectic,
 )
 
@@ -304,7 +307,7 @@ def test_tensor_square_rank_is_full():
         vectors = [
             tensor_square_embedding(SymplecticSpace(h), B) for B in report.basis
         ]
-        assert linalg.matrix_rank(vectors) == sp_dimension(h)
+        assert matrix_rank(vectors) == sp_dimension(h)
 
 
 def test_tensor_square_equivariance_exact():
@@ -314,12 +317,12 @@ def test_tensor_square_equivariance_exact():
         report = commutant_sp(trivial_action(h))
         for _ in range(5):
             F = random_symplectic(h, rng)
-            FF = linalg.kron(F, F)
+            FF = kron(F, F)
             Finv = linalg.mat_inv(F)
             for B in report.basis[:4]:
                 conj = linalg.mat_mul(linalg.mat_mul(F, B), Finv)
                 left = tensor_square_embedding(space, conj)
-                right = linalg.mat_vec(FF, tensor_square_embedding(space, B))
+                right = mat_vec(FF, tensor_square_embedding(space, B))
                 assert left == tuple(right)
 
 

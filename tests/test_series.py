@@ -28,7 +28,7 @@ from prymalg.series import (
     twisted_cohomology_dims,
 )
 
-from helpers import j_factor_dimensions_by_walk, partition_count_brute
+from helpers import j_factor_dimensions_by_walk, partition_count_brute, table_to_json_dict
 
 Z2 = FiniteAbelianGroup((2,))
 Z3 = FiniteAbelianGroup((3,))
@@ -363,6 +363,6 @@ def test_in_stable_range_examples():
 
 def test_table_json_shape():
     table = twisted_cohomology_dims(2, 0, mode="level", level=2, genus=24, max_k=2)
-    payload = table.to_json_dict()
+    payload = table_to_json_dict(table)
     assert payload["metadata"]["r"] == 2
     assert payload["rows"][2]["dim_at_concrete_m"] == str(2**48)

@@ -11,7 +11,6 @@ from prymalg.symmetry import (
     MAX_CHARACTER_R,
     SrCharacter,
     centralizer_order,
-    class_size,
     character_report_json,
     counted_character,
     counted_trace,
@@ -20,12 +19,11 @@ from prymalg.symmetry import (
     fixed_point_count,
     murnaghan_nakayama,
     permutation_character,
-    permutation_with_cycle_type,
     representative_permutation,
     sr_character_table,
 )
 
-from helpers import all_abelian_groups
+from helpers import all_abelian_groups, class_size, permutation_with_cycle_type
 
 Z2 = FiniteAbelianGroup((2,))
 Z3 = FiniteAbelianGroup((3,))
