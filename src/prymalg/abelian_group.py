@@ -25,7 +25,7 @@ class GroupElement(_Value):
 
     __slots__ = ("residues",)
 
-    def __init__(self, residues):
+    def __init__(self, residues: tuple[int, ...]):
         object.__setattr__(self, "residues", residues)
 
     @classmethod
@@ -44,7 +44,7 @@ class FiniteAbelianGroup(_Value, fields=("cyclic_factors",)):
 
     __slots__ = ("cyclic_factors", "_identity")
 
-    def __init__(self, cyclic_factors):
+    def __init__(self, cyclic_factors: tuple[int, ...]):
         object.__setattr__(self, "cyclic_factors", cyclic_factors)
         self.__post_init__()
 
@@ -119,7 +119,7 @@ class SymbolicOrder(_Value):
 
     __slots__ = ("level", "genus")
 
-    def __init__(self, level=None, genus=None):
+    def __init__(self, level: int | None = None, genus: int | None = None):
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "genus", genus)
         self.__post_init__()

@@ -96,12 +96,16 @@ _SINGLETON_MIN = {
 
 
 class AlgebraSpec(_Value):
-    """Which algebra: variant, number of indices, and deck group if twisted
-    (a FiniteAbelianGroup or a SymbolicOrder)."""
+    """Which algebra: variant, number of indices, and deck group if twisted."""
 
     __slots__ = ("variant", "r", "group")
 
-    def __init__(self, variant, r, group=None):
+    def __init__(
+        self,
+        variant: Variant,
+        r: int,
+        group: FiniteAbelianGroup | SymbolicOrder | None = None,
+    ):
         object.__setattr__(self, "variant", variant)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "group", group)
@@ -145,7 +149,7 @@ class NormalMonomial(_Value):
 
     __slots__ = ("partition", "exponents")
 
-    def __init__(self, partition, exponents):
+    def __init__(self, partition: DWeightedPartition, exponents: tuple[int, ...]):
         object.__setattr__(self, "partition", partition)
         object.__setattr__(self, "exponents", exponents)
         self.__post_init__()
@@ -188,12 +192,11 @@ _ONE = Fraction(1)
 
 
 class AlgebraElement(_Value):
-    """Finite rational combination of normal monomials, canonically sorted:
-    (Fraction, NormalMonomial) terms."""
+    """Finite rational combination of normal monomials, canonically sorted."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms):
+    def __init__(self, terms: tuple[tuple[Fraction, NormalMonomial], ...]):
         object.__setattr__(self, "terms", terms)
 
     @classmethod

@@ -230,7 +230,15 @@ class Table(_Value, frozen=False):
 
     __slots__ = ("columns", "rows", "metadata", "note", "code", "payload")
 
-    def __init__(self, columns, rows, metadata=None, note=None, code=EXIT_OK, payload=None):
+    def __init__(
+        self,
+        columns: tuple,
+        rows: list,
+        metadata: dict | None = None,
+        note: str | None = None,
+        code: int = EXIT_OK,
+        payload: dict | None = None,
+    ):
         self.columns = columns
         self.rows = rows
         self.metadata = metadata

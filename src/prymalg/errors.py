@@ -39,10 +39,12 @@ class _Value:
     stay out of equality.  As for a frozen dataclass, ``==`` compares the
     fields of two instances of the same class (``NotImplemented`` for any
     other class), the hash is that of the tuple of fields, and the repr is
-    ``Name(field=value, ...)``.  A frozen class refuses attribute
-    assignment and deletion, so its ``__init__`` stores with
-    ``object.__setattr__``; ``frozen=False`` gives a mutable, unhashable
-    record.
+    ``Name(field=value, ...)``.  A one-field class compares its field
+    directly rather than as a 1-tuple, which gives the same result for
+    every field that compares equal to itself (its tuples and ints do).
+    A frozen class refuses attribute assignment and deletion, so its
+    ``__init__`` stores with ``object.__setattr__``; ``frozen=False``
+    gives a mutable, unhashable record.
     """
 
     __slots__ = ()
@@ -50,22 +52,23 @@ class _Value:
     def __init_subclass__(cls, fields=None, frozen=True, **kwargs):
         super().__init_subclass__(**kwargs)
         fields = tuple(cls.__slots__ if fields is None else fields)
-        if len(fields) == 1:
-            get = attrgetter(fields[0])
-
-            def key(obj):
-                return (get(obj),)
-
-        else:
-            key = attrgetter(*fields)
+        # the field itself for one field, else the tuple of fields
+        get = attrgetter(*fields)
 
         def __eq__(self, other):
             if other.__class__ is self.__class__:
-                return key(self) == key(other)
+                return get(self) == get(other)
             return NotImplemented
 
-        def __hash__(self):
-            return hash(key(self))
+        if len(fields) == 1:
+
+            def __hash__(self):
+                return hash((get(self),))
+
+        else:
+
+            def __hash__(self):
+                return hash(get(self))
 
         def __repr__(self):
             return "%s(%s)" % (

@@ -30,6 +30,7 @@ import re
 
 from .abelian_group import (
     DEFAULT_ENUMERATION_CAP,
+    FiniteAbelianGroup,
     GroupElement,
     concrete_order,
 )
@@ -68,7 +69,7 @@ class SetPartition(_Value):
 
     __slots__ = ("blocks",)
 
-    def __init__(self, blocks):
+    def __init__(self, blocks: tuple[tuple[int, ...], ...]):
         object.__setattr__(self, "blocks", blocks)
         self.__post_init__()
 
@@ -102,7 +103,7 @@ class WeightedPartition(_Value):
 
     __slots__ = ("pairs",)
 
-    def __init__(self, pairs):
+    def __init__(self, pairs: tuple[tuple[tuple[int, ...], int], ...]):
         object.__setattr__(self, "pairs", pairs)
         self.__post_init__()
 
@@ -135,7 +136,11 @@ class DWeightedPartition(_Value, fields=("group", "blocks")):
 
     __slots__ = ("group", "blocks", "r")
 
-    def __init__(self, group, blocks):
+    def __init__(
+        self,
+        group: FiniteAbelianGroup,
+        blocks: tuple[tuple[tuple[int, ...], tuple[GroupElement, ...]], ...],
+    ):
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "blocks", blocks)
         self.__post_init__()
@@ -192,7 +197,7 @@ class JVector(_Value):
 
     __slots__ = ("entries",)
 
-    def __init__(self, entries):
+    def __init__(self, entries: tuple[int, ...]):
         object.__setattr__(self, "entries", entries)
         self.__post_init__()
 

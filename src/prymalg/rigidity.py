@@ -77,7 +77,7 @@ class SymplecticSpace(_Value):
 
     __slots__ = ("h",)
 
-    def __init__(self, h):
+    def __init__(self, h: int):
         object.__setattr__(self, "h", h)
         self.__post_init__()
 
@@ -132,7 +132,11 @@ class AbelianSymplecticAction(_Value):
 
     __slots__ = ("space", "generators")
 
-    def __init__(self, space, generators):
+    def __init__(
+        self,
+        space: SymplecticSpace,
+        generators: tuple[tuple[tuple[Fraction, ...], ...], ...],
+    ):
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "generators", generators)
         self.__post_init__()
@@ -166,7 +170,12 @@ class LieSubalgebraReport(_Value):
 
     __slots__ = ("dimension", "basis", "free_coordinates")
 
-    def __init__(self, dimension, basis, free_coordinates):
+    def __init__(
+        self,
+        dimension: int,
+        basis: tuple[tuple[tuple[Fraction, ...], ...], ...],
+        free_coordinates: tuple[int, ...],
+    ):
         object.__setattr__(self, "dimension", dimension)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "free_coordinates", free_coordinates)

@@ -59,8 +59,7 @@ class DimensionTable(_Value, frozen=False):
 
     Twisted tables are keyed by the total degree k; the group-cohomology
     degree of the k-entry is k - r and is reported alongside.
-    ``poly_entries`` holds the entries as polynomials in m.  Each dict
-    field left out starts as a new empty dict.
+    Each dict field left out starts as a new empty dict.
     """
 
     __slots__ = (
@@ -68,8 +67,19 @@ class DimensionTable(_Value, frozen=False):
         "poly_entries",
     )
 
-    def __init__(self, variant, entries=None, in_range=None, r=None, p=None,
-                 level=None, genus=None, symbolic=False, poly_entries=None):
+    def __init__(
+        self,
+        variant: str,
+        entries: dict[int, object] | None = None,
+        in_range: dict[int, bool] | None = None,
+        r: int | None = None,
+        p: int | None = None,
+        level: int | None = None,
+        genus: int | None = None,
+        symbolic: bool = False,
+        # the entries as polynomials in m
+        poly_entries: dict[int, IntPoly] | None = None,
+    ):
         self.variant = variant
         self.entries = {} if entries is None else entries
         self.in_range = {} if in_range is None else in_range
@@ -234,7 +244,17 @@ class PutmanGapReport(_Value):
 
     __slots__ = ("r", "p", "k", "level", "genus", "lhs_dim", "rhs_dim", "differ")
 
-    def __init__(self, r, p, k, level, genus, lhs_dim, rhs_dim, differ):
+    def __init__(
+        self,
+        r: int,
+        p: int,
+        k: int,
+        level: int,
+        genus: int,
+        lhs_dim: int,
+        rhs_dim: int,
+        differ: bool,
+    ):
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "k", k)

@@ -33,7 +33,7 @@ class SrCharacter(_Value):
 
     __slots__ = ("r", "values")
 
-    def __init__(self, r, values):
+    def __init__(self, r: int, values: tuple[tuple[tuple[int, ...], int], ...]):
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "values", values)
 
