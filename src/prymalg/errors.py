@@ -30,9 +30,9 @@ class OracleMismatchError(PrymAlgError):
 
 
 class _Value:
-    """Base of the package's value classes, in place of ``dataclasses``
-    (whose import, with the ``inspect`` it pulls in, and class building
-    would cost more than the rest of the CLI's start-up).
+    """Base of the package's value classes, in place of ``dataclasses``:
+    importing that, with the ``inspect`` it pulls in, and building the
+    classes took more than half of the time to import the CLI.
 
     A subclass declares ``__slots__`` and its own ``__init__``.  Its
     fields are its slots, or the ``fields`` class keyword when some slots
