@@ -13,7 +13,6 @@ Submodules:
 
 from .abelian_group import (
     FiniteAbelianGroup,
-    GroupElement,
     SymbolicOrder,
     homology_group,
     parse_group_literal,
@@ -41,7 +40,6 @@ from .partitions import (
     JVector,
     SetPartition,
     WeightedPartition,
-    compatible_with,
     count_d_weighted_partitions,
     enumerate_d_weighted_partitions,
     enumerate_set_partitions,

@@ -1,7 +1,8 @@
 """Finite abelian groups: deck groups of abelian covers, written additively.
 
 A group is a direct sum of cyclic factors Z/f with every f >= 2; the
-empty factor list is the trivial group.  Elements are residue vectors.
+empty factor list is the trivial group.  An element is a plain tuple of
+ints, one reduced residue per cyclic factor.
 A symbolic-order tag stands in for the genus-g level-l deck group when
 its order l^(2g) is to be carried as the indeterminate m instead of a
 concrete integer; symbolic computations never enumerate elements.
@@ -20,23 +21,9 @@ DEFAULT_ENUMERATION_CAP = 10**6
 MAX_GROUP_RANK = 10**4
 
 
-class GroupElement(_Value):
-    """Residue vector with one entry per cyclic factor."""
-
-    __slots__ = ("residues",)
-
-    def __init__(self, residues: tuple[int, ...]):
-        object.__setattr__(self, "residues", residues)
-
-    @classmethod
-    def _trusted(cls, residues):
-        """Build from a tuple of residues already reduced, without checks."""
-        element = object.__new__(cls)
-        object.__setattr__(element, "residues", residues)
-        return element
-
-    def __str__(self):
-        return "(" + ",".join(str(x) for x in self.residues) + ")"
+def format_element(x):
+    """Text form of a residue tuple, e.g. "(0,1)"."""
+    return "(" + ",".join(map(str, x)) + ")"
 
 
 class FiniteAbelianGroup(_Value, fields=("cyclic_factors",)):
@@ -55,7 +42,7 @@ class FiniteAbelianGroup(_Value, fields=("cyclic_factors",)):
                 "cyclic factors must all be >= 2; the trivial group is ()"
             )
         object.__setattr__(self, "cyclic_factors", factors)
-        object.__setattr__(self, "_identity", GroupElement._trusted((0,) * len(factors)))
+        object.__setattr__(self, "_identity", (0,) * len(factors))
 
     def order(self):
         # one power per distinct factor: H1(g, l) has 2g equal factors
@@ -73,29 +60,25 @@ class FiniteAbelianGroup(_Value, fields=("cyclic_factors",)):
                 "expected %d residues, got %d"
                 % (len(self.cyclic_factors), len(residues))
             )
-        return GroupElement._trusted(tuple(map(operator.mod, residues, self.cyclic_factors)))
+        return tuple(map(operator.mod, residues, self.cyclic_factors))
 
-    def elements(self, cap=DEFAULT_ENUMERATION_CAP):
+    def elements(self):
         """All elements, identity first, in mixed-radix order."""
-        if self.order() > cap:
+        if self.order() > DEFAULT_ENUMERATION_CAP:
             raise CapExceededError(
-                "group order %d exceeds enumeration cap %d" % (self.order(), cap)
+                "group order %d exceeds enumeration cap %d"
+                % (self.order(), DEFAULT_ENUMERATION_CAP)
             )
-        return [
-            GroupElement._trusted(t)
-            for t in itertools.product(*(range(f) for f in self.cyclic_factors))
-        ]
+        return list(itertools.product(*(range(f) for f in self.cyclic_factors)))
 
     def add(self, x, y):
-        residues = map(operator.add, x.residues, y.residues)
-        return GroupElement._trusted(tuple(map(operator.mod, residues, self.cyclic_factors)))
+        return tuple(map(operator.mod, map(operator.add, x, y), self.cyclic_factors))
 
     def negate(self, x):
-        residues = map(operator.neg, x.residues)
-        return GroupElement._trusted(tuple(map(operator.mod, residues, self.cyclic_factors)))
+        return tuple(map(operator.mod, map(operator.neg, x), self.cyclic_factors))
 
     def is_identity(self, x):
-        return not any(x.residues)
+        return not any(x)
 
     def torsion_count(self, n):
         """Number of x with n*x = 0, one gcd per cyclic factor."""

@@ -40,6 +40,7 @@ from .abelian_group import (
     FiniteAbelianGroup,
     SymbolicOrder,
     concrete_order,
+    format_element,
 )
 from .errors import CapExceededError, InvalidParameterError, ParseError, _Value
 from .partitions import (
@@ -178,11 +179,7 @@ class NormalMonomial(_Value):
         return 2 * sum(self.exponents) + base
 
     def sort_key(self):
-        pkey = tuple(
-            (idx, tuple(w.residues for w in weights))
-            for idx, weights in self.partition.blocks
-        )
-        return (self.degree, pkey, self.exponents)
+        return (self.degree, self.partition.blocks, self.exponents)
 
     def __str__(self):
         return format_monomial(self)
@@ -342,21 +339,25 @@ def graded_dimension(spec, degree):
     return at_order(IntPoly(coeffs), spec.order_value())
 
 
-def basis(spec, degree, cap=DEFAULT_ENUMERATION_CAP, degree_cap=DEFAULT_BASIS_DEGREE_CAP):
+def basis(spec, degree):
     """All normal monomials of the given degree, in deterministic order."""
     if degree < 0:
         raise InvalidParameterError("degree must be >= 0")
-    if degree > degree_cap:
-        raise CapExceededError("degree %d exceeds cap %d" % (degree, degree_cap))
+    if degree > DEFAULT_BASIS_DEGREE_CAP:
+        raise CapExceededError(
+            "degree %d exceeds cap %d" % (degree, DEFAULT_BASIS_DEGREE_CAP)
+        )
     group = spec.concrete_group()
     if degree % 2 == 1:
         return []
     count = graded_dimension(spec, degree)
-    if count > cap:
-        raise CapExceededError("basis size %d exceeds cap %d" % (count, cap))
+    if count > DEFAULT_ENUMERATION_CAP:
+        raise CapExceededError(
+            "basis size %d exceeds cap %d" % (count, DEFAULT_ENUMERATION_CAP)
+        )
     q = degree // 2
     minimum = spec.variant.singleton_min_exponent
-    elements = group.elements(cap)
+    elements = group.elements()
     result = []
     for sp in enumerate_set_partitions(spec.r):
         mins = [minimum if len(blk) == 1 else 0 for blk in sp.blocks]
@@ -382,7 +383,7 @@ def basis(spec, degree, cap=DEFAULT_ENUMERATION_CAP, degree_cap=DEFAULT_BASIS_DE
 # ---------------------------------------------------------------------------
 
 
-def _oracle_generators(r, group, degree, cap=DEFAULT_ENUMERATION_CAP):
+def _oracle_generators(r, group, degree):
     """Free generators of degree at most ``degree``: ("v", i) of degree 2
     and ("a", (S, weights)) of degree 2|S| - 2 for every weighted subset S
     with |S| >= 2.  Larger generators cannot occur in the degree slice.
@@ -394,7 +395,7 @@ def _oracle_generators(r, group, degree, cap=DEFAULT_ENUMERATION_CAP):
     if degree < 2:
         return []
     gens = [(("v", i), 2) for i in range(1, r + 1)]
-    elements = group.elements(cap)
+    elements = group.elements()
     for size in range(2, min(r, degree // 2 + 1) + 1):
         for S in itertools.combinations(range(1, r + 1), size):
             for weights in itertools.product(elements, repeat=size - 1):
@@ -669,7 +670,7 @@ def format_monomial(monomial):
         if len(idx) >= 2:
             a_parts.append(
                 "a{%s:d=%s}"
-                % ("<".join(map(str, idx)), ",".join(str(w) for w in weights))
+                % ("<".join(map(str, idx)), ",".join(map(format_element, weights)))
             )
     parts = v_parts + a_parts
     return " * ".join(parts) if parts else "1"

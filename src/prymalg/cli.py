@@ -41,7 +41,6 @@ from .polynomial import IntPoly, at_order
 from .rigidity import (
     AbelianSymplecticAction,
     SymplecticSpace,
-    as_matrix,
     check_commutant_h,
     commutant_sp,
     fixture_action,
@@ -508,9 +507,7 @@ def cmd_commutant(cfg):
             raise InvalidParameterError("cannot read generators file: %s" % exc)
         if not isinstance(data, list):
             raise InvalidParameterError("generators file must hold a list of matrices")
-        action = AbelianSymplecticAction(
-            SymplecticSpace(h), tuple(as_matrix(mat) for mat in data)
-        )
+        action = AbelianSymplecticAction(SymplecticSpace(h), data)
         source = gen_file
     else:
         action = fixture_action("trivial", h)

@@ -31,8 +31,8 @@ import re
 from .abelian_group import (
     DEFAULT_ENUMERATION_CAP,
     FiniteAbelianGroup,
-    GroupElement,
     concrete_order,
+    format_element,
 )
 from .errors import CapExceededError, InvalidParameterError, ParseError, _Value
 from .polynomial import IntPoly, at_order
@@ -139,7 +139,7 @@ class DWeightedPartition(_Value, fields=("group", "blocks")):
     def __init__(
         self,
         group: FiniteAbelianGroup,
-        blocks: tuple[tuple[tuple[int, ...], tuple[GroupElement, ...]], ...],
+        blocks: tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...],
     ):
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "blocks", blocks)
@@ -160,12 +160,12 @@ class DWeightedPartition(_Value, fields=("group", "blocks")):
                     % (idx, len(idx) - 1, len(weights))
                 )
             for w in weights:
-                if not isinstance(w, GroupElement):
+                if not isinstance(w, tuple):
                     raise InvalidParameterError("weight %r is not a group element" % (w,))
-                if len(w.residues) != nfac:
-                    raise InvalidParameterError("weight %s has wrong arity" % (w,))
-                if w != self.group.element(w.residues):
-                    raise InvalidParameterError("weight %s is not reduced" % (w,))
+                if len(w) != nfac:
+                    raise InvalidParameterError("weight %s has wrong arity" % format_element(w))
+                if w != self.group.element(w):
+                    raise InvalidParameterError("weight %s is not reduced" % format_element(w))
 
     @classmethod
     def _trusted(cls, group, blocks, r):
@@ -181,12 +181,6 @@ class DWeightedPartition(_Value, fields=("group", "blocks")):
     @property
     def num_blocks(self):
         return len(self.blocks)
-
-    def block_containing(self, i):
-        for idx, weights in self.blocks:
-            if i in idx:
-                return idx, weights
-        raise InvalidParameterError("index %d not in partition" % i)
 
     def __str__(self):
         return format_partition(self)
@@ -239,17 +233,7 @@ def enumerate_set_partitions(r):
 
 def stirling2(n, k):
     """Number of set partitions of an n-set into k blocks."""
-    if k < 0 or k > n:
-        return 0
-    if n == 0:
-        return 1
-    row = [1] + [0] * n
-    for i in range(1, n + 1):
-        new = [0] * (n + 1)
-        for j in range(1, i + 1):
-            new[j] = row[j - 1] + j * row[j]
-        row = new
-    return row[k]
+    return sum(count for b, _, count in block_singleton_counts(n) if b == k)
 
 
 def count_d_weighted_partitions(r):
@@ -259,25 +243,24 @@ def count_d_weighted_partitions(r):
     if r > MAX_COUNT_R:
         raise CapExceededError("r=%d exceeds counting cap %d" % (r, MAX_COUNT_R))
     coeffs = [0] * (r + 1)
-    for nu in range(0 if r == 0 else 1, r + 1):
-        coeffs[r - nu] += stirling2(r, nu)
-    if r == 0:
-        coeffs[0] = 1
+    for b, _, count in block_singleton_counts(r):
+        coeffs[r - b] += count
     return IntPoly(coeffs)
 
 
-def enumerate_d_weighted_partitions(r, group, cap=DEFAULT_ENUMERATION_CAP):
+def enumerate_d_weighted_partitions(r, group):
     """All deck-weighted partitions of {1..r}, lexicographic and complete."""
     if r > MAX_WEIGHTED_ENUMERATION_R:
         raise CapExceededError(
             "r=%d exceeds weighted enumeration cap %d" % (r, MAX_WEIGHTED_ENUMERATION_R)
         )
     total = at_order(count_d_weighted_partitions(r), concrete_order(group))
-    if total > cap:
+    if total > DEFAULT_ENUMERATION_CAP:
         raise CapExceededError(
-            "%d weighted partitions exceed enumeration cap %d" % (total, cap)
+            "%d weighted partitions exceed enumeration cap %d"
+            % (total, DEFAULT_ENUMERATION_CAP)
         )
-    elements = group.elements(cap)
+    elements = group.elements()
     result = []
     for sp in enumerate_set_partitions(r):
         weight_choices = [
@@ -286,25 +269,6 @@ def enumerate_d_weighted_partitions(r, group, cap=DEFAULT_ENUMERATION_CAP):
         for assignment in itertools.product(*weight_choices):
             result.append(
                 DWeightedPartition._trusted(group, tuple(zip(sp.blocks, assignment)), r)
-            )
-    return result
-
-
-def enumerate_weighted_partitions(r, max_total_weight):
-    """Weighted partitions with weight sum bounded by max_total_weight."""
-    if r > MAX_SET_PARTITION_R:
-        raise CapExceededError("r=%d exceeds enumeration cap" % r)
-    result = []
-    for sp in enumerate_set_partitions(r):
-        mins = [1 if len(b) == 1 else 0 for b in sp.blocks]
-        budget = max_total_weight - sum(mins)
-        if budget < 0:
-            continue
-        # the last part of each composition is the unused slack
-        for extra in _compositions(budget, len(sp.blocks) + 1):
-            weights = [m + e for m, e in zip(mins, extra)]
-            result.append(
-                WeightedPartition(tuple(zip(sp.blocks, weights)))
             )
     return result
 
@@ -410,34 +374,13 @@ def relabel(partition, sigma):
     return DWeightedPartition._trusted(group, tuple(sorted(moved)), partition.r)
 
 
-def compatible_with(partition, j_vector):
-    """Compatibility of a partition of {1..r+1} with a length-r J-vector.
-
-    The block containing index 1 must carry no identity weight, and must
-    not contain an index a >= 2 whose slot tag J_{a-1} is 1.
-    """
-    if partition.r != len(j_vector) + 1:
-        raise InvalidParameterError(
-            "partition of %d indices does not match J of length %d"
-            % (partition.r, len(j_vector))
-        )
-    idx, weights = partition.block_containing(1)
-    group = partition.group
-    if any(group.is_identity(w) for w in weights):
-        return False
-    for a in idx:
-        if a >= 2 and j_vector.entries[a - 2] == 1:
-            return False
-    return True
-
-
 def format_partition(partition):
     """Text form, e.g. "{1<2:d=(0,1)}|{3}"."""
     parts = []
     for idx, weights in partition.blocks:
         body = "<".join(map(str, idx))
         if len(idx) >= 2:
-            body += ":d=" + ",".join(str(w) for w in weights)
+            body += ":d=" + ",".join(map(format_element, weights))
         parts.append("{" + body + "}")
     return "|".join(parts) if parts else "{}"
 

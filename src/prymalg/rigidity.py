@@ -111,20 +111,22 @@ def commutes_with(A, B):
     return linalg.mat_mul(A, B) == linalg.mat_mul(B, A)
 
 
-def matrix_order(M, cap=DEFAULT_ORDER_CAP):
+def matrix_order(M):
     """Multiplicative order, or a cap error for (apparently) infinite order."""
     n = len(M)
     ident = linalg.identity(n)
     power = M
     seen = {M}
-    for k in range(1, cap + 1):
+    for k in range(1, DEFAULT_ORDER_CAP + 1):
         if power == ident:
             return k
         power = linalg.mat_mul(power, M)
         if power in seen:
             break
         seen.add(power)
-    raise CapExceededError("matrix order exceeds cap %d (infinite order?)" % cap)
+    raise CapExceededError(
+        "matrix order exceeds cap %d (infinite order?)" % DEFAULT_ORDER_CAP
+    )
 
 
 class AbelianSymplecticAction(_Value):
@@ -145,7 +147,7 @@ class AbelianSymplecticAction(_Value):
         gens = tuple(as_matrix(g) for g in self.generators)
         object.__setattr__(self, "generators", gens)
 
-    def validate(self, order_cap=DEFAULT_ORDER_CAP):
+    def validate(self):
         n = self.space.dim
         for i, M in enumerate(self.generators):
             if len(M) != n or any(len(row) != n for row in M):
@@ -156,7 +158,7 @@ class AbelianSymplecticAction(_Value):
                 raise InvalidParameterError(
                     "generator #%d is not symplectic (M^T J M != J)" % i
                 )
-            matrix_order(M, cap=order_cap)
+            matrix_order(M)
         for i in range(len(self.generators)):
             for j in range(i + 1, len(self.generators)):
                 if not commutes_with(self.generators[i], self.generators[j]):
@@ -223,7 +225,7 @@ def _rows_and_columns(M):
     )
 
 
-def commutant_sp(action, order_cap=DEFAULT_ORDER_CAP):
+def commutant_sp(action):
     """Null space of {X^T J + J X = 0} and {X M = M X for each generator}.
 
     Unknown a n + b is the entry X[a][b].  Each equation is one sparse
@@ -231,7 +233,7 @@ def commutant_sp(action, order_cap=DEFAULT_ORDER_CAP):
     exact elimination, and the basis comes back in reduced echelon order.
     """
     check_commutant_h(action.space.h)
-    action.validate(order_cap=order_cap)
+    action.validate()
     n = action.space.dim
     J_rows, J_cols = _rows_and_columns(action.space.form)
     rows = []

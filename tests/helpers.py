@@ -12,7 +12,7 @@ from prymalg.algebra import (
     multiply,
     parse_monomial,
 )
-from prymalg.errors import InvalidParameterError
+from prymalg.errors import CapExceededError, InvalidParameterError
 from prymalg.rigidity import (
     AbelianSymplecticAction,
     SymplecticSpace,
@@ -20,7 +20,10 @@ from prymalg.rigidity import (
     is_symplectic,
 )
 from prymalg.partitions import (
+    MAX_SET_PARTITION_R,
     DWeightedPartition,
+    WeightedPartition,
+    _compositions,
     block_offsets,
     enumerate_set_partitions,
     integer_partitions,
@@ -477,6 +480,53 @@ def element_multiply(spec, ex, ey):
 
 def bell_number(n):
     return sum(stirling2(n, k) for k in range(n + 1))
+
+
+def block_containing(partition, i):
+    for idx, weights in partition.blocks:
+        if i in idx:
+            return idx, weights
+    raise InvalidParameterError("index %d not in partition" % i)
+
+
+def compatible_with(partition, j_vector):
+    """Compatibility of a partition of {1..r+1} with a length-r J-vector.
+
+    The block containing index 1 must carry no identity weight, and must
+    not contain an index a >= 2 whose slot tag J_{a-1} is 1.
+    """
+    if partition.r != len(j_vector) + 1:
+        raise InvalidParameterError(
+            "partition of %d indices does not match J of length %d"
+            % (partition.r, len(j_vector))
+        )
+    idx, weights = block_containing(partition, 1)
+    group = partition.group
+    if any(group.is_identity(w) for w in weights):
+        return False
+    for a in idx:
+        if a >= 2 and j_vector.entries[a - 2] == 1:
+            return False
+    return True
+
+
+def enumerate_weighted_partitions(r, max_total_weight):
+    """Weighted partitions with weight sum bounded by max_total_weight."""
+    if r > MAX_SET_PARTITION_R:
+        raise CapExceededError("r=%d exceeds enumeration cap" % r)
+    result = []
+    for sp in enumerate_set_partitions(r):
+        mins = [1 if len(b) == 1 else 0 for b in sp.blocks]
+        budget = max_total_weight - sum(mins)
+        if budget < 0:
+            continue
+        # the last part of each composition is the unused slack
+        for extra in _compositions(budget, len(sp.blocks) + 1):
+            weights = [m + e for m, e in zip(mins, extra)]
+            result.append(
+                WeightedPartition(tuple(zip(sp.blocks, weights)))
+            )
+    return result
 
 
 def matrix_rank(rows):

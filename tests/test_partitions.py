@@ -4,7 +4,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prymalg.abelian_group import FiniteAbelianGroup, GroupElement, parse_group_literal
+from prymalg.abelian_group import FiniteAbelianGroup, parse_group_literal
 from prymalg.algebra import AlgebraSpec, Variant, graded_dimension
 from prymalg.errors import CapExceededError, InvalidParameterError, ParseError
 from prymalg.partitions import (
@@ -13,11 +13,9 @@ from prymalg.partitions import (
     SetPartition,
     WeightedPartition,
     block_singleton_counts,
-    compatible_with,
     count_d_weighted_partitions,
     enumerate_d_weighted_partitions,
     enumerate_set_partitions,
-    enumerate_weighted_partitions,
     format_partition,
     parse_partition,
     relabel,
@@ -27,7 +25,13 @@ from prymalg.partitions import (
 )
 from prymalg.polynomial import IntPoly
 
-from helpers import bell_by_recurrence, bell_number
+from helpers import (
+    bell_by_recurrence,
+    bell_number,
+    block_containing,
+    compatible_with,
+    enumerate_weighted_partitions,
+)
 
 TRIVIAL = FiniteAbelianGroup(())
 Z2 = FiniteAbelianGroup((2,))
@@ -73,11 +77,30 @@ def test_set_partition_validation():
     # the deck-weighted constructor checks every weight
     one = Z3.element([1])
     assert DWeightedPartition(Z3, (((1, 2), (one,)),)).r == 2
-    for weights in ((), (one, one), ((1,),), (1,), (Z22.element([1, 0]),)):
+    for weights in ((), (one, one), (1,), (Z22.element([1, 0]),)):
         with pytest.raises(InvalidParameterError):
             DWeightedPartition(Z3, (((1, 2), weights),))
     with pytest.raises(InvalidParameterError):
-        DWeightedPartition(Z3, (((1, 2), (GroupElement((4,)),)),))  # not reduced
+        DWeightedPartition(Z3, (((1, 2), ((4,),)),))  # not reduced
+
+
+def test_weights_are_residue_tuples():
+    # a reduced residue tuple is a group element as it stands
+    p = DWeightedPartition(Z3, (((1, 2), ((1,),)), ((3,), ())))
+    assert p.blocks[0][1] == (Z3.element([1]),) == ((1,),)
+    assert p == DWeightedPartition(Z3, (((1, 2), (Z3.element([1]),)), ((3,), ())))
+    refusals = [
+        ([1], "weight [1] is not a group element"),
+        (1, "weight 1 is not a group element"),
+        ((1, 0), "weight (1,0) has wrong arity"),
+        ((4,), "weight (4) is not reduced"),
+    ]
+    for w, message in refusals:
+        with pytest.raises(InvalidParameterError) as err:
+            DWeightedPartition(Z3, (((1, 2), (w,)),))
+        assert str(err.value) == message
+    assert format_partition(p) == "{1<2:d=(1)}|{3}"
+    assert parse_partition("{1<2:d=(1)}|{3}", Z3) == p
 
 
 def test_validate_permutation_takes_only_integers():
@@ -147,7 +170,7 @@ def test_enumeration_cap():
     with pytest.raises(CapExceededError):
         enumerate_d_weighted_partitions(9, Z2)
     with pytest.raises(CapExceededError):
-        enumerate_d_weighted_partitions(6, FiniteAbelianGroup((31, 31)), cap=10**4)
+        enumerate_d_weighted_partitions(6, FiniteAbelianGroup((31, 31)))
 
 
 def test_relabel_swap_example():
@@ -240,7 +263,7 @@ def test_compatible_with_examples():
 def test_compatible_all_ones_reduction():
     j = JVector((1, 1))
     for p in enumerate_d_weighted_partitions(3, Z2):
-        block1, _ = p.block_containing(1)
+        block1, _ = block_containing(p, 1)
         assert compatible_with(p, j) == (block1 == (1,))
 
 

@@ -1,5 +1,6 @@
 import inspect
 import math
+import operator
 import time
 
 import pytest
@@ -11,7 +12,6 @@ from prymalg.errors import CapExceededError, InvalidParameterError
 from prymalg.partitions import (
     MAX_COUNT_R,
     JVector,
-    compatible_with,
     count_d_weighted_partitions,
     enumerate_d_weighted_partitions,
 )
@@ -28,7 +28,12 @@ from prymalg.series import (
     twisted_cohomology_dims,
 )
 
-from helpers import j_factor_dimensions_by_walk, partition_count_brute, table_to_json_dict
+from helpers import (
+    compatible_with,
+    j_factor_dimensions_by_walk,
+    partition_count_brute,
+    table_to_json_dict,
+)
 
 Z2 = FiniteAbelianGroup((2,))
 Z3 = FiniteAbelianGroup((3,))
@@ -231,39 +236,43 @@ def test_putman_gap_rejections():
         putman_gap(2, 0, 2, 1, 24)
 
 
-def _brute_j_factor(j_vector, degree, group):
-    """Count compatible-partition monomials of the degree by enumeration."""
-    if degree % 2 == 1:
-        return 0
-    q = degree // 2
-    r1 = len(j_vector) + 1
-    total = 0
-    for partition in enumerate_d_weighted_partitions(r1, group):
-        if not compatible_with(partition, j_vector):
-            continue
+def _brute_j_factors(length, group, degrees):
+    """Count compatible-partition monomials of each degree by enumeration,
+    for every J-vector of the length: {entries: [count per degree]}.  The
+    partitions of {1..length+1} are enumerated once for all of them."""
+    monomials = []
+    for partition in enumerate_d_weighted_partitions(length + 1, group):
         mins = [
             1 if len(idx) == 1 and idx != (1,) else 0
             for idx, _ in partition.blocks
         ]
         base = sum(len(idx) - 1 for idx, _ in partition.blocks)
-        t = q - base - sum(mins)
-        if t < 0:
-            continue
         b = partition.num_blocks
-        total += math.comb(t + b - 1, b - 1)
-    return total
+        per_degree = []
+        for degree in degrees:
+            t = degree // 2 - base - sum(mins)
+            ok = degree % 2 == 0 and t >= 0
+            per_degree.append(math.comb(t + b - 1, b - 1) if ok else 0)
+        monomials.append((partition, per_degree))
+    counts = {}
+    for entries in _all_j(length):
+        j_vector = JVector(entries)
+        row = [0] * len(degrees)
+        for partition, per_degree in monomials:
+            if compatible_with(partition, j_vector):
+                row = list(map(operator.add, row, per_degree))
+        counts[entries] = row
+    return counts
 
 
 def test_j_factor_matches_brute_enumeration():
-    for group in (Z2, Z3):
-        for r in range(0, 4):
-            for entries in _all_j(r):
+    degrees = range(0, 9)
+    for group, max_length in ((Z2, 6), (Z3, 5)):
+        for length in range(max_length + 1):
+            for entries, brute in _brute_j_factors(length, group, degrees).items():
                 j = JVector(entries)
-                poly_cache = {d: j_factor_dimension(j, d) for d in range(0, 9)}
-                for degree in range(0, 9):
-                    assert poly_cache[degree].evaluate(group.order()) == _brute_j_factor(
-                        j, degree, group
-                    ), (group, entries, degree)
+                counted = [j_factor_dimension(j, d).evaluate(group.order()) for d in degrees]
+                assert counted == brute, (group, entries)
 
 
 def test_j_factor_matches_partition_walk():
