@@ -38,8 +38,6 @@ from .errors import (
 from .partitions import (
     DWeightedPartition,
     JVector,
-    SetPartition,
-    WeightedPartition,
     count_d_weighted_partitions,
     enumerate_d_weighted_partitions,
     enumerate_set_partitions,

@@ -359,19 +359,19 @@ def basis(spec, degree):
     minimum = spec.variant.singleton_min_exponent
     elements = group.elements()
     result = []
-    for sp in enumerate_set_partitions(spec.r):
-        mins = [minimum if len(blk) == 1 else 0 for blk in sp.blocks]
-        t = q - (spec.r - sp.num_blocks) - sum(mins)
+    for blocks in enumerate_set_partitions(spec.r):
+        mins = [minimum if len(blk) == 1 else 0 for blk in blocks]
+        t = q - (spec.r - len(blocks)) - sum(mins)
         if t < 0:
             continue
         weight_choices = [
-            itertools.product(elements, repeat=len(blk) - 1) for blk in sp.blocks
+            itertools.product(elements, repeat=len(blk) - 1) for blk in blocks
         ]
         for assignment in itertools.product(*weight_choices):
             partition = DWeightedPartition._trusted(
-                group, tuple(zip(sp.blocks, assignment)), spec.r
+                group, tuple(zip(blocks, assignment)), spec.r
             )
-            for extra in _compositions(t, sp.num_blocks):
+            for extra in _compositions(t, len(blocks)):
                 exponents = tuple(m0 + e for m0, e in zip(mins, extra))
                 result.append(NormalMonomial._trusted(partition, exponents))
     assert len(result) == count

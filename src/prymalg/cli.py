@@ -107,7 +107,9 @@ class RunConfig:
         try:
             value = int(value)
         except (TypeError, ValueError):
-            raise InvalidParameterError("option --%s expects an integer, got %r" % (key, value))
+            raise InvalidParameterError(
+                "option --%s expects an integer, got %r" % (key.replace("_", "-"), value)
+            )
         if minimum is not None and value < minimum:
             raise InvalidParameterError(
                 "option --%s must be >= %d, got %d" % (key.replace("_", "-"), minimum, value)
@@ -130,7 +132,9 @@ class RunConfig:
                 return True
             if lowered in ("0", "false", "no", "off"):
                 return False
-        raise InvalidParameterError("option --%s expects a boolean, got %r" % (key, value))
+        raise InvalidParameterError(
+            "option --%s expects a boolean, got %r" % (key.replace("_", "-"), value)
+        )
 
     @property
     def fmt(self):

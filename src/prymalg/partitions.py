@@ -1,10 +1,8 @@
-"""Set partitions of {1..r} and their weighted refinements.
+"""Set partitions of {1..r} and their deck-weighted refinements.
 
-Three flavours are modeled:
+Two flavours are modeled:
 
-* plain set partitions (blocks of indices),
-* weighted partitions (each block carries an integer weight i with
-  i + |block| >= 2),
+* plain set partitions, each a canonical tuple of blocks of indices,
 * deck-weighted partitions, whose blocks carry one deck-group element per
   non-base index, recording how the marked points of one orbit differ.
 
@@ -64,70 +62,6 @@ def _validate_blocks(blocks):
         raise InvalidParameterError("blocks must partition {1..r}")
 
 
-class SetPartition(_Value):
-    """Partition of {1..r} in canonical form."""
-
-    __slots__ = ("blocks",)
-
-    def __init__(self, blocks: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "blocks", blocks)
-        self.__post_init__()
-
-    def __post_init__(self):
-        blocks = tuple(tuple(int(i) for i in b) for b in self.blocks)
-        object.__setattr__(self, "blocks", blocks)
-        _validate_blocks(blocks)
-
-    @classmethod
-    def of(cls, blocks):
-        """Canonicalize arbitrary disjoint blocks."""
-        canon = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
-        return cls(canon)
-
-    @property
-    def r(self):
-        return sum(len(b) for b in self.blocks)
-
-    @property
-    def num_blocks(self):
-        return len(self.blocks)
-
-    def __str__(self):
-        if not self.blocks:
-            return "{}"
-        return "|".join("{" + "<".join(map(str, b)) + "}" for b in self.blocks)
-
-
-class WeightedPartition(_Value):
-    """Set partition whose blocks carry integer weights, i + |S| >= 2."""
-
-    __slots__ = ("pairs",)
-
-    def __init__(self, pairs: tuple[tuple[tuple[int, ...], int], ...]):
-        object.__setattr__(self, "pairs", pairs)
-        self.__post_init__()
-
-    def __post_init__(self):
-        pairs = tuple((tuple(int(i) for i in b), int(w)) for b, w in self.pairs)
-        object.__setattr__(self, "pairs", pairs)
-        _validate_blocks([b for b, _ in pairs])
-        for block, weight in pairs:
-            if weight < 0:
-                raise InvalidParameterError("weights must be >= 0")
-            if weight + len(block) < 2:
-                raise InvalidParameterError(
-                    "block %r with weight %d violates i + |S| >= 2" % (block, weight)
-                )
-
-    @property
-    def r(self):
-        return sum(len(b) for b, _ in self.pairs)
-
-    @property
-    def half_degree(self):
-        return sum(w + len(b) - 1 for b, w in self.pairs)
-
-
 class DWeightedPartition(_Value, fields=("group", "blocks")):
     """Set partition with deck-group weights, one per non-base index.
 
@@ -160,7 +94,7 @@ class DWeightedPartition(_Value, fields=("group", "blocks")):
                     % (idx, len(idx) - 1, len(weights))
                 )
             for w in weights:
-                if not isinstance(w, tuple):
+                if not isinstance(w, tuple) or any(type(x) is not int for x in w):
                     raise InvalidParameterError("weight %r is not a group element" % (w,))
                 if len(w) != nfac:
                     raise InvalidParameterError("weight %s has wrong arity" % format_element(w))
@@ -206,7 +140,11 @@ class JVector(_Value):
 
 
 def enumerate_set_partitions(r):
-    """All set partitions of {1..r} in deterministic refinement order."""
+    """All set partitions of {1..r} in deterministic refinement order.
+
+    Each is its canonical tuple of blocks, e.g. ``((1, 3), (2,))``: every
+    block is sorted and the blocks are ordered by their minimum.
+    """
     if r < 0:
         raise InvalidParameterError("r must be >= 0")
     if r > MAX_SET_PARTITION_R:
@@ -217,7 +155,7 @@ def enumerate_set_partitions(r):
 
     def extend(i, blocks):
         if i > r:
-            result.append(SetPartition(tuple(tuple(b) for b in blocks)))
+            result.append(tuple(map(tuple, blocks)))
             return
         for b in blocks:
             b.append(i)
@@ -262,13 +200,13 @@ def enumerate_d_weighted_partitions(r, group):
         )
     elements = group.elements()
     result = []
-    for sp in enumerate_set_partitions(r):
+    for blocks in enumerate_set_partitions(r):
         weight_choices = [
-            itertools.product(elements, repeat=len(block) - 1) for block in sp.blocks
+            itertools.product(elements, repeat=len(block) - 1) for block in blocks
         ]
         for assignment in itertools.product(*weight_choices):
             result.append(
-                DWeightedPartition._trusted(group, tuple(zip(sp.blocks, assignment)), r)
+                DWeightedPartition._trusted(group, tuple(zip(blocks, assignment)), r)
             )
     return result
 
@@ -402,10 +340,13 @@ def parse_block(token, group):
         rebuilt = ",".join("(%s)" % body for body in tuples)
         if rebuilt != m.group(2).replace(" ", ""):
             raise ParseError("malformed weight list %r in %r" % (m.group(2), token))
-        weights = tuple(
-            group.element([int(x) for x in body.split(",")] if body else [])
-            for body in tuples
-        )
+        try:
+            weights = tuple(
+                group.element([int(x) for x in body.split(",")] if body else [])
+                for body in tuples
+            )
+        except ValueError:
+            raise ParseError("non-integer residue in %r" % (token,)) from None
     elif len(idx) >= 2 and group.cyclic_factors:
         raise ParseError("block %r is missing its weight list" % (token,))
     if len(idx) >= 2 and not group.cyclic_factors and not weights:

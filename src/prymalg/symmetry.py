@@ -189,12 +189,12 @@ def counted_trace(spec, degree, sigma, partitions=None):
     q = degree // 2
     minimum = spec.variant.singleton_min_exponent
     total = 0
-    for sp in partitions:
-        singletons = sum(1 for blk in sp.blocks if len(blk) == 1)
-        t = q - (spec.r - sp.num_blocks) - minimum * singletons
+    for blocks in partitions:
+        singletons = sum(1 for blk in blocks if len(blk) == 1)
+        t = q - (spec.r - len(blocks)) - minimum * singletons
         if t < 0:
             continue
-        cycles = _block_cycles(sp.blocks, sigma)
+        cycles = _block_cycles(blocks, sigma)
         if cycles is None:
             continue
         weights = 1

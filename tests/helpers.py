@@ -22,7 +22,6 @@ from prymalg.rigidity import (
 from prymalg.partitions import (
     MAX_SET_PARTITION_R,
     DWeightedPartition,
-    WeightedPartition,
     _compositions,
     block_offsets,
     enumerate_set_partitions,
@@ -355,13 +354,13 @@ def j_factor_dimensions_by_walk(j_vector, degrees):
     totals = {degree: IntPoly.zero() for degree in degrees}
     m_poly = IntPoly((0, 1))
     for sp in enumerate_set_partitions(r + 1):
-        first = sp.blocks[0]
+        first = sp[0]
         if set(first) & hot:
             continue
-        b = sp.num_blocks
+        b = len(sp)
         base = (r + 1) - b
-        mins = sum(1 for blk in sp.blocks[1:] if len(blk) == 1)
-        other_power = sum(len(blk) - 1 for blk in sp.blocks[1:])
+        mins = sum(1 for blk in sp[1:] if len(blk) == 1)
+        other_power = sum(len(blk) - 1 for blk in sp[1:])
         weight = (m_poly - 1) ** (len(first) - 1) * m_poly**other_power
         for degree in degrees:
             t = degree // 2 - base - mins
@@ -511,22 +510,26 @@ def compatible_with(partition, j_vector):
 
 
 def enumerate_weighted_partitions(r, max_total_weight):
-    """Weighted partitions with weight sum bounded by max_total_weight."""
+    """Kawazumi's weighted partitions, weight sum at most max_total_weight:
+    tuples of (block, weight) pairs with weight + |block| >= 2."""
     if r > MAX_SET_PARTITION_R:
         raise CapExceededError("r=%d exceeds enumeration cap" % r)
     result = []
     for sp in enumerate_set_partitions(r):
-        mins = [1 if len(b) == 1 else 0 for b in sp.blocks]
+        mins = [1 if len(b) == 1 else 0 for b in sp]
         budget = max_total_weight - sum(mins)
         if budget < 0:
             continue
         # the last part of each composition is the unused slack
-        for extra in _compositions(budget, len(sp.blocks) + 1):
+        for extra in _compositions(budget, len(sp) + 1):
             weights = [m + e for m, e in zip(mins, extra)]
-            result.append(
-                WeightedPartition(tuple(zip(sp.blocks, weights)))
-            )
+            result.append(tuple(zip(sp, weights)))
     return result
+
+
+def half_degree(pairs):
+    """Half-degree of a weighted partition: sum of weight + |block| - 1."""
+    return sum(w + len(b) - 1 for b, w in pairs)
 
 
 def matrix_rank(rows):

@@ -423,6 +423,19 @@ def test_config_file_flags_win(tmp_path, monkeypatch):
     assert _main_in_process(["strata", "--r", "2", "--config", str(config)]) == (
         2, "", "error: invalid-config: [strata] unknown format 'xml'\n"
     )
+    # a bad value from the file names the flag as it is spelled on the command line
+    argv = ["twisted", "--r", "1", "--level", "2", "--genus", "30", "--config", str(config)]
+    config.write_text("max_k=abc\n")
+    assert _main_in_process(argv) == (
+        2, "", "error: invalid-config: [twisted] option --max-k expects an integer, got 'abc'\n"
+    )
+    config.write_text("max_k=2\nallow_extrapolated=maybe\n")
+    assert _main_in_process(argv) == (
+        2,
+        "",
+        "error: invalid-config: [twisted] option --allow-extrapolated expects a boolean,"
+        " got 'maybe'\n",
+    )
 
 
 def test_output_file(tmp_path):

@@ -5,13 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prymalg.abelian_group import FiniteAbelianGroup, parse_group_literal
-from prymalg.algebra import AlgebraSpec, Variant, graded_dimension
+from prymalg.algebra import AlgebraSpec, Variant, graded_dimension, parse_monomial
 from prymalg.errors import CapExceededError, InvalidParameterError, ParseError
 from prymalg.partitions import (
     DWeightedPartition,
     JVector,
-    SetPartition,
-    WeightedPartition,
     block_singleton_counts,
     count_d_weighted_partitions,
     enumerate_d_weighted_partitions,
@@ -31,6 +29,7 @@ from helpers import (
     block_containing,
     compatible_with,
     enumerate_weighted_partitions,
+    half_degree,
 )
 
 TRIVIAL = FiniteAbelianGroup(())
@@ -42,8 +41,8 @@ Z22 = FiniteAbelianGroup((2, 2))
 
 
 def test_set_partition_counts():
-    assert len(enumerate_set_partitions(0)) == 1
-    assert enumerate_set_partitions(0)[0].blocks == ()
+    assert enumerate_set_partitions(0) == [()]
+    assert enumerate_set_partitions(2) == [((1, 2),), ((1,), (2,))]
     assert len(enumerate_set_partitions(3)) == 5
     # Bell(5) = 52 via the binomial recurrence
     assert bell_by_recurrence(5) == 52
@@ -56,10 +55,13 @@ def test_set_partition_enumeration_is_canonical_and_deterministic():
     parts = enumerate_set_partitions(4)
     assert len(set(parts)) == len(parts)
     assert parts == enumerate_set_partitions(4)
+    assert ((1, 3), (2, 4)) in parts
     for sp in parts:
-        for block in sp.blocks:
+        assert type(sp) is tuple
+        for block in sp:
+            assert type(block) is tuple
             assert list(block) == sorted(block)
-        mins = [b[0] for b in sp.blocks]
+        mins = [b[0] for b in sp]
         assert mins == sorted(mins)
 
 
@@ -69,11 +71,11 @@ def test_set_partition_cap():
 
 
 def test_set_partition_validation():
+    # overlapping blocks, and blocks that miss an index, are refused
     with pytest.raises(InvalidParameterError):
-        SetPartition(((1, 2), (2, 3)))
+        DWeightedPartition(TRIVIAL, (((1, 2), ((),)), ((2, 3), ((),))))
     with pytest.raises(InvalidParameterError):
-        SetPartition(((1, 3),))
-    assert SetPartition.of([(3,), (1, 2)]).blocks == ((1, 2), (3,))
+        DWeightedPartition(TRIVIAL, (((1, 3), ((),)),))
     # the deck-weighted constructor checks every weight
     one = Z3.element([1])
     assert DWeightedPartition(Z3, (((1, 2), (one,)),)).r == 2
@@ -94,6 +96,9 @@ def test_weights_are_residue_tuples():
         (1, "weight 1 is not a group element"),
         ((1, 0), "weight (1,0) has wrong arity"),
         ((4,), "weight (4) is not reduced"),
+        # entries that only compare equal to ints are not residues
+        ((1.0,), "weight (1.0,) is not a group element"),
+        ((True,), "weight (True,) is not a group element"),
     ]
     for w, message in refusals:
         with pytest.raises(InvalidParameterError) as err:
@@ -135,7 +140,7 @@ def test_stirling_identity():
 def test_block_singleton_counts_match_enumeration():
     for r in range(10):
         seen = collections.Counter(
-            (sp.num_blocks, sum(1 for b in sp.blocks if len(b) == 1))
+            (len(sp), sum(1 for b in sp if len(b) == 1))
             for sp in enumerate_set_partitions(r)
         )
         assert block_singleton_counts(r) == tuple(
@@ -292,8 +297,8 @@ def test_weighted_partition_order_is_pinned():
         for bound in range(7):
             runs = []
             for wp in enumerate_weighted_partitions(r, bound):
-                blocks = tuple(b for b, _ in wp.pairs)
-                weights = tuple(w for _, w in wp.pairs)
+                blocks = tuple(b for b, _ in wp)
+                weights = tuple(w for _, w in wp)
                 if runs and runs[-1][0] == blocks:
                     runs[-1][1].append(weights)
                 else:
@@ -301,13 +306,6 @@ def test_weighted_partition_order_is_pinned():
             assert len({blocks for blocks, _ in runs}) == len(runs), (r, bound)
             for blocks, vectors in runs:
                 assert all(a < b for a, b in zip(vectors, vectors[1:])), blocks
-
-
-def test_weighted_partition_invariant():
-    with pytest.raises(InvalidParameterError):
-        WeightedPartition((((1,), 0),))
-    wp = WeightedPartition((((1,), 1), ((2, 3), 0)))
-    assert wp.half_degree == 2
 
 
 def test_kawazumi_enumeration_matches_dprime_dimensions():
@@ -318,7 +316,7 @@ def test_kawazumi_enumeration_matches_dprime_dimensions():
         cap = 6
         by_degree = {}
         for wp in enumerate_weighted_partitions(r, cap):
-            by_degree[wp.half_degree] = by_degree.get(wp.half_degree, 0) + 1
+            by_degree[half_degree(wp)] = by_degree.get(half_degree(wp), 0) + 1
         for q in range(cap + 1):
             assert by_degree.get(q, 0) == graded_dimension(spec, 2 * q), (r, q)
 
@@ -326,8 +324,8 @@ def test_kawazumi_enumeration_matches_dprime_dimensions():
 def test_kawazumi_r2_low_degrees():
     # half-degree 1: only ({1,2}, 0); half-degree 2: ({1,2},1) and ({1},1)({2},1)
     wps = enumerate_weighted_partitions(2, 4)
-    assert sum(1 for w in wps if w.half_degree == 1) == 1
-    assert sum(1 for w in wps if w.half_degree == 2) == 2
+    assert sum(1 for w in wps if half_degree(w) == 1) == 1
+    assert sum(1 for w in wps if half_degree(w) == 2) == 2
 
 
 def test_text_roundtrip_frozen_example():
@@ -350,3 +348,11 @@ def test_parse_partition_errors_name_token():
     assert "oops" in str(err.value)
     with pytest.raises(ParseError):
         parse_partition("{1<2}", Z22)  # missing weights for a nontrivial group
+    # residues that are not integers
+    for token in ("{1<2:d=(a)}", "{1<2:d=(1.5)}"):
+        with pytest.raises(ParseError) as err:
+            parse_partition(token + "|{3}", Z3)
+        assert str(err.value) == "non-integer residue in %r" % (token,)
+    with pytest.raises(ParseError) as err:
+        parse_monomial("a{1<2:d=(a)}", AlgebraSpec(Variant.LEVEL_FULL, 2, Z3))
+    assert "{1<2:d=(a)}" in str(err.value)
