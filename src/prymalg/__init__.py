@@ -3,7 +3,7 @@
 Submodules:
 
 * abelian_group -- finite abelian deck groups, symbolic order
-* partitions    -- set / weighted / deck-weighted partitions
+* partitions    -- set partitions and deck-weighted partitions
 * algebra       -- normal-form arithmetic, graded dimensions, oracle
 * series        -- dimension tables, stable ranges, census, gap reports
 * symmetry      -- permutation characters and irreducible decompositions

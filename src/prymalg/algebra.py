@@ -406,24 +406,24 @@ def _oracle_generators(r, group, degree):
 def _monomials_of_degree(gens, degree):
     """Monomials of total weighted degree ``degree`` over gens.
 
-    A monomial is the tuple of its (generator index, exponent) pairs with
-    nonzero exponent, in decreasing index order, so v_1^2 * a is
-    ((index of a, 1), (0, 2)).  Every generator has even degree and
-    gens[0] = v_1 has degree 2, so each partial product ends in exactly
-    one way with a power of v_1 and the search never backtracks: its work
-    is proportional to its output.
+    A monomial is the ascending tuple of its generator indices, each
+    repeated by its exponent, so v_1^2 * a is (0, 0, index of a) and the
+    product of two monomials is ``tuple(sorted(x + y))``.  Every generator
+    has even degree and gens[0] = v_1 has degree 2, so each partial
+    product ends in exactly one way with a power of v_1 and the search
+    never backtracks: its work is proportional to its output.
     """
     if degree % 2 or not gens:
         return [] if degree else [()]
     degrees = [d for _, d in gens]
     out = []
 
-    def extend(top, remaining, prefix):
-        out.append(prefix + ((0, remaining // 2),) if remaining else prefix)
+    def extend(top, remaining, suffix):
+        out.append((0,) * (remaining // 2) + suffix)
         for i in range(min(top, bisect.bisect_right(degrees, remaining) - 1), 0, -1):
             d = degrees[i]
             for e in range(1, remaining // d + 1):
-                extend(i - 1, remaining - e * d, prefix + ((i, e),))
+                extend(i - 1, remaining - e * d, (i,) * e + suffix)
 
     extend(len(gens) - 1, degree, ())
     return out
@@ -433,11 +433,13 @@ def _oracle_relations(r, gens, group, degree):
     """Homogeneous relations of degree at most ``degree``, each as
     (relation degree, terms).
 
-    A term is a monomial in the form ``_monomials_of_degree`` uses.  Every
-    relation has coefficients 1 and -1: one term t stands for the monomial
-    t, two terms (s, t) for the binomial s - t.  A pair of a-classes is
-    visited only when its product fits the degree, so the pairs visited
-    are no more than the monomials of the slice.
+    A term is a monomial in the form ``_monomials_of_degree`` uses: (v_i, a)
+    for v_i a, (a_lo, a_hi) for a product of a-classes, and
+    (v,) * (t - 1) + (a,) for v^(t-1) a.  Every relation has coefficients
+    1 and -1: one term t stands for the monomial t, two terms (s, t) for
+    the binomial s - t, and s != t.  A pair of a-classes is visited only
+    when its product fits the degree, so the pairs visited are no more
+    than the monomials of the slice.
     """
     index_of = {key: i for i, (key, _) in enumerate(gens)}
     relations = []
@@ -447,8 +449,8 @@ def _oracle_relations(r, gens, group, degree):
         if d + 2 > degree:
             break
         for i, j in itertools.combinations(S, 2):
-            term1 = ((gi, 1), (index_of[("v", i)], 1))
-            term2 = ((gi, 1), (index_of[("v", j)], 1))
+            term1 = (index_of[("v", i)], gi)
+            term2 = (index_of[("v", j)], gi)
             relations.append((d + 2, (term1, term2)))
     # products of overlapping a-classes merge or vanish
     for ia, (gi_a, key_a, d_a) in enumerate(a_gens):
@@ -461,7 +463,7 @@ def _oracle_relations(r, gens, group, degree):
             shared = set(key_a[0]) & set(key_b[0])
             if not shared:
                 continue
-            lhs = ((gi_b, 1), (gi_a, 1)) if ib > ia else ((gi_a, 2),)
+            lhs = (gi_a, gi_b)
             merged = merge_offsets(
                 group, block_offsets(group, *key_a), block_offsets(group, *key_b)
             )
@@ -470,19 +472,9 @@ def _oracle_relations(r, gens, group, degree):
             else:
                 v_index = index_of[("v", min(shared))]
                 a_index = index_of[("a", rebase_offsets(group, merged))]
-                rhs = ((a_index, 1),)
-                if len(shared) > 1:
-                    rhs += ((v_index, len(shared) - 1),)
+                rhs = (v_index,) * (len(shared) - 1) + (a_index,)
                 relations.append((d_a + d_b, (lhs, rhs)))
     return relations
-
-
-def _times(term, monomial):
-    """The product of two monomials in the form ``_monomials_of_degree`` uses."""
-    exponents = dict(monomial)
-    for g, e in term:
-        exponents[g] = exponents.get(g, 0) + e
-    return tuple(sorted(exponents.items(), reverse=True))
 
 
 def _oracle_rows(r, group, degree, gens, monomials):
@@ -490,26 +482,25 @@ def _oracle_rows(r, group, degree, gens, monomials):
 
     Every relation times a monomial is again a monomial or a binomial with
     coefficients 1 and -1: a row (c,) stands for e_c and a row (a, b) for
-    e_a - e_b, where a and b index ``monomials``.  A binomial whose two
-    terms land on one column is zero and yields nothing.  The monomials of
-    each complementary degree are listed once per call.
+    e_a - e_b, where a and b index ``monomials`` and differ.  A term times
+    a complementary monomial f is ``tuple(sorted(term + f))``, the product
+    in the sorted-index form of ``_monomials_of_degree``.  The monomials
+    of each complementary degree are listed once per call.
     """
     column = {mon: c for c, mon in enumerate(monomials)}
     factors = {}
     for rel_degree, terms in _oracle_relations(r, gens, group, degree):
-        if len(terms) == 2 and terms[0] == terms[1]:
-            continue
         rest = degree - rel_degree
         if rest not in factors:
             factors[rest] = _monomials_of_degree(gens, rest)
         if len(terms) == 1:
             (lhs,) = terms
             for f in factors[rest]:
-                yield (column[_times(lhs, f)],)
+                yield (column[tuple(sorted(lhs + f))],)
         else:
             lhs, rhs = terms
             for f in factors[rest]:
-                yield (column[_times(lhs, f)], column[_times(rhs, f)])
+                yield (column[tuple(sorted(lhs + f))], column[tuple(sorted(rhs + f))])
 
 
 class _SliceComponents(typing.NamedTuple):
@@ -560,20 +551,15 @@ def _oracle_ideal(r, group, degree):
 
 
 def _covers_all_indices(monomial, gens, r, minimum):
+    # gens[i - 1] is v_i, so v_i's exponent is the count of i - 1
     covered = set()
-    v_exp = {}
-    for g, e in monomial:
+    for g in monomial:
         key = gens[g][0]
         if key[0] == "a":
             covered.update(key[1][0])
-        else:
-            v_exp[key[1]] = e
-    for i in range(1, r + 1):
-        if i in covered:
-            continue
-        if v_exp.get(i, 0) < minimum:
-            return False
-    return True
+    return all(
+        i in covered or monomial.count(i - 1) >= minimum for i in range(1, r + 1)
+    )
 
 
 def _oracle_columns(r, order, degree):

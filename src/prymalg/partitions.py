@@ -338,15 +338,19 @@ def parse_block(token, group):
     if m.group(2) is not None:
         tuples = _TUPLE_RE.findall(m.group(2))
         rebuilt = ",".join("(%s)" % body for body in tuples)
-        if rebuilt != m.group(2).replace(" ", ""):
+        if rebuilt.replace(" ", "") != m.group(2).replace(" ", ""):
             raise ParseError("malformed weight list %r in %r" % (m.group(2), token))
         try:
-            weights = tuple(
-                group.element([int(x) for x in body.split(",")] if body else [])
+            residues = [
+                [int(x) for x in body.split(",")] if body.strip() else []
                 for body in tuples
-            )
+            ]
         except ValueError:
             raise ParseError("non-integer residue in %r" % (token,)) from None
+        arity = len(group.cyclic_factors)
+        if any(len(x) != arity for x in residues):
+            raise ParseError("block %r needs %d residues per weight" % (token, arity))
+        weights = tuple(map(group.element, residues))
     elif len(idx) >= 2 and group.cyclic_factors:
         raise ParseError("block %r is missing its weight list" % (token,))
     if len(idx) >= 2 and not group.cyclic_factors and not weights:

@@ -1,5 +1,7 @@
 """Shared test utilities: independent oracles and generators."""
 
+import bisect
+import itertools
 import math
 from fractions import Fraction
 
@@ -471,6 +473,80 @@ def element_multiply(spec, ex, ey):
             for cp, mp in multiply(spec, mx, my).terms:
                 out.append((cx * cy * cp, mp))
     return AlgebraElement.of_terms(out)
+
+
+def pair_monomials_of_degree(gens, degree):
+    """Reference listing of the oracle's monomials in (index, exponent) pair
+    form: the nonzero (generator index, exponent) pairs in decreasing index
+    order, so v_1^2 * a is ((index of a, 1), (0, 2))."""
+    if degree % 2 or not gens:
+        return [] if degree else [()]
+    degrees = [d for _, d in gens]
+    out = []
+
+    def extend(top, remaining, prefix):
+        out.append(prefix + ((0, remaining // 2),) if remaining else prefix)
+        for i in range(min(top, bisect.bisect_right(degrees, remaining) - 1), 0, -1):
+            d = degrees[i]
+            for e in range(1, remaining // d + 1):
+                extend(i - 1, remaining - e * d, prefix + ((i, e),))
+
+    extend(len(gens) - 1, degree, ())
+    return out
+
+
+def pair_times(term, monomial):
+    """The product of two monomials in pair form, by merging exponents."""
+    exponents = dict(monomial)
+    for g, e in term:
+        exponents[g] = exponents.get(g, 0) + e
+    return tuple(sorted(exponents.items(), reverse=True))
+
+
+def pair_oracle_relations(gens, group, degree):
+    """Reference encoding of the oracle's relations, terms in pair form:
+    every pair of a-classes is visited and kept when its product fits."""
+    index_of = {key: i for i, (key, _) in enumerate(gens)}
+    relations = []
+    a_gens = [(i, key[1], d) for i, (key, d) in enumerate(gens) if key[0] == "a"]
+    for gi, (S, _), d in a_gens:
+        if d + 2 <= degree:
+            for i, j in itertools.combinations(S, 2):
+                term1 = ((gi, 1), (index_of[("v", i)], 1))
+                term2 = ((gi, 1), (index_of[("v", j)], 1))
+                relations.append((d + 2, (term1, term2)))
+    for ia, (gi_a, key_a, d_a) in enumerate(a_gens):
+        for gi_b, key_b, d_b in a_gens[ia:]:
+            shared = set(key_a[0]) & set(key_b[0])
+            if d_a + d_b > degree or not shared:
+                continue
+            lhs = ((gi_b, 1), (gi_a, 1)) if gi_b > gi_a else ((gi_a, 2),)
+            merged = merge_offsets(
+                group, block_offsets(group, *key_a), block_offsets(group, *key_b)
+            )
+            if merged is None:
+                relations.append((d_a + d_b, (lhs,)))
+                continue
+            rhs = ((index_of[("a", rebase_offsets(group, merged))], 1),)
+            if len(shared) > 1:
+                rhs += ((index_of[("v", min(shared))], len(shared) - 1),)
+            relations.append((d_a + d_b, (lhs, rhs)))
+    return relations
+
+
+def pair_oracle_rows(group, degree, gens):
+    """Reference rows of the oracle's degree slice: each relation times each
+    complementary monomial, as a tuple of one or two pair-form monomials."""
+    rows = []
+    for rel_degree, terms in pair_oracle_relations(gens, group, degree):
+        for f in pair_monomials_of_degree(gens, degree - rel_degree):
+            rows.append(tuple(pair_times(term, f) for term in terms))
+    return rows
+
+
+def pair_to_indices(monomial):
+    """Pair form to the sorted generator-index form the oracle uses."""
+    return tuple(sorted(g for g, e in monomial for _ in range(e)))
 
 
 # Functions with no caller in the package: checks and conversions that

@@ -107,7 +107,8 @@ def test_criterion_02_oracle_equivalence():
     grid = (
         ((TRIVIAL, Z2, Z3), range(4), range(11)),
         ((TRIVIAL, Z2), (4,), range(11)),
-        ((Z3,), (4,), range(7)),
+        ((Z3,), (4,), range(9)),
+        ((TRIVIAL,), (5,), range(13)),  # 80 475 columns at degree 12
         ((Z4, Z22, Z5), range(4), range(11)),
     )
     mismatches = []

@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import random
@@ -43,6 +44,9 @@ from helpers import (
     element_multiply,
     element_to_json,
     graded_dimension_by_shapes,
+    pair_monomials_of_degree,
+    pair_oracle_rows,
+    pair_to_indices,
     reference_multiply,
     reference_relabel,
     unit_monomial,
@@ -397,6 +401,28 @@ def test_oracle_column_count_matches_listing():
                     assert len(_oracle_generators(r, group, degree)) <= columns
     assert _oracle_columns(5, 1, 12) == 80475
     assert _oracle_columns(3, 4, 10) == 24548
+
+
+def test_sorted_index_rows_match_pair_form_reference():
+    # the sorted-index kernel against the (index, exponent) pair form it
+    # replaced: the same columns and the same multiset of relation rows
+    for group in (TRIVIAL, Z2, Z3, Z4, Z22):
+        for r in range(4):
+            for degree in range(11):
+                gens = tuple(_oracle_generators(r, group, degree))
+                monomials = tuple(_monomials_of_degree(gens, degree))
+                reference = pair_monomials_of_degree(gens, degree)
+                assert len(set(monomials)) == len(monomials)
+                assert set(monomials) == set(map(pair_to_indices, reference))
+                rows = collections.Counter(
+                    tuple(monomials[c] for c in row)
+                    for row in _oracle_rows(r, group, degree, gens, monomials)
+                )
+                expected = collections.Counter(
+                    tuple(map(pair_to_indices, row))
+                    for row in pair_oracle_rows(group, degree, gens)
+                )
+                assert rows == expected, (group, r, degree)
 
 
 def _row_reduced_dimensions(r, group, degree):

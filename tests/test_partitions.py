@@ -356,3 +356,12 @@ def test_parse_partition_errors_name_token():
     with pytest.raises(ParseError) as err:
         parse_monomial("a{1<2:d=(a)}", AlgebraSpec(Variant.LEVEL_FULL, 2, Z3))
     assert "{1<2:d=(a)}" in str(err.value)
+    # residue tuples of the wrong arity
+    for token in ("{1<2:d=(1,0)}", "{1<2:d=()}"):
+        with pytest.raises(ParseError) as err:
+            parse_partition(token + "|{3}", Z3)
+        assert str(err.value) == "block %r needs 1 residues per weight" % (token,)
+    # spaces inside and after a residue tuple
+    expected = parse_partition("{1<2:d=(0,1)}", Z22)
+    for text in ("{1<2:d=(0, 1)}", "{1<2:d=(0,1) }"):
+        assert parse_partition(text, Z22) == expected
