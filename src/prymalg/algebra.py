@@ -435,7 +435,8 @@ def _oracle_relations(r, gens, group, degree):
 
     A term is a monomial in the form ``_monomials_of_degree`` uses: (v_i, a)
     for v_i a, (a_lo, a_hi) for a product of a-classes, and
-    (v,) * (t - 1) + (a,) for v^(t-1) a.  Every relation has coefficients
+    (v,) * (t - 1) + (a,) for the v^(t-1) a that merging two a-classes
+    over t shared indices gives.  Every relation has coefficients
     1 and -1: one term t stands for the monomial t, two terms (s, t) for
     the binomial s - t, and s != t.  A pair of a-classes is visited only
     when its product fits the degree, so the pairs visited are no more
