@@ -48,10 +48,8 @@ from .rigidity import (
     AbelianSymplecticAction,
     LieSubalgebraReport,
     SymplecticSpace,
-    adjoint_matrix,
     commutant_sp,
     sp_dimension,
-    tensor_square_embedding,
 )
 from .series import (
     DimensionTable,

@@ -200,30 +200,8 @@ class AlgebraElement(_Value):
     def zero(cls):
         return cls(())
 
-    @classmethod
-    def of_monomial(cls, monomial, coeff=_ONE):
-        coeff = Fraction(coeff)
-        if coeff == 0:
-            return cls.zero()
-        return cls(((coeff, monomial),))
-
-    @classmethod
-    def of_terms(cls, pairs):
-        acc = {}
-        for coeff, mon in pairs:
-            acc[mon] = acc.get(mon, Fraction(0)) + Fraction(coeff)
-        terms = tuple(
-            (c, m)
-            for m, c in sorted(acc.items(), key=lambda kv: kv[0].sort_key())
-            if c != 0
-        )
-        return cls(terms)
-
     def is_zero(self):
         return not self.terms
-
-    def __add__(self, other):
-        return AlgebraElement.of_terms(self.terms + other.terms)
 
 
 def multiply(spec, x, y):
@@ -429,7 +407,7 @@ def _monomials_of_degree(gens, degree):
     return out
 
 
-def _oracle_relations(r, gens, group, degree):
+def _oracle_relations(gens, group, degree):
     """Homogeneous relations of degree at most ``degree``, each as
     (relation degree, terms).
 
@@ -478,7 +456,7 @@ def _oracle_relations(r, gens, group, degree):
     return relations
 
 
-def _oracle_rows(r, group, degree, gens, monomials):
+def _oracle_rows(group, degree, gens, monomials):
     """Rows spanning the degree slice of the relation ideal, as column indices.
 
     Every relation times a monomial is again a monomial or a binomial with
@@ -490,7 +468,7 @@ def _oracle_rows(r, group, degree, gens, monomials):
     """
     column = {mon: c for c, mon in enumerate(monomials)}
     factors = {}
-    for rel_degree, terms in _oracle_relations(r, gens, group, degree):
+    for rel_degree, terms in _oracle_relations(gens, group, degree):
         rest = degree - rel_degree
         if rest not in factors:
             factors[rest] = _monomials_of_degree(gens, rest)
@@ -536,7 +514,7 @@ def _oracle_ideal(r, group, degree):
             parent[c] = c = parent[parent[c]]
         return c
 
-    for row in _oracle_rows(r, group, degree, gens, monomials):
+    for row in _oracle_rows(group, degree, gens, monomials):
         a = find(row[0])
         if len(row) == 1:
             dead[a] = True

@@ -45,6 +45,7 @@ from .rigidity import (
     commutant_sp,
     fixture_action,
     format_matrix,
+    sp_dimension,
 )
 from .series import (
     putman_gap,
@@ -524,7 +525,7 @@ def cmd_commutant(cfg):
     return Table(
         ("h", "generators", "dimension", "provenance"),
         [row],
-        {"sp_dimension": h * (2 * h + 1)},
+        {"sp_dimension": sp_dimension(h)},
         payload=payload,
     )
 

@@ -1,6 +1,9 @@
 """Exact rational linear algebra on one sparse eliminator, ``RowReducer``.
 
 Everything runs over fractions.Fraction; no floating point anywhere.
+``null_space`` solves the commutant system of ``prymalg.rigidity``;
+``mat_mul``, ``transpose`` and ``identity`` serve the checks on its
+generators.
 """
 
 from __future__ import annotations
@@ -88,7 +91,10 @@ def sparse_row(row):
 def rref(rows):
     """Reduced row echelon form of a dense Fraction matrix.
 
-    Returns (reduced_rows, pivot_columns); zero rows are dropped.
+    Returns (reduced_rows, pivot_columns); zero rows are dropped.  No
+    package code calls it.  It stays because the benchmark wraps it by
+    name as the ``linalg.rref`` span; it goes when that span is
+    re-pointed at ``null_space`` (ROADMAP item 1).
     """
     reducer = RowReducer()
     ncols = 0
@@ -152,41 +158,3 @@ def mat_mul(a, b):
         out.append(tuple(acc))
     return tuple(out)
 
-
-def mat_neg(a):
-    return tuple(tuple(-x for x in row) for row in a)
-
-
-def mat_inv(mat):
-    """Inverse via Gauss-Jordan; raises ValueError on singular input."""
-    n = len(mat)
-    ident = identity(n)
-    aug = [list(row) + list(ident[i]) for i, row in enumerate(mat)]
-    reduced, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return tuple(tuple(row[n:]) for row in reduced)
-
-
-def determinant(mat):
-    """Exact determinant of a square matrix by sparse elimination.
-
-    Each row's residual differs from it by a combination of earlier rows,
-    so the residuals have the same determinant; permuted into ascending
-    lead order they are upper triangular.
-    """
-    reducer = RowReducer()
-    det = Fraction(1)
-    leads = []
-    for row in mat:
-        residual = reducer.reduce(sparse_row(row))
-        if not residual:
-            return Fraction(0)
-        lead = min(residual)
-        det *= residual[lead]
-        leads.append(lead)
-        reducer.add(residual)
-    inversions = sum(
-        1 for i, a in enumerate(leads) for b in leads[i + 1 :] if a > b
-    )
-    return -det if inversions % 2 else det

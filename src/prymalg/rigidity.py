@@ -51,7 +51,7 @@ def as_matrix(rows):
 def _as_fraction(x):
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         try:
@@ -97,14 +97,6 @@ class SymplecticSpace(_Value):
 def is_symplectic(space, M):
     J = space.form
     return linalg.mat_mul(linalg.mat_mul(linalg.transpose(M), J), M) == J
-
-
-def preserves_form_infinitesimally(space, X):
-    """X^T J + J X = 0."""
-    J = space.form
-    lhs = linalg.mat_mul(linalg.transpose(X), J)
-    rhs = linalg.mat_neg(linalg.mat_mul(J, X))
-    return lhs == rhs
 
 
 def commutes_with(A, B):
@@ -190,10 +182,6 @@ def sp_dimension(h):
     return h * (2 * h + 1)
 
 
-def _flatten(M):
-    return tuple(x for row in M for x in row)
-
-
 def _unflatten(vec, n):
     return tuple(tuple(vec[i * n : (i + 1) * n]) for i in range(n))
 
@@ -258,60 +246,6 @@ def commutant_sp(action):
     return LieSubalgebraReport(
         dimension=len(basis), basis=basis, free_coordinates=tuple(free_cols)
     )
-
-
-def adjoint_matrix(action, F, report):
-    """Matrix of X -> F X F^(-1) in the commutant basis of the report."""
-    F = as_matrix(F)
-    if not is_symplectic(action.space, F):
-        raise InvalidParameterError("F is not in the commutant group: not symplectic")
-    for i, M in enumerate(action.generators):
-        if not commutes_with(F, M):
-            raise InvalidParameterError(
-                "F is not in the commutant group: does not commute with generator #%d"
-                % i
-            )
-    Finv = linalg.mat_inv(F)
-    cols = []
-    for B in report.basis:
-        image = linalg.mat_mul(linalg.mat_mul(F, B), Finv)
-        flat = _flatten(image)
-        coords = [flat[c] for c in report.free_coordinates]
-        # the basis is echelon over the free coordinates, so coordinates
-        # read off directly; verify the residual vanishes exactly
-        recon = [Fraction(0)] * len(flat)
-        for coeff, vec in zip(coords, report.basis):
-            fv = _flatten(vec)
-            for t in range(len(flat)):
-                recon[t] += coeff * fv[t]
-        if tuple(recon) != flat:
-            raise InvalidParameterError(
-                "conjugation left the commutant; report basis does not match action"
-            )
-        cols.append(coords)
-    n = len(report.basis)
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-
-
-def tensor_square_embedding(space, X):
-    """Image of X in the tensor square, flattened row-major.
-
-    The embedding sends X to sum_j beta_j (x) X alpha_j - alpha_j (x) X beta_j
-    over the standard symplectic basis alpha_j = e_j, beta_j = e_(h+j), so
-    X alpha_j and X beta_j are columns j and h + j of X; it is linear and
-    injective and intertwines conjugation with the diagonal tensor-square
-    action.
-    """
-    X = as_matrix(X)
-    if not preserves_form_infinitesimally(space, X):
-        raise InvalidParameterError("X is not in the symplectic Lie algebra")
-    h, n = space.h, space.dim
-    out = [Fraction(0)] * (n * n)
-    for j in range(h):
-        for k in range(n):
-            out[(h + j) * n + k] = X[k][j]
-            out[j * n + k] = -X[k][h + j]
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

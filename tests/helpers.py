@@ -18,6 +18,7 @@ from prymalg.errors import CapExceededError, InvalidParameterError
 from prymalg.rigidity import (
     AbelianSymplecticAction,
     SymplecticSpace,
+    as_matrix,
     commutes_with,
     is_symplectic,
 )
@@ -50,31 +51,13 @@ def prime_factorization(n):
     return out
 
 
-def _partitions_of(n):
-    if n == 0:
-        return [()]
-    out = []
-
-    def extend(rem, maxpart, prefix):
-        if rem == 0:
-            out.append(tuple(prefix))
-            return
-        for part in range(min(rem, maxpart), 0, -1):
-            prefix.append(part)
-            extend(rem - part, part, prefix)
-            prefix.pop()
-
-    extend(n, n, [])
-    return out
-
-
 def abelian_groups_of_order(n):
     """Every isomorphism type of abelian group of order n."""
     if n == 1:
         return [FiniteAbelianGroup(())]
     per_prime = []
     for p, e in sorted(prime_factorization(n).items()):
-        per_prime.append([[p**a for a in part] for part in _partitions_of(e)])
+        per_prime.append([[p**a for a in part] for part in integer_partitions(e)])
     groups = [[]]
     for options in per_prime:
         groups = [g + opt for g in groups for opt in options]
@@ -98,7 +81,7 @@ def bell_by_recurrence(n):
 
 def partition_count_brute(q):
     """Number of integer partitions of q by direct enumeration."""
-    return len(_partitions_of(q))
+    return len(integer_partitions(q))
 
 
 def torsion_count_brute(group, n):
@@ -291,7 +274,7 @@ def random_symplectic(h, rng, factors=4):
             ]
         else:
             A = random_unimodular(h, rng)
-            Ainv_t = linalg.transpose(linalg.mat_inv(A))
+            Ainv_t = linalg.transpose(mat_inv(A))
             blocked = [
                 list(A[i]) + [Fraction(0)] * h for i in range(h)
             ] + [
@@ -456,7 +439,25 @@ def reference_multiply(spec, x, y, rng=None):
     partition = DWeightedPartition._trusted(group, tuple(b for b, _ in blocks), spec.r)
     monomial = NormalMonomial._trusted(partition, tuple(e for _, e in blocks))
     assert monomial.degree == x.degree + y.degree
-    return AlgebraElement.of_monomial(monomial)
+    return element_of_monomial(monomial)
+
+
+def element_of_monomial(monomial):
+    return AlgebraElement(((Fraction(1), monomial),))
+
+
+def element_of_terms(pairs):
+    """The element summing (coefficient, monomial) pairs, in canonical
+    order, without zero terms."""
+    acc = {}
+    for coeff, mon in pairs:
+        acc[mon] = acc.get(mon, Fraction(0)) + Fraction(coeff)
+    terms = tuple(
+        (c, m)
+        for m, c in sorted(acc.items(), key=lambda kv: kv[0].sort_key())
+        if c != 0
+    )
+    return AlgebraElement(terms)
 
 
 def unit_monomial(r, group):
@@ -472,7 +473,7 @@ def element_multiply(spec, ex, ey):
         for cy, my in ey.terms:
             for cp, mp in multiply(spec, mx, my).terms:
                 out.append((cx * cy * cp, mp))
-    return AlgebraElement.of_terms(out)
+    return element_of_terms(out)
 
 
 def pair_monomials_of_degree(gens, degree):
@@ -629,6 +630,83 @@ def kron(a, b):
     )
 
 
+def mat_inv(mat):
+    """Inverse via Gauss-Jordan; raises ValueError on singular input."""
+    n = len(mat)
+    ident = linalg.identity(n)
+    aug = [list(row) + list(ident[i]) for i, row in enumerate(mat)]
+    reduced, pivots = linalg.rref(aug)
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return tuple(tuple(row[n:]) for row in reduced)
+
+
+def preserves_form_infinitesimally(space, X):
+    """X^T J + J X = 0, that is X^T J = J^T X since J^T = -J."""
+    J = space.form
+    return linalg.mat_mul(linalg.transpose(X), J) == linalg.mat_mul(
+        linalg.transpose(J), X
+    )
+
+
+def _flatten(M):
+    return tuple(x for row in M for x in row)
+
+
+def adjoint_matrix(action, F, report):
+    """Matrix of X -> F X F^(-1) in the commutant basis of the report."""
+    F = as_matrix(F)
+    if not is_symplectic(action.space, F):
+        raise InvalidParameterError("F is not in the commutant group: not symplectic")
+    for i, M in enumerate(action.generators):
+        if not commutes_with(F, M):
+            raise InvalidParameterError(
+                "F is not in the commutant group: does not commute with generator #%d"
+                % i
+            )
+    Finv = mat_inv(F)
+    cols = []
+    for B in report.basis:
+        image = linalg.mat_mul(linalg.mat_mul(F, B), Finv)
+        flat = _flatten(image)
+        coords = [flat[c] for c in report.free_coordinates]
+        # the basis is echelon over the free coordinates, so coordinates
+        # read off directly; verify the residual vanishes exactly
+        recon = [Fraction(0)] * len(flat)
+        for coeff, vec in zip(coords, report.basis):
+            fv = _flatten(vec)
+            for t in range(len(flat)):
+                recon[t] += coeff * fv[t]
+        if tuple(recon) != flat:
+            raise InvalidParameterError(
+                "conjugation left the commutant; report basis does not match action"
+            )
+        cols.append(coords)
+    n = len(report.basis)
+    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+
+
+def tensor_square_embedding(space, X):
+    """Image of X in the tensor square, flattened row-major.
+
+    The embedding sends X to sum_j beta_j (x) X alpha_j - alpha_j (x) X beta_j
+    over the standard symplectic basis alpha_j = e_j, beta_j = e_(h+j), so
+    X alpha_j and X beta_j are columns j and h + j of X; it is linear and
+    injective and intertwines conjugation with the diagonal tensor-square
+    action.
+    """
+    X = as_matrix(X)
+    if not preserves_form_infinitesimally(space, X):
+        raise InvalidParameterError("X is not in the symplectic Lie algebra")
+    h, n = space.h, space.dim
+    out = [Fraction(0)] * (n * n)
+    for j in range(h):
+        for k in range(n):
+            out[(h + j) * n + k] = X[k][j]
+            out[j * n + k] = -X[k][h + j]
+    return tuple(out)
+
+
 def in_commutant_group(action, F):
     """Whether F is symplectic and commutes with every generator."""
     if not is_symplectic(action.space, F):
@@ -648,7 +726,7 @@ def element_from_json(data, spec):
     pairs = []
     for num, den, text in data:
         pairs.append((Fraction(int(num), int(den)), parse_monomial(text, spec)))
-    return AlgebraElement.of_terms(pairs)
+    return element_of_terms(pairs)
 
 
 def class_size(cycle_type):

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from prymalg.abelian_group import FiniteAbelianGroup, SymbolicOrder, parse_group_literal
 from prymalg.algebra import (
     ORACLE_MAX_COLUMNS,
-    AlgebraElement,
     AlgebraSpec,
     NormalMonomial,
     Variant,
@@ -42,6 +41,8 @@ from prymalg.polynomial import IntPoly
 from helpers import (
     element_from_json,
     element_multiply,
+    element_of_monomial,
+    element_of_terms,
     element_to_json,
     graded_dimension_by_shapes,
     pair_monomials_of_degree,
@@ -101,7 +102,7 @@ def test_multiply_unit_and_commutativity():
     rng = random.Random(7)
     pool = basis(spec, 2) + basis(spec, 4)
     for x in rng.sample(pool, 12):
-        assert multiply(spec, one, x) == AlgebraElement.of_monomial(x)
+        assert multiply(spec, one, x) == element_of_monomial(x)
         for y in rng.sample(pool, 6):
             assert multiply(spec, x, y) == multiply(spec, y, x)
 
@@ -141,8 +142,8 @@ def test_confluence_and_associativity_random_triples():
                 x, y, z = (rng.choice(pool) for _ in range(3))
                 xy = multiply(spec, x, y)
                 yz = multiply(spec, y, z)
-                left = element_multiply(spec, xy, AlgebraElement.of_monomial(z))
-                right = element_multiply(spec, AlgebraElement.of_monomial(x), yz)
+                left = element_multiply(spec, xy, element_of_monomial(z))
+                right = element_multiply(spec, element_of_monomial(x), yz)
                 assert left == right
                 shuffled = reference_multiply(spec, x, y, rng=rng)
                 assert shuffled == xy
@@ -166,7 +167,7 @@ def test_multiply_is_associative_and_commutative(data, variant, r, literal):
     x, y, z = (data.draw(st.sampled_from(pool)) for _ in range(3))
     xy = multiply(spec, x, y)
     assert xy == multiply(spec, y, x)
-    one = AlgebraElement.of_monomial
+    one = element_of_monomial
     assert element_multiply(spec, xy, one(z)) == element_multiply(
         spec, one(x), multiply(spec, y, z)
     )
@@ -416,7 +417,7 @@ def test_sorted_index_rows_match_pair_form_reference():
                 assert set(monomials) == set(map(pair_to_indices, reference))
                 rows = collections.Counter(
                     tuple(monomials[c] for c in row)
-                    for row in _oracle_rows(r, group, degree, gens, monomials)
+                    for row in _oracle_rows(group, degree, gens, monomials)
                 )
                 expected = collections.Counter(
                     tuple(map(pair_to_indices, row))
@@ -430,7 +431,7 @@ def _row_reduced_dimensions(r, group, degree):
     gens = tuple(_oracle_generators(r, group, degree))
     monomials = tuple(_monomials_of_degree(gens, degree))
     reducer = RowReducer()
-    for row in _oracle_rows(r, group, degree, gens, monomials):
+    for row in _oracle_rows(group, degree, gens, monomials):
         reducer.add(dict(zip(row, (Fraction(1), Fraction(-1)))))
     dims = {"full": len(monomials) - reducer.rank}
     for minimum in (1, 2):
@@ -538,7 +539,7 @@ def test_element_json_roundtrip():
     spec = AlgebraSpec(Variant.LEVEL_FULL, 2, Z2)
     x = parse_monomial("a{1<2:d=(1)}", spec)
     y = parse_monomial("v{1} * v{2}", spec)
-    elt = AlgebraElement.of_terms([(3, x), ("-1/2", y)])
+    elt = element_of_terms([(3, x), ("-1/2", y)])
     data = element_to_json(elt)
     assert element_from_json(data, spec) == elt
     assert all(len(row) == 3 for row in data)

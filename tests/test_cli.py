@@ -218,10 +218,13 @@ def test_invalid_config_exits_2_with_single_line_error(tmp_path):
     not_a_matrix.write_text("[5]")
     not_a_list = tmp_path / "scalar.json"
     not_a_list.write_text("5")
+    booleans = tmp_path / "bool.json"
+    booleans.write_text("[[[true, false], [false, true]]]")
     for argv in (
         ("strata", "--r", "-1"),
         ("commutant", "--h", "1", "--generators-file", str(not_a_matrix)),
         ("commutant", "--h", "1", "--generators-file", str(not_a_list)),
+        ("commutant", "--h", "1", "--generators-file", str(booleans)),
         ("dims", "--variant", "level-prime", "--r", "2", "--group", "Z3",
          "--max-degree", "-1"),
         ("strata", "--r", "2", "--workers", "0"),
@@ -253,7 +256,7 @@ def test_invalid_config_exits_2_with_single_line_error(tmp_path):
         assert err.startswith("error: invalid-config:") and err.count("\n") == 1, err
         assert proc.stdout == b"", argv
     # a failed --output write leaves no file behind
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["row.json", "scalar.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bool.json", "row.json", "scalar.json"]
 
 
 def test_deck_group_errors_name_the_bad_flag():
