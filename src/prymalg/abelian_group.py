@@ -77,8 +77,9 @@ class FiniteAbelianGroup(_Value, fields=("cyclic_factors",)):
     def negate(self, x):
         return tuple(map(operator.mod, map(operator.neg, x), self.cyclic_factors))
 
-    def is_identity(self, x):
-        return not any(x)
+    def subtract(self, x, y):
+        """x - y, in one pass: ``add(x, negate(y))``."""
+        return tuple(map(operator.mod, map(operator.sub, x, y), self.cyclic_factors))
 
     def torsion_count(self, n):
         """Number of x with n*x = 0, one gcd per cyclic factor."""

@@ -173,10 +173,10 @@ class NormalMonomial(_Value):
 
     @property
     def degree(self):
-        base = sum(
-            2 * len(idx) - 2 for idx, _ in self.partition.blocks if len(idx) >= 2
-        )
-        return 2 * sum(self.exponents) + base
+        # v-classes give 2 per exponent, and the a-class of a block S gives
+        # 2|S| - 2, which sums to 2(r - number of blocks)
+        partition = self.partition
+        return 2 * (sum(self.exponents) + partition.r - len(partition.blocks))
 
     def sort_key(self):
         return (self.degree, self.partition.blocks, self.exponents)
@@ -229,12 +229,12 @@ def multiply(spec, x, y):
 
     items = {}  # key -> (offsets, exponent) of a block built so far
     owner = {}  # index -> key of the block holding it
-    for key, ((idx, weights), exponent) in enumerate(
-        zip(x.partition.blocks, x.exponents)
-    ):
+    key = 0
+    for (idx, weights), exponent in zip(x.partition.blocks, x.exponents):
         items[key] = block_offsets(group, idx, weights), exponent
-        owner.update(dict.fromkeys(idx, key))
-    key = len(items)
+        for i in idx:
+            owner[i] = key
+        key += 1
     for (idx, weights), exponent in zip(y.partition.blocks, y.exponents):
         if len(idx) == 1:
             # a singleton pins no offset: its exponent joins its block's
@@ -243,25 +243,33 @@ def multiply(spec, x, y):
             items[other] = off_o, exp_o + exponent
             continue
         offsets = block_offsets(group, idx, weights)
-        for other in dict.fromkeys([owner[i] for i in idx]):
+        for i in idx:
+            other = owner[i]
+            if other not in items:
+                continue  # merged already, at an earlier index of this block
             off_o, exp_o = items.pop(other)
             exponent += exp_o
             if len(off_o) > 1:
-                shared = len(off_o.keys() & offsets.keys())
-                offsets = merge_offsets(group, off_o, offsets)
-                if offsets is None:
+                merged = merge_offsets(group, off_o, offsets)
+                if merged is None:
                     return AlgebraElement.zero()
-                exponent += shared - 1
+                # t shared indices: the union holds t fewer than the two
+                exponent += len(off_o) + len(offsets) - len(merged) - 1
+                offsets = merged
         items[key] = offsets, exponent
-        owner.update(dict.fromkeys(offsets, key))
+        for i in offsets:
+            owner[i] = key
         key += 1
 
-    # blocks are disjoint, so sorting them compares first indices only
-    blocks = sorted(
+    blocks = [
         (rebase_offsets(group, offsets), exponent) for offsets, exponent in items.values()
-    )
-    partition = DWeightedPartition._trusted(group, tuple(b for b, _ in blocks), spec.r)
-    monomial = NormalMonomial._trusted(partition, tuple(e for _, e in blocks))
+    ]
+    # blocks are disjoint, so sorting them compares first indices only
+    blocks.sort()
+    # r = 0 leaves no blocks to unzip
+    parts, exponents = zip(*blocks) if blocks else ((), ())
+    partition = DWeightedPartition._trusted(group, parts, spec.r)
+    monomial = NormalMonomial._trusted(partition, exponents)
     assert monomial.degree == x.degree + y.degree
     return AlgebraElement(((_ONE, monomial),))
 

@@ -13,7 +13,10 @@ weight list belongs to singleton blocks.
 One kernel owns that convention for relabeling, the algebra product and
 the oracle: ``block_offsets``, ``merge_offsets`` and ``rebase_offsets``
 turn a block into an offset dict, unite two of them (or report that they
-contradict), and re-base (index, offset) pairs on their minimal index.
+contradict), and re-base (index, offset) pairs on their minimal index,
+shifting by ``FiniteAbelianGroup.subtract`` unless that index already
+sits at the identity.  ``relabel`` re-bases every block of two or more
+indices; a singleton block has nothing to re-base and only moves.
 Parsers and public constructors validate; ``DWeightedPartition._trusted``
 does not.
 """
@@ -38,6 +41,7 @@ from .polynomial import IntPoly, at_order
 MAX_SET_PARTITION_R = 12
 MAX_WEIGHTED_ENUMERATION_R = 8
 MAX_COUNT_R = 30
+_INT = frozenset([int])
 
 
 def _validate_blocks(blocks):
@@ -107,9 +111,9 @@ class DWeightedPartition(_Value, fields=("group", "blocks")):
         unchanged: (index tuple, reduced weight tuple) pairs by minimum,
         covering {1..r}."""
         partition = object.__new__(cls)
-        object.__setattr__(partition, "group", group)
-        object.__setattr__(partition, "blocks", blocks)
-        object.__setattr__(partition, "r", r)
+        _SET_GROUP(partition, group)
+        _SET_BLOCKS(partition, blocks)
+        _SET_R(partition, r)
         return partition
 
     @property
@@ -118,6 +122,13 @@ class DWeightedPartition(_Value, fields=("group", "blocks")):
 
     def __str__(self):
         return format_partition(self)
+
+
+# _trusted stores through the slot descriptors, which bypass _Value's
+# refusing __setattr__ as object.__setattr__ does, without its name lookup
+_SET_GROUP = DWeightedPartition.group.__set__
+_SET_BLOCKS = DWeightedPartition.blocks.__set__
+_SET_R = DWeightedPartition.r.__set__
 
 
 class JVector(_Value):
@@ -223,10 +234,16 @@ def _compositions(total, parts):
 
 
 def validate_permutation(sigma, r):
-    """sigma as a tuple of ints, when its entries are integers forming a
-    permutation of 1..r."""
+    """sigma as a tuple of ints, when its entries are integers, not
+    booleans, forming a permutation of 1..r."""
     try:
-        entries = tuple(map(operator.index, sigma))
+        entries = tuple(sigma)
+        # exact ints pass as they are; other integer types go through
+        # operator.index, but not bool, which it would take as an int
+        if not _INT.issuperset(map(type, entries)):
+            if bool in map(type, entries):
+                raise TypeError
+            entries = tuple(map(operator.index, entries))
     except TypeError:
         raise InvalidParameterError(
             "a permutation is a sequence of integers, got %r" % (sigma,)
@@ -260,7 +277,7 @@ def merge_offsets(group, off_a, off_b):
             if off_a[q] != off_b[q]:
                 return None
         return {**off_b, **off_a}
-    shift = group.add(off_a[pin], group.negate(off_b[pin]))
+    shift = group.subtract(off_a[pin], off_b[pin])
     for q in common:
         if off_a[q] != group.add(off_b[q], shift):
             return None
@@ -276,17 +293,16 @@ def rebase_offsets(group, offsets):
 
     ``offsets`` holds (index, offset) pairs, or is an offset dict.  When
     the minimal index already sits at the identity the offsets are the
-    weights as they stand.
+    weights as they stand; otherwise each is shifted by ``subtract``.
     """
     if isinstance(offsets, dict):
         offsets = offsets.items()
     # indices are distinct, so sorting the pairs compares indices only
     idx, offs = zip(*sorted(offsets))
     base = offs[0]
-    if group.is_identity(base):
+    if not any(base):
         return idx, offs[1:]
-    neg_base = group.negate(base)
-    return idx, tuple([group.add(off, neg_base) for off in offs[1:]])
+    return idx, tuple([group.subtract(off, base) for off in offs[1:]])
 
 
 def relabel(partition, sigma):
@@ -299,17 +315,20 @@ def relabel(partition, sigma):
     i0 is the preimage of the new base.  This is the unique rule
     consistent with reading the j-th weight as the deck translation from
     the base marked point to the (j+1)-st; no other convention is
-    supported.
+    supported.  A singleton block has no weights and moves as it is.
     """
     group = partition.group
     sigma = validate_permutation(sigma, partition.r)
     base_offset = (group.identity(),)
     moved = [
         rebase_offsets(group, zip([sigma[i - 1] for i in idx], base_offset + weights))
+        if weights
+        else ((sigma[idx[0] - 1],), ())
         for idx, weights in partition.blocks
     ]
     # blocks are disjoint, so sorting them compares first indices only
-    return DWeightedPartition._trusted(group, tuple(sorted(moved)), partition.r)
+    moved.sort()
+    return DWeightedPartition._trusted(group, tuple(moved), partition.r)
 
 
 def format_partition(partition):

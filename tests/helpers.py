@@ -91,7 +91,7 @@ def torsion_count_brute(group, n):
         y = identity
         for _ in range(n):
             y = group.add(y, x)
-        if group.is_identity(y):
+        if y == identity:
             count += 1
     return count
 
@@ -391,15 +391,19 @@ def invariant_sp_dimension(generators, n):
 
 
 def reference_relabel(partition, sigma):
-    """Reference relabel: one offset dict per block, moved along sigma and
-    re-based on its new minimal index."""
+    """Reference relabel: one offset dict per block, singletons included,
+    moved along sigma and re-based on its new minimal index by adding the
+    negated base offset, without ``rebase_offsets`` or ``subtract``."""
     group = partition.group
     sigma = validate_permutation(sigma, partition.r)
     new_blocks = []
     for idx, weights in partition.blocks:
         offsets = block_offsets(group, idx, weights)
         image = {sigma[i - 1]: off for i, off in offsets.items()}
-        new_blocks.append(rebase_offsets(group, image))
+        new_idx = tuple(sorted(image))
+        neg_base = group.negate(image[new_idx[0]])
+        new_weights = tuple(group.add(image[i], neg_base) for i in new_idx[1:])
+        new_blocks.append((new_idx, new_weights))
     new_blocks.sort(key=lambda b: b[0][0])
     return DWeightedPartition._trusted(group, tuple(new_blocks), partition.r)
 
@@ -440,6 +444,15 @@ def reference_multiply(spec, x, y, rng=None):
     monomial = NormalMonomial._trusted(partition, tuple(e for _, e in blocks))
     assert monomial.degree == x.degree + y.degree
     return element_of_monomial(monomial)
+
+
+def reference_degree(monomial):
+    """Degree summed block by block: 2 per exponent, plus 2|S| - 2 for the
+    a-class of every block S of two or more indices."""
+    base = sum(
+        2 * len(idx) - 2 for idx, _ in monomial.partition.blocks if len(idx) >= 2
+    )
+    return 2 * sum(monomial.exponents) + base
 
 
 def element_of_monomial(monomial):
@@ -577,8 +590,7 @@ def compatible_with(partition, j_vector):
             % (partition.r, len(j_vector))
         )
     idx, weights = block_containing(partition, 1)
-    group = partition.group
-    if any(group.is_identity(w) for w in weights):
+    if partition.group.identity() in weights:
         return False
     for a in idx:
         if a >= 2 and j_vector.entries[a - 2] == 1:

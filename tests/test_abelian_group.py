@@ -71,7 +71,7 @@ def test_add_negate_identity_examples():
     assert z3.add(z3.element([1]), z3.element([2])) == z3.identity()
     z4 = FiniteAbelianGroup((4,))
     assert z4.negate(z4.element([1])) == z4.element([3])
-    assert z4.is_identity(z4.identity())
+    assert z4.identity() == (0,)
 
 
 def test_group_axioms_exhaustive():
@@ -83,6 +83,16 @@ def test_group_axioms_exhaustive():
             assert group.add(x, group.negate(x)) == group.identity()
         for x, y, z in itertools.product(elems, repeat=3):
             assert group.add(group.add(x, y), z) == group.add(x, group.add(y, z))
+
+
+def test_subtract_is_add_of_negation_exhaustive():
+    for factors in ((4,), (2, 4), (3, 3)):
+        group = FiniteAbelianGroup(factors)
+        elems = group.elements()
+        for x, y in itertools.product(elems, repeat=2):
+            assert group.subtract(x, y) == group.add(x, group.negate(y))
+        for x in elems:
+            assert group.subtract(x, x) == group.identity()
 
 
 def test_torsion_count_examples():

@@ -48,6 +48,7 @@ from helpers import (
     pair_monomials_of_degree,
     pair_oracle_rows,
     pair_to_indices,
+    reference_degree,
     reference_multiply,
     reference_relabel,
     unit_monomial,
@@ -205,6 +206,29 @@ def test_product_and_relabel_match_references_exhaustive():
                 assert product == reference_multiply(spec, x, y), (x, y)
                 nonzero += not product.is_zero()
         assert 0 < nonzero < len(pool) ** 2
+
+
+def test_relabel_matches_reference_on_sampled_permutations():
+    # every partition at r = 5 over Z3 (the partitions the bench's relabel
+    # job draws from) and at r = 4 over the non-cyclic Z2xZ4, each under a
+    # seeded sample of permutations
+    rng = random.Random(23)
+    for r, literal, draws in ((5, "Z3", 40), (4, "Z2xZ4", 12)):
+        group = parse_group_literal(literal)
+        perms = list(itertools.permutations(range(1, r + 1)))
+        for p in enumerate_d_weighted_partitions(r, group):
+            for sigma in rng.sample(perms, draws):
+                assert relabel(p, sigma) == reference_relabel(p, sigma), (p, sigma)
+
+
+def test_degree_matches_block_sum_reference():
+    for variant in Variant:
+        for r in range(5):
+            for literal in ("Z1", "Z2", "Z3"):
+                spec = spec_of(variant, r, parse_group_literal(literal))
+                for degree in range(9):
+                    for mon in basis(spec, degree):
+                        assert mon.degree == reference_degree(mon) == degree, mon
 
 
 def test_graded_dimension_level_prime_r2():

@@ -111,14 +111,17 @@ def test_weights_are_residue_tuples():
 def test_validate_permutation_takes_only_integers():
     assert validate_permutation([2, 1, 3], 3) == (2, 1, 3)
     assert validate_permutation((), 0) == ()
-    for sigma in ((1.5, 2.2), (1.0, 2.0), ("1", "2"), ("a", 2), 12):
+    for sigma in (
+        (1.5, 2.2), (1.0, 2.0), ("1", "2"), ("a", 2), 12, (True, 2), (2, False)
+    ):
         with pytest.raises(InvalidParameterError):
             validate_permutation(sigma, 2)
     for sigma in ((1, 1), (1, 3), (1, 2, 3), (0, 1), (2,)):
         with pytest.raises(InvalidParameterError):
             validate_permutation(sigma, 2)
-    with pytest.raises(InvalidParameterError):
-        relabel(enumerate_d_weighted_partitions(2, Z2)[0], (1.5, 2.2))
+    for sigma in ((1.5, 2.2), (True, 2)):
+        with pytest.raises(InvalidParameterError):
+            relabel(enumerate_d_weighted_partitions(2, Z2)[0], sigma)
 
 
 def test_count_polynomials():
