@@ -1,4 +1,5 @@
 import collections
+import enum
 import itertools
 
 import pytest
@@ -111,6 +112,10 @@ def test_weights_are_residue_tuples():
 def test_validate_permutation_takes_only_integers():
     assert validate_permutation([2, 1, 3], 3) == (2, 1, 3)
     assert validate_permutation((), 0) == ()
+    # other integer types convert through operator.index
+    two = enum.IntEnum("Two", "ONE TWO")
+    entries = validate_permutation((two.TWO, two.ONE), 2)
+    assert entries == (2, 1) and set(map(type, entries)) == {int}
     for sigma in (
         (1.5, 2.2), (1.0, 2.0), ("1", "2"), ("a", 2), 12, (True, 2), (2, False)
     ):
