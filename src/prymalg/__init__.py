@@ -47,7 +47,6 @@ from .polynomial import IntPoly
 from .rigidity import (
     AbelianSymplecticAction,
     LieSubalgebraReport,
-    SymplecticSpace,
     commutant_sp,
     sp_dimension,
 )

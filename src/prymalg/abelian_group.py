@@ -32,11 +32,7 @@ class FiniteAbelianGroup(_Value, fields=("cyclic_factors",)):
     __slots__ = ("cyclic_factors", "_identity")
 
     def __init__(self, cyclic_factors: tuple[int, ...]):
-        object.__setattr__(self, "cyclic_factors", cyclic_factors)
-        self.__post_init__()
-
-    def __post_init__(self):
-        factors = tuple(int(f) for f in self.cyclic_factors)
+        factors = tuple(int(f) for f in cyclic_factors)
         if any(f < 2 for f in factors):
             raise InvalidParameterError(
                 "cyclic factors must all be >= 2; the trivial group is ()"
@@ -104,17 +100,14 @@ class SymbolicOrder(_Value):
     __slots__ = ("level", "genus")
 
     def __init__(self, level: int | None = None, genus: int | None = None):
+        if level is not None and genus is None:
+            raise InvalidParameterError("a level needs a genus: alone it names no deck group")
+        if genus is not None and genus < 0:
+            raise InvalidParameterError("genus must be >= 0")
+        if level is not None:
+            check_homology_parameters(genus, level)
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "genus", genus)
-        self.__post_init__()
-
-    def __post_init__(self):
-        if self.level is not None and self.genus is None:
-            raise InvalidParameterError("a level needs a genus: alone it names no deck group")
-        if self.genus is not None and self.genus < 0:
-            raise InvalidParameterError("genus must be >= 0")
-        if self.is_bound:
-            check_homology_parameters(self.genus, self.level)
 
     @property
     def is_bound(self):

@@ -44,6 +44,7 @@ from .abelian_group import (
 )
 from .errors import CapExceededError, InvalidParameterError, ParseError, _Value
 from .partitions import (
+    MAX_COUNT_R,
     DWeightedPartition,
     _compositions,
     block_offsets,
@@ -56,7 +57,6 @@ from .partitions import (
 )
 from .polynomial import IntPoly, at_order
 
-MAX_DIMENSION_R = 30
 DEFAULT_BASIS_DEGREE_CAP = 64
 ORACLE_MAX_COLUMNS = 10**5
 
@@ -107,22 +107,17 @@ class AlgebraSpec(_Value):
         r: int,
         group: FiniteAbelianGroup | SymbolicOrder | None = None,
     ):
+        if r < 0:
+            raise InvalidParameterError("r must be >= 0")
+        if not variant.twisted:
+            group = None  # untwisted variants ignore the group field
+        elif group is None:
+            raise InvalidParameterError(
+                "%s requires a group or symbolic order" % variant.value
+            )
         object.__setattr__(self, "variant", variant)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "group", group)
-        self.__post_init__()
-
-    def __post_init__(self):
-        if self.r < 0:
-            raise InvalidParameterError("r must be >= 0")
-        if self.variant.twisted:
-            if self.group is None:
-                raise InvalidParameterError(
-                    "%s requires a group or symbolic order" % self.variant.value
-                )
-        else:
-            # untwisted variants ignore the group field
-            object.__setattr__(self, "group", None)
 
     @property
     def is_symbolic(self):
@@ -151,17 +146,13 @@ class NormalMonomial(_Value):
     __slots__ = ("partition", "exponents")
 
     def __init__(self, partition: DWeightedPartition, exponents: tuple[int, ...]):
-        object.__setattr__(self, "partition", partition)
-        object.__setattr__(self, "exponents", exponents)
-        self.__post_init__()
-
-    def __post_init__(self):
-        exponents = tuple(int(e) for e in self.exponents)
-        object.__setattr__(self, "exponents", exponents)
-        if len(exponents) != self.partition.num_blocks:
+        exponents = tuple(int(e) for e in exponents)
+        if len(exponents) != partition.num_blocks:
             raise InvalidParameterError("one exponent per block required")
         if any(e < 0 for e in exponents):
             raise InvalidParameterError("exponents must be >= 0")
+        object.__setattr__(self, "partition", partition)
+        object.__setattr__(self, "exponents", exponents)
 
     @classmethod
     def _trusted(cls, partition, exponents):
@@ -262,7 +253,8 @@ def multiply(spec, x, y):
         key += 1
 
     blocks = [
-        (rebase_offsets(group, offsets), exponent) for offsets, exponent in items.values()
+        (rebase_offsets(group, offsets.items()), exponent)
+        for offsets, exponent in items.values()
     ]
     # blocks are disjoint, so sorting them compares first indices only
     blocks.sort()
@@ -313,8 +305,8 @@ def graded_dimension(spec, degree):
     """
     if degree < 0:
         raise InvalidParameterError("degree must be >= 0")
-    if spec.r > MAX_DIMENSION_R:
-        raise CapExceededError("r=%d exceeds dimension cap %d" % (spec.r, MAX_DIMENSION_R))
+    if spec.r > MAX_COUNT_R:
+        raise CapExceededError("r=%d exceeds dimension cap %d" % (spec.r, MAX_COUNT_R))
     minimum = spec.variant.singleton_min_exponent
     coeffs = [0] * (spec.r + 1)
     for b, singletons, count in block_singleton_counts(spec.r):
@@ -458,7 +450,7 @@ def _oracle_relations(gens, group, degree):
                 relations.append((d_a + d_b, (lhs,)))
             else:
                 v_index = index_of[("v", min(shared))]
-                a_index = index_of[("a", rebase_offsets(group, merged))]
+                a_index = index_of[("a", rebase_offsets(group, merged.items()))]
                 rhs = (v_index,) * (len(shared) - 1) + (a_index,)
                 relations.append((d_a + d_b, (lhs, rhs)))
     return relations
@@ -582,9 +574,14 @@ def _oracle_columns(r, order, degree):
 def check_oracle_cap(spec, degree):
     """Raise CapExceededError when the oracle's degree slice is too large.
 
-    The slice is too large when it has more than ORACLE_MAX_COLUMNS
-    monomials; the count is made before anything is built.
+    The slice is too large past the basis degree cap, past the closed
+    form's cap on r, or with more than ORACLE_MAX_COLUMNS monomials; the
+    count is made before anything is built.
     """
+    if degree > DEFAULT_BASIS_DEGREE_CAP:
+        raise CapExceededError("degree %d exceeds cap %d" % (degree, DEFAULT_BASIS_DEGREE_CAP))
+    if spec.r > MAX_COUNT_R:
+        raise CapExceededError("r=%d exceeds dimension cap %d" % (spec.r, MAX_COUNT_R))
     order = concrete_order(spec.concrete_group())
     if _oracle_columns(spec.r, order, degree) > ORACLE_MAX_COLUMNS:
         raise CapExceededError(

@@ -40,7 +40,6 @@ from .errors import (
 from .polynomial import IntPoly, at_order
 from .rigidity import (
     AbelianSymplecticAction,
-    SymplecticSpace,
     check_commutant_h,
     commutant_sp,
     fixture_action,
@@ -512,7 +511,7 @@ def cmd_commutant(cfg):
             raise InvalidParameterError("cannot read generators file: %s" % exc)
         if not isinstance(data, list):
             raise InvalidParameterError("generators file must hold a list of matrices")
-        action = AbelianSymplecticAction(SymplecticSpace(h), data)
+        action = AbelianSymplecticAction(h, data)
         source = gen_file
     else:
         action = fixture_action("trivial", h)
@@ -543,17 +542,17 @@ def cmd_oracle_check(cfg):
     else:
         variants = list(Variant)
 
+    # refuse an oversized grid before computing any of it, checking each
+    # cell as it is listed so that a huge grid is never listed whole
     cells = []
     for variant in variants:
         variant_groups = groups if variant.twisted else groups[:1]
         for group in variant_groups:
             for r in range(max_r + 1):
+                spec = AlgebraSpec(variant, r, group if variant.twisted else None)
                 for degree in range(max_degree + 1):
-                    spec = AlgebraSpec(variant, r, group if variant.twisted else None)
+                    check_oracle_cap(spec, degree)
                     cells.append((spec, group, degree))
-    # refuse an oversized grid before computing any of it
-    for spec, _, degree in cells:
-        check_oracle_cap(spec, degree)
 
     def check(cell):
         spec, group, degree = cell

@@ -34,9 +34,10 @@ class _Value:
     importing that, with the ``inspect`` it pulls in, and building the
     classes took more than half of the time to import the CLI.
 
-    A subclass declares ``__slots__`` and its own ``__init__``.  Its
-    fields are its slots, or the ``fields`` class keyword when some slots
-    stay out of equality.  As for a frozen dataclass, ``==`` compares the
+    A subclass declares ``__slots__`` and its own ``__init__``, which
+    checks its arguments and then stores each field once.  Its fields are
+    its slots, or the ``fields`` class keyword when some slots stay out of
+    equality.  As for a frozen dataclass, ``==`` compares the
     fields of two instances of the same class (``NotImplemented`` for any
     other class), the hash is that of the tuple of fields, and the repr is
     ``Name(field=value, ...)``.  A one-field class compares its field

@@ -85,6 +85,10 @@ class DWeightedPartition(_Value, fields=("group", "blocks")):
         object.__setattr__(self, "r", sum(len(idx) for idx, _ in self.blocks))
 
     def __post_init__(self):
+        """Canonicalize and check the stored blocks.  Unlike the other value
+        classes this stays a second step, because bench/instrument.py times
+        it by name as ``partitions.validate``; it folds into ``__init__``
+        when ROADMAP item 1 re-points that counter."""
         blocks = tuple(
             (tuple(int(i) for i in idx), tuple(weights)) for idx, weights in self.blocks
         )
@@ -137,11 +141,7 @@ class JVector(_Value):
     __slots__ = ("entries",)
 
     def __init__(self, entries: tuple[int, ...]):
-        object.__setattr__(self, "entries", entries)
-        self.__post_init__()
-
-    def __post_init__(self):
-        entries = tuple(int(e) for e in self.entries)
+        entries = tuple(int(e) for e in entries)
         if any(e not in (0, 1) for e in entries):
             raise InvalidParameterError("JVector entries must be 0 or 1")
         object.__setattr__(self, "entries", entries)
@@ -291,12 +291,10 @@ def merge_offsets(group, off_a, off_b):
 def rebase_offsets(group, offsets):
     """(indices, weights) of a block re-based on its minimal index.
 
-    ``offsets`` holds (index, offset) pairs, or is an offset dict.  When
-    the minimal index already sits at the identity the offsets are the
-    weights as they stand; otherwise each is shifted by ``subtract``.
+    ``offsets`` holds (index, offset) pairs.  When the minimal index
+    already sits at the identity the offsets are the weights as they
+    stand; otherwise each is shifted by ``subtract``.
     """
-    if isinstance(offsets, dict):
-        offsets = offsets.items()
     # indices are distinct, so sorting the pairs compares indices only
     idx, offs = zip(*sorted(offsets))
     base = offs[0]

@@ -5,10 +5,10 @@ J = [[0, I], [-I, 0]].  All computation is rational: the dimension of a
 null space cut out by rational equations does not change under field
 extension, so every dimension reported here is also the real one.
 
-Deck actions are supplied as explicit symplectic matrices.  The bundled
-fixtures (trivial, scalar, plane swap, quarter-turn rotation) are
-engineering samples for exercising the solver, not derived from any
-particular cover.
+Deck actions are supplied as explicit symplectic matrices, checked when
+their ``AbelianSymplecticAction`` is built.  The bundled fixtures
+(trivial, scalar, plane swap, quarter-turn rotation) are engineering
+samples for exercising the solver, not derived from any particular cover.
 """
 
 from __future__ import annotations
@@ -72,30 +72,9 @@ def format_matrix(mat):
     ]
 
 
-class SymplecticSpace(_Value):
-    """2h-dimensional rational space with the standard skew form."""
-
-    __slots__ = ("h",)
-
-    def __init__(self, h: int):
-        object.__setattr__(self, "h", h)
-        self.__post_init__()
-
-    def __post_init__(self):
-        if self.h < 0:
-            raise InvalidParameterError("h must be >= 0")
-
-    @property
-    def dim(self):
-        return 2 * self.h
-
-    @property
-    def form(self):
-        return standard_symplectic_form(self.h)
-
-
-def is_symplectic(space, M):
-    J = space.form
+def is_symplectic(M):
+    """M^T J M = J, for J the standard form of M's size."""
+    J = standard_symplectic_form(len(M) // 2)
     return linalg.mat_mul(linalg.mat_mul(linalg.transpose(M), J), M) == J
 
 
@@ -122,41 +101,40 @@ def matrix_order(M):
 
 
 class AbelianSymplecticAction(_Value):
-    """Commuting finite-order symplectic generators on a symplectic space."""
+    """Commuting finite-order symplectic generators on Q^(2h), checked when
+    built: h >= 0, then each generator (coerced by ``as_matrix``) 2h x 2h,
+    symplectic and of order at most DEFAULT_ORDER_CAP, then each pair
+    commuting."""
 
-    __slots__ = ("space", "generators")
+    __slots__ = ("h", "generators")
 
     def __init__(
         self,
-        space: SymplecticSpace,
+        h: int,
         generators: tuple[tuple[tuple[Fraction, ...], ...], ...],
     ):
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "generators", generators)
-        self.__post_init__()
-
-    def __post_init__(self):
-        gens = tuple(as_matrix(g) for g in self.generators)
-        object.__setattr__(self, "generators", gens)
-
-    def validate(self):
-        n = self.space.dim
-        for i, M in enumerate(self.generators):
+        if h < 0:
+            raise InvalidParameterError("h must be >= 0")
+        gens = tuple(as_matrix(g) for g in generators)
+        n = 2 * h
+        for i, M in enumerate(gens):
             if len(M) != n or any(len(row) != n for row in M):
                 raise InvalidParameterError(
                     "generator #%d is not %dx%d" % (i, n, n)
                 )
-            if not is_symplectic(self.space, M):
+            if not is_symplectic(M):
                 raise InvalidParameterError(
                     "generator #%d is not symplectic (M^T J M != J)" % i
                 )
             matrix_order(M)
-        for i in range(len(self.generators)):
-            for j in range(i + 1, len(self.generators)):
-                if not commutes_with(self.generators[i], self.generators[j]):
+        for i in range(len(gens)):
+            for j in range(i + 1, len(gens)):
+                if not commutes_with(gens[i], gens[j]):
                     raise InvalidParameterError(
                         "generators #%d and #%d do not commute" % (i, j)
                     )
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "generators", gens)
 
 
 class LieSubalgebraReport(_Value):
@@ -220,10 +198,9 @@ def commutant_sp(action):
     row holding only its nonzero coefficients; the rows are solved by
     exact elimination, and the basis comes back in reduced echelon order.
     """
-    check_commutant_h(action.space.h)
-    action.validate()
-    n = action.space.dim
-    J_rows, J_cols = _rows_and_columns(action.space.form)
+    check_commutant_h(action.h)
+    n = 2 * action.h
+    J_rows, J_cols = _rows_and_columns(standard_symplectic_form(action.h))
     rows = []
     # (X^T J + J X)[i][j] = sum_k X[k][i] J[k][j] + J[i][k] X[k][j]
     for i in range(n):
@@ -254,14 +231,14 @@ def commutant_sp(action):
 
 
 def trivial_action(h):
-    return AbelianSymplecticAction(SymplecticSpace(h), ())
+    return AbelianSymplecticAction(h, ())
 
 
 def scalar_action(h):
     """The order-2 action by -identity."""
     n = 2 * h
     neg = tuple(tuple(-x for x in row) for row in linalg.identity(n))
-    return AbelianSymplecticAction(SymplecticSpace(h), (neg,))
+    return AbelianSymplecticAction(h, (neg,))
 
 
 def plane_swap_action():
@@ -269,21 +246,19 @@ def plane_swap_action():
     swap = [[Fraction(0)] * 4 for _ in range(4)]
     swap[0][1] = swap[1][0] = Fraction(1)
     swap[2][3] = swap[3][2] = Fraction(1)
-    return AbelianSymplecticAction(
-        SymplecticSpace(2), (tuple(tuple(r) for r in swap),)
-    )
+    return AbelianSymplecticAction(2, (tuple(tuple(r) for r in swap),))
 
 
 def rotation_action(h):
     """Order-4 action by the standard form matrix itself."""
-    return AbelianSymplecticAction(SymplecticSpace(h), (standard_symplectic_form(h),))
+    return AbelianSymplecticAction(h, (standard_symplectic_form(h),))
 
 
 FIXTURES = {
-    "trivial": lambda h: trivial_action(h),
-    "scalar": lambda h: scalar_action(h),
-    "plane-swap": lambda h: plane_swap_action(),
-    "rotation": lambda h: rotation_action(h),
+    "trivial": trivial_action,
+    "scalar": scalar_action,
+    "plane-swap": plane_swap_action,
+    "rotation": rotation_action,
 }
 
 
@@ -292,6 +267,8 @@ def fixture_action(name, h):
         raise InvalidParameterError(
             "unknown fixture %r; choose from %s" % (name, ", ".join(sorted(FIXTURES)))
         )
-    if name == "plane-swap" and h != 2:
+    if name != "plane-swap":
+        return FIXTURES[name](h)
+    if h != 2:
         raise InvalidParameterError("plane-swap fixture is defined for h = 2")
-    return FIXTURES[name](h)
+    return plane_swap_action()

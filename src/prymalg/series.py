@@ -128,7 +128,9 @@ def _partition_counts(max_q):
 
 def stable_cohomology_dims(p, max_degree):
     """Stable ring dimensions: p degree-2 classes times one degree-2i
-    class for each i >= 1, truncated at max_degree."""
+    class for each i >= 1, truncated at max_degree.  The p classes
+    multiply the partition counts by (1 - x)^(-p), whose x^d coefficient
+    is C(d + p - 1, d), so the cost does not grow with p."""
     if p < 0:
         raise InvalidParameterError("p must be >= 0")
     if not 0 <= max_degree <= MAX_STABLE_DEGREE:
@@ -137,13 +139,9 @@ def stable_cohomology_dims(p, max_degree):
         )
     max_q = max_degree // 2
     ways = _partition_counts(max_q)
-    for _ in range(p):
-        acc = 0
-        out = []
-        for q in range(max_q + 1):
-            acc += ways[q]
-            out.append(acc)
-        ways = out
+    if p:
+        coef = [math.comb(d + p - 1, d) for d in range(max_q + 1)]
+        ways = [sum(ways[j] * coef[q - j] for j in range(q + 1)) for q in range(max_q + 1)]
     table = DimensionTable(variant="stable", p=p)
     for k in range(max_degree + 1):
         table.entries[k] = ways[k // 2] if k % 2 == 0 else 0

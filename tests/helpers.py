@@ -17,10 +17,10 @@ from prymalg.algebra import (
 from prymalg.errors import CapExceededError, InvalidParameterError
 from prymalg.rigidity import (
     AbelianSymplecticAction,
-    SymplecticSpace,
     as_matrix,
     commutes_with,
     is_symplectic,
+    standard_symplectic_form,
 )
 from prymalg.partitions import (
     MAX_SET_PARTITION_R,
@@ -82,6 +82,31 @@ def bell_by_recurrence(n):
 def partition_count_brute(q):
     """Number of integer partitions of q by direct enumeration."""
     return len(integer_partitions(q))
+
+
+def partition_counts_pentagonal(max_q):
+    """Partition counts p(0..max_q) by Euler's pentagonal number theorem:
+    p(n) = sum over k >= 1 of (-1)^(k+1) (p(n - k(3k-1)/2) + p(n - k(3k+1)/2))."""
+    counts = [1]
+    for n in range(1, max_q + 1):
+        total, k = 0, 1
+        while k * (3 * k - 1) // 2 <= n:
+            sign = 1 if k % 2 else -1
+            for pent in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+                if pent <= n:
+                    total += sign * counts[n - pent]
+            k += 1
+        counts.append(total)
+    return counts
+
+
+def reference_stable_dims(p, max_degree):
+    """Even-degree stable ring dimensions 0, 2, ..., by p prefix-sum
+    passes over the partition counts, one per degree-2 class."""
+    ways = partition_counts_pentagonal(max_degree // 2)
+    for _ in range(p):
+        ways = list(itertools.accumulate(ways))
+    return ways
 
 
 def torsion_count_brute(group, n):
@@ -168,8 +193,8 @@ def dense_null_space(rows, ncols):
 def dense_commutant_system(action):
     """Reference commutant system as dense rows over the (2h)^2 entries
     of X: X^T J + J X = 0, then X M - M X = 0 for each generator."""
-    n = action.space.dim
-    J = action.space.form
+    n = 2 * action.h
+    J = standard_symplectic_form(action.h)
     rows = []
     # (X^T J + J X)[i][j] = sum_k X[k][i] J[k][j] + J[i][k] X[k][j]
     for i in range(n):
@@ -213,7 +238,7 @@ def cover_action(group, genus):
         for src, dst in enumerate(perm):
             M[dst][src] = M[h + dst][h + src] = Fraction(1)
         gens.append(tuple(tuple(row) for row in M))
-    return AbelianSymplecticAction(SymplecticSpace(h), tuple(gens))
+    return AbelianSymplecticAction(h, tuple(gens))
 
 
 def cover_commutant_dimension(group, genus):
@@ -437,7 +462,7 @@ def reference_multiply(spec, x, y, rng=None):
         items = [it for i, it in enumerate(items) if i not in (a, b)]
         items.append((merged, exponent))
     blocks = sorted(
-        ((rebase_offsets(group, offsets), exponent) for offsets, exponent in items),
+        ((rebase_offsets(group, offsets.items()), exponent) for offsets, exponent in items),
         key=lambda be: be[0][0][0],
     )
     partition = DWeightedPartition._trusted(group, tuple(b for b, _ in blocks), spec.r)
@@ -541,7 +566,7 @@ def pair_oracle_relations(gens, group, degree):
             if merged is None:
                 relations.append((d_a + d_b, (lhs,)))
                 continue
-            rhs = ((index_of[("a", rebase_offsets(group, merged))], 1),)
+            rhs = ((index_of[("a", rebase_offsets(group, merged.items()))], 1),)
             if len(shared) > 1:
                 rhs += ((index_of[("v", min(shared))], len(shared) - 1),)
             relations.append((d_a + d_b, (lhs, rhs)))
@@ -653,9 +678,10 @@ def mat_inv(mat):
     return tuple(tuple(row[n:]) for row in reduced)
 
 
-def preserves_form_infinitesimally(space, X):
-    """X^T J + J X = 0, that is X^T J = J^T X since J^T = -J."""
-    J = space.form
+def preserves_form_infinitesimally(X):
+    """X^T J + J X = 0, that is X^T J = J^T X since J^T = -J, for J the
+    standard form of X's size."""
+    J = standard_symplectic_form(len(X) // 2)
     return linalg.mat_mul(linalg.transpose(X), J) == linalg.mat_mul(
         linalg.transpose(J), X
     )
@@ -668,7 +694,7 @@ def _flatten(M):
 def adjoint_matrix(action, F, report):
     """Matrix of X -> F X F^(-1) in the commutant basis of the report."""
     F = as_matrix(F)
-    if not is_symplectic(action.space, F):
+    if not is_symplectic(F):
         raise InvalidParameterError("F is not in the commutant group: not symplectic")
     for i, M in enumerate(action.generators):
         if not commutes_with(F, M):
@@ -698,7 +724,7 @@ def adjoint_matrix(action, F, report):
     return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
 
 
-def tensor_square_embedding(space, X):
+def tensor_square_embedding(X):
     """Image of X in the tensor square, flattened row-major.
 
     The embedding sends X to sum_j beta_j (x) X alpha_j - alpha_j (x) X beta_j
@@ -708,9 +734,10 @@ def tensor_square_embedding(space, X):
     action.
     """
     X = as_matrix(X)
-    if not preserves_form_infinitesimally(space, X):
+    if not preserves_form_infinitesimally(X):
         raise InvalidParameterError("X is not in the symplectic Lie algebra")
-    h, n = space.h, space.dim
+    n = len(X)
+    h = n // 2
     out = [Fraction(0)] * (n * n)
     for j in range(h):
         for k in range(n):
@@ -721,7 +748,7 @@ def tensor_square_embedding(space, X):
 
 def in_commutant_group(action, F):
     """Whether F is symplectic and commutes with every generator."""
-    if not is_symplectic(action.space, F):
+    if not is_symplectic(F):
         return False
     return all(commutes_with(F, M) for M in action.generators)
 

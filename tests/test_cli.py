@@ -18,13 +18,14 @@ from prymalg.algebra import Variant
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def run_cli(*args, expect_code=0):
+def run_cli(*args, expect_code=0, timeout=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
         [sys.executable, "-m", "prymalg", *args],
         capture_output=True,
         env=env,
+        timeout=timeout,
     )
     assert proc.returncode == expect_code, (proc.returncode, proc.stderr)
     return proc
@@ -310,6 +311,32 @@ def test_cap_exceeded_exits_3():
         err = proc.stderr.decode()
         assert err.startswith("error: cap-exceeded:") and err.count("\n") == 1, err
         assert proc.stdout == b""
+
+
+def test_oracle_check_refuses_each_cell_as_it_is_listed():
+    # a degree past the basis cap and an r past the counting cap are
+    # refused at their first cell, before the rest of the grid is listed;
+    # without those caps the first grid needs gigabytes and the second is
+    # listed whole, so the runs are stopped after 10 s
+    for argv, message in (
+        (("--max-r", "1", "--max-degree", "120000"), "degree 65 exceeds cap 64"),
+        (("--max-r", "100000000", "--max-degree", "0"), "r=31 exceeds dimension cap 30"),
+    ):
+        start = time.perf_counter()
+        proc = run_cli(
+            "oracle-check", *argv, "--groups", "Z1", "--variants", "looijenga-full",
+            expect_code=3, timeout=10,
+        )
+        assert time.perf_counter() - start < 2.0
+        assert proc.stderr.decode() == "error: cap-exceeded: [oracle-check] %s\n" % message
+        assert proc.stdout == b""
+    # the largest grid the caps leave at r <= 1 still runs
+    proc = run_cli(
+        "oracle-check", "--max-r", "1", "--max-degree", "64", "--groups", "Z1",
+        "--format", "csv",
+    )
+    rows = proc.stdout.decode().splitlines()[1:]
+    assert len(rows) == 5 * 2 * 65 and all(row.endswith(",true,oracle") for row in rows)
 
 
 def test_group_rank_cap_exits_3_before_building():

@@ -8,7 +8,6 @@ import pytest
 from prymalg import linalg
 from prymalg.rigidity import (
     AbelianSymplecticAction,
-    SymplecticSpace,
     commutant_sp,
     fixture_action,
     plane_swap_action,
@@ -33,7 +32,7 @@ def _commutant_systems():
         actions += [fixture_action(name, h) for name in ("trivial", "scalar", "rotation")]
     for h in (1, 2, 3, 4):
         gens = scalar_action(h).generators + rotation_action(h).generators
-        actions.append(AbelianSymplecticAction(SymplecticSpace(h), gens))
+        actions.append(AbelianSymplecticAction(h, gens))
     systems = []
     real = linalg.null_space
 

@@ -8,7 +8,6 @@ from prymalg import linalg
 from prymalg.errors import CapExceededError, InvalidParameterError, ParseError
 from prymalg.rigidity import (
     AbelianSymplecticAction,
-    SymplecticSpace,
     as_matrix,
     commutant_sp,
     commutes_with,
@@ -70,7 +69,7 @@ def test_commutant_basis_satisfies_constraints():
     action = plane_swap_action()
     report = commutant_sp(action)
     for X in report.basis:
-        assert preserves_form_infinitesimally(action.space, X)
+        assert preserves_form_infinitesimally(X)
         for M in action.generators:
             assert linalg.mat_mul(X, M) == linalg.mat_mul(M, X)
 
@@ -87,31 +86,26 @@ def test_rotation_commutant():
 
 
 def test_commutant_validation_names_constraint():
-    space = SymplecticSpace(1)
     not_symp = as_matrix([[2, 0], [0, 2]])
-    action = AbelianSymplecticAction(space, (not_symp,))
     with pytest.raises(InvalidParameterError) as err:
-        commutant_sp(action)
+        AbelianSymplecticAction(1, (not_symp,))
     assert "symplectic" in str(err.value)
 
-    space2 = SymplecticSpace(2)
     swap = plane_swap_action().generators[0]
     other = as_matrix(
         [[0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1]]
     )  # rotation in the first plane: symplectic but does not commute with swap
-    assert is_symplectic(space2, other)
-    action2 = AbelianSymplecticAction(space2, (swap, other))
+    assert is_symplectic(other)
     with pytest.raises(InvalidParameterError) as err:
-        commutant_sp(action2)
+        AbelianSymplecticAction(2, (swap, other))
     assert "commute" in str(err.value)
 
 
 def test_infinite_order_generator_hits_cap():
     shear = as_matrix([[1, 1], [0, 1]])
-    assert is_symplectic(SymplecticSpace(1), shear)
-    action = AbelianSymplecticAction(SymplecticSpace(1), (shear,))
+    assert is_symplectic(shear)
     with pytest.raises(CapExceededError):
-        commutant_sp(action)
+        AbelianSymplecticAction(1, (shear,))
     assert matrix_order(as_matrix([[0, 1], [-1, 0]])) == 4
 
 
@@ -127,7 +121,7 @@ def test_commutant_dimension_invariant_under_conjugation():
             gens = tuple(
                 linalg.mat_mul(linalg.mat_mul(S, M), Sinv) for M in base.generators
             )
-            conj = AbelianSymplecticAction(SymplecticSpace(h), gens)
+            conj = AbelianSymplecticAction(h, gens)
             assert commutant_sp(conj).dimension == expected
     # and for the swap action specifically
     swap = plane_swap_action()
@@ -137,18 +131,18 @@ def test_commutant_dimension_invariant_under_conjugation():
         gens = tuple(
             linalg.mat_mul(linalg.mat_mul(S, M), Sinv) for M in swap.generators
         )
-        assert commutant_sp(AbelianSymplecticAction(SymplecticSpace(2), gens)).dimension == 6
+        assert commutant_sp(AbelianSymplecticAction(2, gens)).dimension == 6
 
 
 def _conjugate(action, S):
     Sinv = mat_inv(S)
     gens = tuple(linalg.mat_mul(linalg.mat_mul(S, M), Sinv) for M in action.generators)
-    return AbelianSymplecticAction(action.space, gens)
+    return AbelianSymplecticAction(action.h, gens)
 
 
 def _scalar_and_rotation(h):
     gens = scalar_action(h).generators + rotation_action(h).generators
-    return AbelianSymplecticAction(SymplecticSpace(h), gens)
+    return AbelianSymplecticAction(h, gens)
 
 
 def test_commutant_dimension_matches_character_formula():
@@ -158,12 +152,12 @@ def test_commutant_dimension_matches_character_formula():
     actions += [_scalar_and_rotation(h) for h in (1, 2, 3)]
     rng = random.Random(2024)
     for action in list(actions):
-        if action.space.h <= 3:
-            actions.append(_conjugate(action, random_symplectic(action.space.h, rng)))
+        if action.h <= 3:
+            actions.append(_conjugate(action, random_symplectic(action.h, rng)))
     for action in actions:
         assert commutant_sp(action).dimension == invariant_sp_dimension(
-            action.generators, action.space.dim
-        ), (action.space.h, action.generators)
+            action.generators, 2 * action.h
+        ), (action.h, action.generators)
 
 
 def test_commutant_basis_matches_dense_reference():
@@ -173,15 +167,15 @@ def test_commutant_basis_matches_dense_reference():
     actions += [_scalar_and_rotation(h) for h in (1, 2, 3, 4)]
     rng = random.Random(16)
     for action in list(actions):
-        if 1 <= action.space.h <= 3:
-            actions.append(_conjugate(action, random_symplectic(action.space.h, rng)))
+        if 1 <= action.h <= 3:
+            actions.append(_conjugate(action, random_symplectic(action.h, rng)))
     for action in actions:
-        n = action.space.dim
+        n = 2 * action.h
         vectors, free = dense_null_space(dense_commutant_system(action), n * n)
         report = commutant_sp(action)
         assert report.basis == tuple(
             tuple(tuple(v[i * n : (i + 1) * n]) for i in range(n)) for v in vectors
-        ), (action.space.h, action.generators)
+        ), (action.h, action.generators)
         assert report.free_coordinates == tuple(free)
 
 
@@ -191,10 +185,10 @@ def test_commutant_of_cover_models():
     for literal, genus in cases:
         group = parse_group_literal(literal)
         action = cover_action(group, genus)
-        assert action.space.h == 1 + group.order() * (genus - 1)
+        assert action.h == 1 + group.order() * (genus - 1)
         dim = commutant_sp(action).dimension
         assert dim == cover_commutant_dimension(group, genus), (literal, genus)
-        assert dim == invariant_sp_dimension(action.generators, action.space.dim)
+        assert dim == invariant_sp_dimension(action.generators, 2 * action.h)
     assert cover_commutant_dimension(parse_group_literal("H1(g=2,l=2)"), 2) == 55
 
 
@@ -209,11 +203,11 @@ def test_commutant_of_random_conjugate(name, h, seed):
         action = _scalar_and_rotation(h)
     else:
         action = fixture_action(name, 2 if name == "plane-swap" else h)
-    action = _conjugate(action, random_symplectic(action.space.h, random.Random(seed)))
+    action = _conjugate(action, random_symplectic(action.h, random.Random(seed)))
     report = commutant_sp(action)
-    assert report.dimension == invariant_sp_dimension(action.generators, action.space.dim)
+    assert report.dimension == invariant_sp_dimension(action.generators, 2 * action.h)
     for X in report.basis:
-        assert preserves_form_infinitesimally(action.space, X)
+        assert preserves_form_infinitesimally(X)
         assert all(commutes_with(X, M) for M in action.generators)
 
 
@@ -226,7 +220,7 @@ def test_commutant_dimension_bounded_with_equality_for_scalars():
     ]
     for action, expect_full in cases:
         dim = commutant_sp(action).dimension
-        h = action.space.h
+        h = action.h
         assert dim <= sp_dimension(h)
         assert (dim == sp_dimension(h)) == expect_full
 
@@ -234,7 +228,7 @@ def test_commutant_dimension_bounded_with_equality_for_scalars():
 def test_adjoint_identity_and_center():
     action = plane_swap_action()
     report = commutant_sp(action)
-    n = 2 * action.space.h
+    n = 2 * action.h
     ident = linalg.identity(n)
     neg = tuple(tuple(-x for x in row) for row in ident)
     assert adjoint_matrix(action, ident, report) == linalg.identity(report.dimension)
@@ -289,33 +283,29 @@ def test_adjoint_rejects_outsiders():
 
 
 def test_tensor_square_zero_and_frozen_example():
-    space = SymplecticSpace(1)
     zero = as_matrix([[0, 0], [0, 0]])
-    assert tensor_square_embedding(space, zero) == (Fraction(0),) * 4
+    assert tensor_square_embedding(zero) == (Fraction(0),) * 4
     X = as_matrix([[1, 0], [0, -1]])
-    emb = tensor_square_embedding(space, X)
+    emb = tensor_square_embedding(X)
     # beta (x) alpha + alpha (x) beta = e2 (x) e1 + e1 (x) e2
     assert emb == (Fraction(0), Fraction(1), Fraction(1), Fraction(0))
     # X alpha = 0 and X beta = alpha, so the image is -alpha (x) alpha
     nilpotent = as_matrix([[0, 1], [0, 0]])
-    assert tensor_square_embedding(space, nilpotent) == (-1, 0, 0, 0)
+    assert tensor_square_embedding(nilpotent) == (-1, 0, 0, 0)
     with pytest.raises(InvalidParameterError):
-        tensor_square_embedding(space, linalg.identity(2))
+        tensor_square_embedding(linalg.identity(2))
 
 
 def test_tensor_square_rank_is_full():
     for h in (1, 2, 3):
         report = commutant_sp(trivial_action(h))
-        vectors = [
-            tensor_square_embedding(SymplecticSpace(h), B) for B in report.basis
-        ]
+        vectors = [tensor_square_embedding(B) for B in report.basis]
         assert matrix_rank(vectors) == sp_dimension(h)
 
 
 def test_tensor_square_equivariance_exact():
     rng = random.Random(77)
     for h in (1, 2, 3):
-        space = SymplecticSpace(h)
         report = commutant_sp(trivial_action(h))
         for _ in range(5):
             F = random_symplectic(h, rng)
@@ -323,8 +313,8 @@ def test_tensor_square_equivariance_exact():
             Finv = mat_inv(F)
             for B in report.basis[:4]:
                 conj = linalg.mat_mul(linalg.mat_mul(F, B), Finv)
-                left = tensor_square_embedding(space, conj)
-                right = mat_vec(FF, tensor_square_embedding(space, B))
+                left = tensor_square_embedding(conj)
+                right = mat_vec(FF, tensor_square_embedding(B))
                 assert left == tuple(right)
 
 

@@ -32,6 +32,7 @@ from helpers import (
     compatible_with,
     j_factor_dimensions_by_walk,
     partition_count_brute,
+    reference_stable_dims,
     table_to_json_dict,
 )
 
@@ -64,6 +65,25 @@ def test_stable_dims_with_punctures():
                 # e1^i e2^j kappa-part; count pairs (a used by e1, b by e2)
                 direct += base.value(k - a - b)
         assert table.value(k) == direct
+
+
+def test_stable_dims_closed_form_matches_prefix_sums():
+    for p in range(9):
+        reference = reference_stable_dims(p, 200)
+        for max_degree in range(201):
+            table = stable_cohomology_dims(p, max_degree)
+            assert [table.value(k) for k in range(max_degree + 1)] == [
+                reference[k // 2] if k % 2 == 0 else 0 for k in range(max_degree + 1)
+            ], (p, max_degree)
+
+
+def test_stable_dims_cost_does_not_grow_with_p():
+    start = time.perf_counter()
+    table = twisted_cohomology_dims(1, 10**9, max_k=200)
+    assert time.perf_counter() - start < 1.0
+    # with one puncture class per point, degree 2 has p Euler classes + kappa_1
+    assert stable_cohomology_dims(10**9, 2).value(2) == 10**9 + 1
+    assert table.value(200) == at_order(table.poly_entries[200], None)
 
 
 def test_stable_dims_validation():

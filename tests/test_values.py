@@ -21,7 +21,6 @@ from prymalg.partitions import DWeightedPartition, JVector
 from prymalg.rigidity import (
     AbelianSymplecticAction,
     LieSubalgebraReport,
-    SymplecticSpace,
     trivial_action,
 )
 from prymalg.series import DimensionTable, PutmanGapReport
@@ -47,9 +46,8 @@ def _samples():
         (lambda: AlgebraSpec(Variant.LEVEL_FULL, 3, Z3), ("variant", "r", "group"), True),
         (lambda: NormalMonomial(PARTITION, (1, 0)), ("partition", "exponents"), True),
         (lambda: AlgebraElement(((Fraction(2), MONOMIAL),)), ("terms",), True),
-        (lambda: SymplecticSpace(2), ("h",), True),
-        (lambda: AbelianSymplecticAction(ACTION.space, ACTION.generators),
-         ("space", "generators"), True),
+        (lambda: AbelianSymplecticAction(ACTION.h, ACTION.generators),
+         ("h", "generators"), True),
         (lambda: LieSubalgebraReport(1, (), (0,)),
          ("dimension", "basis", "free_coordinates"), True),
         (lambda: DimensionTable("stable", {2: 5}, {2: True}, 1, 0, 2, 30),
@@ -179,11 +177,20 @@ def test_post_init_checks_still_run():
     with pytest.raises(InvalidParameterError):
         JVector((2,))
     with pytest.raises(InvalidParameterError):
-        SymplecticSpace(-1)
+        AbelianSymplecticAction(-1, ())
     with pytest.raises(InvalidParameterError):
         DWeightedPartition(Z3, (((1, 2), ()),))
-    # __post_init__ canonicalizes
+    with pytest.raises(InvalidParameterError):
+        AlgebraSpec(Variant.LEVEL_FULL, -1, Z3)
+    with pytest.raises(InvalidParameterError):
+        NormalMonomial(PARTITION, (1, -1))
+    # construction canonicalizes
     assert FiniteAbelianGroup([2, 3]).cyclic_factors == (2, 3)
+    assert NormalMonomial(PARTITION, [True, 0]).exponents == (1, 0)
+    # every class but DWeightedPartition checks in its one __init__
+    assert [
+        cls.__name__ for cls in _Value.__subclasses__() if "__post_init__" in vars(cls)
+    ] == ["DWeightedPartition"]
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
