@@ -81,9 +81,13 @@ def test_stable_dims_cost_does_not_grow_with_p():
     start = time.perf_counter()
     table = twisted_cohomology_dims(1, 10**9, max_k=200)
     assert time.perf_counter() - start < 1.0
-    # with one puncture class per point, degree 2 has p Euler classes + kappa_1
-    assert stable_cohomology_dims(10**9, 2).value(2) == 10**9 + 1
-    assert table.value(200) == at_order(table.poly_entries[200], None)
+    assert table.degrees() == list(range(201))
+    # degree 2: the p Euler classes and kappa_1; degree 4: e_i e_j, e_i kappa_1,
+    # kappa_1^2 and kappa_2
+    p = 10**9
+    stable = stable_cohomology_dims(p, 4)
+    assert stable.value(2) == p + 1
+    assert stable.value(4) == math.comb(p + 1, 2) + p + 2
 
 
 def test_stable_dims_validation():
