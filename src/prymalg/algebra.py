@@ -381,46 +381,52 @@ def _oracle_generators(r, group, degree):
     return gens
 
 
-def _monomials_of_degree(gens, degree):
-    """Monomials of total weighted degree ``degree`` over gens.
+def _monomials_of_degree(gens, degree, width):
+    """Monomials of total weighted degree ``degree`` over gens, packed.
 
-    A monomial is the ascending tuple of its generator indices, each
-    repeated by its exponent, so v_1^2 * a is (0, 0, index of a) and the
-    product of two monomials is ``tuple(sorted(x + y))``.  Every generator
-    has even degree and gens[0] = v_1 has degree 2, so each partial
-    product ends in exactly one way with a power of v_1 and the search
-    never backtracks: its work is proportional to its output.
+    A monomial is a packed exponent vector: one int in which generator i
+    owns the bits [width * i, width * (i + 1)), so v_1^2 * a is
+    2 + (1 << width * (index of a)).  The oracle packs a degree-d slice at
+    width (d // 2).bit_length(): every generator has degree at least 2,
+    so no exponent of the slice, or of a factor of one of its monomials,
+    exceeds d // 2 < 2^width, and the product of two monomials is their
+    sum with no carry between fields.  Every generator has even degree
+    and gens[0] = v_1 has degree 2, so each partial product ends in
+    exactly one way with a power of v_1 and the search never backtracks:
+    its work is proportional to its output.
     """
     if degree % 2 or not gens:
-        return [] if degree else [()]
+        return [] if degree else [0]
     degrees = [d for _, d in gens]
     out = []
 
-    def extend(top, remaining, suffix):
-        out.append((0,) * (remaining // 2) + suffix)
+    def extend(top, remaining, code):
+        out.append(code + remaining // 2)
         for i in range(min(top, bisect.bisect_right(degrees, remaining) - 1), 0, -1):
             d = degrees[i]
+            field = 1 << (width * i)
             for e in range(1, remaining // d + 1):
-                extend(i - 1, remaining - e * d, (i,) * e + suffix)
+                extend(i - 1, remaining - e * d, code + e * field)
 
-    extend(len(gens) - 1, degree, ())
+    extend(len(gens) - 1, degree, 0)
     return out
 
 
-def _oracle_relations(gens, group, degree):
+def _oracle_relations(gens, group, degree, width):
     """Homogeneous relations of degree at most ``degree``, each as
     (relation degree, terms).
 
-    A term is a monomial in the form ``_monomials_of_degree`` uses: (v_i, a)
-    for v_i a, (a_lo, a_hi) for a product of a-classes, and
-    (v,) * (t - 1) + (a,) for the v^(t-1) a that merging two a-classes
-    over t shared indices gives.  Every relation has coefficients
-    1 and -1: one term t stands for the monomial t, two terms (s, t) for
-    the binomial s - t, and s != t.  A pair of a-classes is visited only
-    when its product fits the degree, so the pairs visited are no more
-    than the monomials of the slice.
+    A term is a monomial packed at ``width`` as in ``_monomials_of_degree``:
+    v_i a for the v-class relations, a_lo a_hi for a product of a-classes,
+    and the v^(t-1) a that merging two a-classes over t shared indices
+    gives.  Every relation has coefficients 1 and -1: one term t stands
+    for the monomial t, two terms (s, t) for the binomial s - t, and
+    s != t.  A pair of a-classes is visited only when its product fits
+    the degree, so the pairs visited are no more than the monomials of
+    the slice.
     """
     index_of = {key: i for i, (key, _) in enumerate(gens)}
+    one = [1 << (width * i) for i in range(len(gens))]  # each generator, packed
     relations = []
     a_gens = [(i, key[1], d) for i, (key, d) in enumerate(gens) if key[0] == "a"]
     # one v-class per block: v_i a = v_j a for i, j in the block
@@ -428,8 +434,8 @@ def _oracle_relations(gens, group, degree):
         if d + 2 > degree:
             break
         for i, j in itertools.combinations(S, 2):
-            term1 = (index_of[("v", i)], gi)
-            term2 = (index_of[("v", j)], gi)
+            term1 = one[index_of[("v", i)]] + one[gi]
+            term2 = one[index_of[("v", j)]] + one[gi]
             relations.append((d + 2, (term1, term2)))
     # products of overlapping a-classes merge or vanish
     for ia, (gi_a, key_a, d_a) in enumerate(a_gens):
@@ -442,7 +448,7 @@ def _oracle_relations(gens, group, degree):
             shared = set(key_a[0]) & set(key_b[0])
             if not shared:
                 continue
-            lhs = (gi_a, gi_b)
+            lhs = one[gi_a] + one[gi_b]
             merged = merge_offsets(
                 group, block_offsets(group, *key_a), block_offsets(group, *key_b)
             )
@@ -451,35 +457,9 @@ def _oracle_relations(gens, group, degree):
             else:
                 v_index = index_of[("v", min(shared))]
                 a_index = index_of[("a", rebase_offsets(group, merged.items()))]
-                rhs = (v_index,) * (len(shared) - 1) + (a_index,)
+                rhs = (len(shared) - 1) * one[v_index] + one[a_index]
                 relations.append((d_a + d_b, (lhs, rhs)))
     return relations
-
-
-def _oracle_rows(group, degree, gens, monomials):
-    """Rows spanning the degree slice of the relation ideal, as column indices.
-
-    Every relation times a monomial is again a monomial or a binomial with
-    coefficients 1 and -1: a row (c,) stands for e_c and a row (a, b) for
-    e_a - e_b, where a and b index ``monomials`` and differ.  A term times
-    a complementary monomial f is ``tuple(sorted(term + f))``, the product
-    in the sorted-index form of ``_monomials_of_degree``.  The monomials
-    of each complementary degree are listed once per call.
-    """
-    column = {mon: c for c, mon in enumerate(monomials)}
-    factors = {}
-    for rel_degree, terms in _oracle_relations(gens, group, degree):
-        rest = degree - rel_degree
-        if rest not in factors:
-            factors[rest] = _monomials_of_degree(gens, rest)
-        if len(terms) == 1:
-            (lhs,) = terms
-            for f in factors[rest]:
-                yield (column[tuple(sorted(lhs + f))],)
-        else:
-            lhs, rhs = terms
-            for f in factors[rest]:
-                yield (column[tuple(sorted(lhs + f))], column[tuple(sorted(rhs + f))])
 
 
 class _SliceComponents(typing.NamedTuple):
@@ -499,13 +479,20 @@ class _SliceComponents(typing.NamedTuple):
 def _oracle_ideal(r, group, degree):
     """Components of the degree slice of the relation ideal, plus its index.
 
-    Returns (components, monomials, gens), all immutable.  The quotient of
-    the slice by the ideal has one basis vector per live component, so no
-    arithmetic is needed: union-find merges the two columns of each
-    binomial row and marks the component of each monomial row dead.
+    Returns (components, monomials, gens), all immutable; the monomials are
+    packed at width (degree // 2).bit_length().  Every relation times a
+    complementary monomial f is again a monomial or a binomial with
+    coefficients 1 and -1, its terms ``lhs + f`` and ``rhs + f``, so the
+    quotient of the slice by the ideal has one basis vector per live
+    component and no arithmetic is needed: union-find merges the two
+    columns of each binomial row and marks the component of each monomial
+    row dead, taking each row as it is made.  The monomials of each
+    complementary degree are listed once per call.
     """
     gens = tuple(_oracle_generators(r, group, degree))
-    monomials = tuple(_monomials_of_degree(gens, degree))
+    width = (degree // 2).bit_length()
+    monomials = tuple(_monomials_of_degree(gens, degree, width))
+    column = {code: c for c, code in enumerate(monomials)}
     parent = list(range(len(monomials)))
     dead = [False] * len(monomials)
 
@@ -514,30 +501,42 @@ def _oracle_ideal(r, group, degree):
             parent[c] = c = parent[parent[c]]
         return c
 
-    for row in _oracle_rows(group, degree, gens, monomials):
-        a = find(row[0])
-        if len(row) == 1:
-            dead[a] = True
+    factors = {}
+    for rel_degree, terms in _oracle_relations(gens, group, degree, width):
+        rest = degree - rel_degree
+        if rest not in factors:
+            factors[rest] = _monomials_of_degree(gens, rest, width)
+        if len(terms) == 1:
+            (lhs,) = terms
+            for f in factors[rest]:
+                dead[find(column[lhs + f])] = True
             continue
-        b = find(row[1])
-        if a != b:
-            parent[a] = b
-            dead[b] = dead[b] or dead[a]
+        lhs, rhs = terms
+        for f in factors[rest]:
+            a = find(column[lhs + f])
+            b = find(column[rhs + f])
+            if a != b:
+                parent[a] = b
+                dead[b] = dead[b] or dead[a]
     roots = [find(c) for c in range(len(monomials))]
     live = sum(1 for c, root in enumerate(roots) if root == c and not dead[c])
     labels = tuple(None if dead[root] else root for root in roots)
     return _SliceComponents(labels, len(monomials) - live), monomials, gens
 
 
-def _covers_all_indices(monomial, gens, r, minimum):
-    # gens[i - 1] is v_i, so v_i's exponent is the count of i - 1
+def _covers_all_indices(monomial, gens, r, minimum, width):
+    # field i - 1 holds v_i's exponent and the fields from r up hold the
+    # a-classes; jump from the highest set a-class field to the next
     covered = set()
-    for g in monomial:
-        key = gens[g][0]
-        if key[0] == "a":
-            covered.update(key[1][0])
+    rest = monomial >> (width * r)
+    while rest:
+        g = (rest.bit_length() - 1) // width
+        covered.update(gens[r + g][0][1][0])
+        rest &= (1 << (width * g)) - 1
+    mask = (1 << width) - 1
     return all(
-        i in covered or monomial.count(i - 1) >= minimum for i in range(1, r + 1)
+        i in covered or (monomial >> (width * (i - 1))) & mask >= minimum
+        for i in range(1, r + 1)
     )
 
 
@@ -613,10 +612,11 @@ def oracle_graded_dimension(spec, degree):
     if spec.variant.is_full:
         return len(monomials) - components.rank
     minimum = spec.variant.singleton_min_exponent
+    width = (degree // 2).bit_length()
     touched = {
         label
         for label, mon in zip(components.labels, monomials)
-        if label is not None and _covers_all_indices(mon, gens, spec.r, minimum)
+        if label is not None and _covers_all_indices(mon, gens, spec.r, minimum, width)
     }
     return len(touched)
 

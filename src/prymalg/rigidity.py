@@ -102,9 +102,9 @@ def matrix_order(M):
 
 class AbelianSymplecticAction(_Value):
     """Commuting finite-order symplectic generators on Q^(2h), checked when
-    built: h >= 0, then each generator (coerced by ``as_matrix``) 2h x 2h,
-    symplectic and of order at most DEFAULT_ORDER_CAP, then each pair
-    commuting."""
+    built: h >= 0, then each raw generator 2h x 2h, then each generator
+    (coerced by ``as_matrix``) symplectic and of order at most
+    DEFAULT_ORDER_CAP, then each pair commuting."""
 
     __slots__ = ("h", "generators")
 
@@ -115,13 +115,17 @@ class AbelianSymplecticAction(_Value):
     ):
         if h < 0:
             raise InvalidParameterError("h must be >= 0")
-        gens = tuple(as_matrix(g) for g in generators)
         n = 2 * h
+        # the shape is read off the raw rows, so a huge matrix of the wrong
+        # shape is refused before any entry is converted
+        for i, g in enumerate(generators):
+            if isinstance(g, (list, tuple)) and (
+                len(g) != n
+                or any(isinstance(row, (list, tuple)) and len(row) != n for row in g)
+            ):
+                raise InvalidParameterError("generator #%d is not %dx%d" % (i, n, n))
+        gens = tuple(as_matrix(g) for g in generators)
         for i, M in enumerate(gens):
-            if len(M) != n or any(len(row) != n for row in M):
-                raise InvalidParameterError(
-                    "generator #%d is not %dx%d" % (i, n, n)
-                )
             if not is_symplectic(M):
                 raise InvalidParameterError(
                     "generator #%d is not symplectic (M^T J M != J)" % i

@@ -584,8 +584,28 @@ def pair_oracle_rows(group, degree, gens):
 
 
 def pair_to_indices(monomial):
-    """Pair form to the sorted generator-index form the oracle uses."""
+    """Pair form to the ascending tuple of generator indices, each repeated
+    by its exponent, so v_1^2 * a is (0, 0, index of a)."""
     return tuple(sorted(g for g, e in monomial for _ in range(e)))
+
+
+def indices_to_packed(indices, width):
+    """Ascending-index form to the oracle's packed exponent vector, in which
+    generator i owns the bits [width * i, width * (i + 1))."""
+    return sum(1 << (width * g) for g in indices)
+
+
+def packed_to_indices(code, width):
+    """The oracle's packed exponent vector to the ascending-index form."""
+    assert width > 0 or code == 0, "a nonzero code has no fields of width 0"
+    mask = (1 << width) - 1
+    out = []
+    g = 0
+    while code:
+        out.extend([g] * (code & mask))
+        code >>= width
+        g += 1
+    return tuple(out)
 
 
 # Functions with no caller in the package: checks and conversions that

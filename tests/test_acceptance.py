@@ -110,6 +110,8 @@ def test_criterion_02_oracle_equivalence():
         ((Z3,), (4,), range(9)),
         ((TRIVIAL,), (5,), range(13)),  # 80 475 columns at degree 12
         ((Z4, Z22, Z5), range(4), range(11)),
+        ((Z4, Z22), (4,), range(9)),  # 61 321 columns at degree 8
+        ((Z2,), (5,), range(9)),  # 35 311 columns at degree 8
     )
     mismatches = []
     checked = 0

@@ -27,7 +27,7 @@ from prymalg.algebra import (
     _oracle_columns,
     _oracle_generators,
     _oracle_ideal,
-    _oracle_rows,
+    _oracle_relations,
 )
 from prymalg.errors import CapExceededError, InvalidParameterError, ParseError
 from prymalg.linalg import RowReducer
@@ -45,9 +45,11 @@ from helpers import (
     element_of_terms,
     element_to_json,
     graded_dimension_by_shapes,
+    indices_to_packed,
     pair_monomials_of_degree,
     pair_oracle_rows,
     pair_to_indices,
+    packed_to_indices,
     reference_degree,
     reference_multiply,
     reference_relabel,
@@ -416,7 +418,8 @@ def test_oracle_column_count_matches_listing():
             gens = _oracle_generators(r, group, 8)
             for degree in range(9):
                 columns = _oracle_columns(r, group.order(), degree)
-                assert columns == len(_monomials_of_degree(gens, degree)), (
+                width = (degree // 2).bit_length()
+                assert columns == len(_monomials_of_degree(gens, degree, width)), (
                     group,
                     r,
                     degree,
@@ -429,41 +432,103 @@ def test_oracle_column_count_matches_listing():
 
 
 def test_sorted_index_rows_match_pair_form_reference():
-    # the sorted-index kernel against the (index, exponent) pair form it
-    # replaced: the same columns and the same multiset of relation rows
+    # the packed kernel against the (index, exponent) pair form: the same
+    # columns and the same multiset of relation rows, each row a relation's
+    # terms plus a complementary monomial
     for group in (TRIVIAL, Z2, Z3, Z4, Z22):
         for r in range(4):
             for degree in range(11):
                 gens = tuple(_oracle_generators(r, group, degree))
-                monomials = tuple(_monomials_of_degree(gens, degree))
+                width = (degree // 2).bit_length()
+                monomials = _monomials_of_degree(gens, degree, width)
                 reference = pair_monomials_of_degree(gens, degree)
                 assert len(set(monomials)) == len(monomials)
-                assert set(monomials) == set(map(pair_to_indices, reference))
+                assert {packed_to_indices(code, width) for code in monomials} == set(
+                    map(pair_to_indices, reference)
+                )
+                # packing is one-to-one on the slice (checked just above),
+                # so the rows compare in packed form
                 rows = collections.Counter(
-                    tuple(monomials[c] for c in row)
-                    for row in _oracle_rows(group, degree, gens, monomials)
+                    tuple(term + f for term in terms)
+                    for rel_degree, terms in _oracle_relations(gens, group, degree, width)
+                    for f in _monomials_of_degree(gens, degree - rel_degree, width)
                 )
                 expected = collections.Counter(
-                    tuple(map(pair_to_indices, row))
+                    tuple(indices_to_packed(pair_to_indices(mon), width) for mon in row)
                     for row in pair_oracle_rows(group, degree, gens)
                 )
                 assert rows == expected, (group, r, degree)
 
 
+def _packed_sums_decode(total, narrower):
+    """Whether every packed x + y over Z2 at r = 3, with x and y slices of
+    degrees summing to ``total``, decodes to sorted(x + y) at the width of
+    the degree-``total`` slice less ``narrower`` bits."""
+    gens = tuple(_oracle_generators(3, Z2, 12))
+    width = (total // 2).bit_length() - narrower
+    for a in range(0, total + 1, 2):
+        xs = list(map(pair_to_indices, pair_monomials_of_degree(gens, a)))
+        ys = list(map(pair_to_indices, pair_monomials_of_degree(gens, total - a)))
+        for x in xs:
+            px = indices_to_packed(x, width)
+            for y in ys:
+                code = px + indices_to_packed(y, width)
+                if packed_to_indices(code, width) != tuple(sorted(x + y)):
+                    return False
+    return True
+
+
+def test_packed_product_has_no_carry_at_the_slice_width():
+    # exhaustive over Z2 at r = 3 to degree 12; one bit fewer carries
+    # v_1^(d/2) out of its field from degree 4 on
+    for total in range(0, 13, 2):
+        assert _packed_sums_decode(total, 0), total
+        if total >= 4:
+            assert not _packed_sums_decode(total, 1), total
+
+
+def test_oracle_fills_six_bit_fields_at_degree_64():
+    # v_1^32 at degree 64 needs all 6 bits of its field, v_1^31 at 62 all 5
+    for degree in (62, 64):
+        for group in (TRIVIAL, Z2):
+            for variant in Variant:
+                if not variant.twisted and group != TRIVIAL:
+                    continue
+                for r in range(3):
+                    spec = spec_of(variant, r, group)
+                    closed = graded_dimension(spec, degree)
+                    if isinstance(closed, IntPoly):
+                        closed = closed.evaluate(group.order())
+                    assert oracle_graded_dimension(spec, degree) == closed, (
+                        variant,
+                        group,
+                        r,
+                        degree,
+                    )
+
+
+def _pair_covers_all_indices(monomial, gens, r, minimum):
+    exponents = dict(monomial)
+    covered = {i for g in exponents if gens[g][0][0] == "a" for i in gens[g][0][1][0]}
+    return all(i in covered or exponents.get(i - 1, 0) >= minimum for i in range(1, r + 1))
+
+
 def _row_reduced_dimensions(r, group, degree):
-    """Full and primed dimensions by exact elimination of the oracle's rows."""
+    """Full and primed dimensions by exact elimination of the oracle's rows,
+    built in the (index, exponent) pair form."""
     gens = tuple(_oracle_generators(r, group, degree))
-    monomials = tuple(_monomials_of_degree(gens, degree))
+    monomials = pair_monomials_of_degree(gens, degree)
+    column = {mon: c for c, mon in enumerate(monomials)}
     reducer = RowReducer()
-    for row in _oracle_rows(group, degree, gens, monomials):
-        reducer.add(dict(zip(row, (Fraction(1), Fraction(-1)))))
+    for row in pair_oracle_rows(group, degree, gens):
+        reducer.add(dict(zip(map(column.__getitem__, row), (Fraction(1), Fraction(-1)))))
     dims = {"full": len(monomials) - reducer.rank}
     for minimum in (1, 2):
         work = reducer.clone()
         dims[minimum] = sum(
             work.add({col: Fraction(1)})
             for col, mon in enumerate(monomials)
-            if _covers_all_indices(mon, gens, r, minimum)
+            if _pair_covers_all_indices(mon, gens, r, minimum)
         )
     return dims
 

@@ -5,13 +5,17 @@ of ``bench/workloads.py`` and the row digest of the ``j-twisted`` library
 job.  Here each CLI job runs through ``prymalg.cli.main`` in this
 interpreter, and ``j-twisted`` through the functions ``bench/job.py``
 runs it with.  The bench modules are compiled from their source text, so
-nothing is written under ``bench/``.
+nothing is written under ``bench/``.  The oracle counters the benchmark
+reads off ``_oracle_ideal``'s return are checked the same way, with
+``bench/instrument.py`` installed in a fresh interpreter.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -19,6 +23,8 @@ from pathlib import Path
 import pytest
 
 from prymalg import cli
+from prymalg.abelian_group import parse_group_literal
+from prymalg.algebra import Variant, _oracle_columns
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -65,3 +71,51 @@ def test_j_twisted_rows_match_recorded_digest():
 
 def test_every_recorded_digest_is_checked():
     assert sorted(EXPECTED) == sorted([*CLI_JOBS, "j-twisted"])
+
+
+# Installs bench/instrument.py (compiled from its source text, as ``_load``
+# does) around one CLI run and prints the oracle metrics it reports.
+_TRACED_RUN = """
+import contextlib, io, json, sys, types
+path, argv = sys.argv[1], sys.argv[2:]
+instrument = types.ModuleType("bench_instrument")
+with open(path, encoding="utf-8") as fh:
+    exec(compile(fh.read(), path, "exec"), vars(instrument))
+import prymalg.cli
+tracer = instrument.install(0)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = prymalg.cli.main(argv)
+totals = instrument.Totals()
+totals.add(instrument.collect(tracer))
+print(json.dumps({"exit": code, "metrics": instrument.evaluate(totals)}))
+"""
+
+
+def test_oracle_counters_read_the_ideal_that_was_built():
+    argv = ["oracle-check", "--max-r", "2", "--max-degree", "6",
+            "--groups", "Z1,Z2", "--format", "csv"]
+    src = str(BENCH.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACED_RUN, str(BENCH / "instrument.py"), *argv],
+        capture_output=True, env=env, timeout=60, check=True,
+    )
+    record = json.loads(proc.stdout)
+    metrics = record["metrics"]
+    assert record["exit"] == 0
+    # every cell of the grid reads its ideal; the untwisted variants run on
+    # the first group only, and Z1 is the trivial group they share
+    groups = [parse_group_literal(g) for g in ("Z1", "Z2")]
+    cells = [
+        (r, group, d)
+        for variant in Variant
+        for group in (groups if variant.twisted else groups[:1])
+        for r in range(3)
+        for d in range(7)
+    ]
+    assert metrics["oracle.cells"] == len(cells)
+    assert metrics["oracle.ideal_misses"] == len(set(cells))
+    assert metrics["oracle.columns"] == sum(
+        _oracle_columns(r, group.order(), d) for r, group, d in cells
+    )
+    assert metrics["oracle.rank"] is not None and metrics["oracle.rank"] > 0

@@ -116,6 +116,20 @@ def test_commutant_fixture_and_generators_file(tmp_path):
     assert payload["basis"] == [[["0", "-1"], ["1", "0"]]]
 
 
+def test_wrong_shaped_generators_file_is_refused_before_coercion(tmp_path, capsys):
+    # one 1000 x 1000 zero matrix at h = 1: coercing its 10^6 entries first
+    # took about 2 s; the shape alone decides
+    gens = tmp_path / "big.json"
+    gens.write_text(json.dumps([[[0] * 1000 for _ in range(1000)]]))
+    start = time.perf_counter()
+    code = cli.main(["commutant", "--h", "1", "--generators-file", str(gens)])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: invalid-config: [commutant] generator #0 is not 2x2\n"
+    assert elapsed < 0.5, elapsed
+
+
 def test_strata_table():
     proc = run_cli("strata", "--r", "3", "--group", "Z2", "--format", "csv")
     assert proc.stdout.decode().splitlines()[1:] == [
