@@ -66,6 +66,15 @@ def _validate_blocks(blocks):
         raise InvalidParameterError("blocks must partition {1..r}")
 
 
+def _check_concrete(group):
+    """Refuse a deck group without elements to weight blocks with: a
+    symbolic order, None, or anything else not a FiniteAbelianGroup."""
+    if not isinstance(group, FiniteAbelianGroup):
+        raise InvalidParameterError(
+            "operation requires a concrete group, got %r" % (group,)
+        )
+
+
 class DWeightedPartition(_Value, fields=("group", "blocks")):
     """Set partition with deck-group weights, one per non-base index.
 
@@ -89,6 +98,7 @@ class DWeightedPartition(_Value, fields=("group", "blocks")):
         classes this stays a second step, because bench/instrument.py times
         it by name as ``partitions.validate``; it folds into ``__init__``
         when ROADMAP item 1 re-points that counter."""
+        _check_concrete(self.group)
         blocks = tuple(
             (tuple(int(i) for i in idx), tuple(weights)) for idx, weights in self.blocks
         )
@@ -180,11 +190,6 @@ def enumerate_set_partitions(r):
     return result
 
 
-def stirling2(n, k):
-    """Number of set partitions of an n-set into k blocks."""
-    return sum(count for b, _, count in block_singleton_counts(n) if b == k)
-
-
 def count_d_weighted_partitions(r):
     """Number of deck-weighted partitions of {1..r} as a polynomial in m."""
     if r < 0:
@@ -203,6 +208,7 @@ def enumerate_d_weighted_partitions(r, group):
         raise CapExceededError(
             "r=%d exceeds weighted enumeration cap %d" % (r, MAX_WEIGHTED_ENUMERATION_R)
         )
+    _check_concrete(group)
     total = at_order(count_d_weighted_partitions(r), concrete_order(group))
     if total > DEFAULT_ENUMERATION_CAP:
         raise CapExceededError(
@@ -381,6 +387,7 @@ def parse_block(token, group):
 
 def parse_partition(text, group):
     """Inverse of format_partition; raises ParseError naming the bad token."""
+    _check_concrete(group)
     t = text.strip()
     if t == "{}":
         return DWeightedPartition(group, ())

@@ -25,7 +25,7 @@ from .partitions import (
     MAX_COUNT_R,
     JVector,
     block_singleton_counts,
-    stirling2,
+    count_d_weighted_partitions,
 )
 from .polynomial import M, IntPoly, as_poly, at_order
 
@@ -369,9 +369,10 @@ def j_twisted_dims(j_vector, level, genus, max_k=20):
 
 def stratum_census(r, codim):
     """Number of weighted partitions of {1..r} with r - (block count) =
-    codim, as a polynomial in m."""
+    codim, as a polynomial in m: the m^codim term of
+    ``count_d_weighted_partitions(r)``."""
     if r > MAX_COUNT_R:
         raise CapExceededError("r=%d exceeds counting cap %d" % (r, MAX_COUNT_R))
     if not 0 <= codim <= r:
         raise InvalidParameterError("codim must lie in [0, r]")
-    return IntPoly.monomial(stirling2(r, r - codim), codim)
+    return IntPoly.monomial(count_d_weighted_partitions(r).coefficient(codim), codim)

@@ -2,9 +2,10 @@
 
 All basis classes have even degree, so the index-permutation action is an
 unsigned permutation of basis monomials and traces are fixed-point
-counts.  ``counted_character`` counts the fixed points over the
-sigma-invariant set partitions without listing a basis;
-``permutation_character`` enumerates the basis and is its oracle.
+counts.  ``counted_character`` counts the fixed points without listing a
+basis: ``counted_trace`` builds the sigma-invariant set partitions from
+the set partitions of sigma's cycles, never filtering all Bell(r) of
+them.  ``permutation_character`` enumerates the basis and is its oracle.
 Characters are taken over a concrete deck group only: the trace of a
 swap, for instance, is a torsion count, which the order alone does not
 determine.
@@ -13,6 +14,7 @@ determine.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -128,46 +130,33 @@ def _cycles(step, points):
     return cycles
 
 
-def _block_cycles(blocks, sigma):
-    """Cycles of the permutation sigma induces on the blocks, or None.
-
-    None when sigma does not map the set partition onto itself.  Each
-    cycle is (first block, length).  It suffices that every block lands
-    inside one block: the induced map on blocks is then onto, hence a
-    bijection, and each block maps onto its image.
-    """
-    block_of = {i: b for b, blk in enumerate(blocks) for i in blk}
-    image = []
-    for blk in blocks:
-        target = block_of[sigma[blk[0] - 1]]
-        if any(block_of[sigma[i - 1]] != target for i in blk[1:]):
-            return None
-        image.append(target)
-    return [
-        (blocks[cycle[0]], len(cycle))
-        for cycle in _cycles(image.__getitem__, range(len(blocks)))
-    ]
-
-
-def counted_trace(spec, degree, sigma, partitions=None):
+def counted_trace(spec, degree, sigma):
     """Number of degree-slice basis monomials fixed by sigma, without a basis.
 
     sigma fixes a normal monomial only if it maps the monomial's set
-    partition P onto itself; for each such P the blocks fall into
-    sigma-cycles C = (B -> sigma B -> ...).
+    partition P onto itself.  The blocks of such a P fall into
+    sigma-cycles C = (B -> sigma B -> ...) of some length L, and the
+    blocks of one C cover a group S of sigma's cycles.  L divides every
+    length in S, B meets each cycle c of S in l_c / L points, and once B
+    holds the first point of S's first cycle, the first point of each
+    other cycle of S may lie in any of C's L blocks.  So P is a set
+    partition of sigma's cycles into groups S, an L_S dividing the gcd of
+    S's lengths, and one of L_S^(|S| - 1) placements, of which the count
+    needs only (S, L_S): P has sum L_S blocks, and a group {c} with
+    l_c = L_S gives L_S singletons.
 
     Weights: those on B determine those on the rest of C and must be
-    fixed, up to a common shift, by tau = sigma^|C| on B.  The cycles of
-    tau are the s cycles of sigma that meet B, shortened by the factor
-    |C|.  A weighting w is fixed when w(tau i) = w(i) + c for one c in D;
-    c must then be killed by every cycle length of tau, hence by their
-    gcd g, and w is free on one point of each cycle.  Dividing out the
-    shift leaves |D[g]| * |D|^(s - 1) choices, which is 1 for a singleton
-    block and for the untwisted variants' trivial group.
+    fixed, up to a common shift, by tau = sigma^L on B, whose cycles are
+    S's, shortened by the factor L.  A weighting w is fixed when
+    w(tau i) = w(i) + c for one c in D; c must then be killed by
+    g = gcd(l_c / L), and w is free on one point of each cycle.  Dividing
+    out the shift leaves |D[g]| * |D|^(|S| - 1) choices, which is 1 for a
+    singleton block and for the untwisted variants' trivial group.  With
+    its placements, S weighs (L * m)^(|S| - 1) * |D[g]|, m = |D|.
 
     Exponents: they are constant along C, so with t the half-degree left
     after the blocks' own degree and the singleton minima, they are the
-    solutions of sum_C |C| x_C = t in nonnegative integers, counted by a
+    solutions of sum_C L_C x_C = t in nonnegative integers, counted by a
     coin-change table, so the degree is capped like a basis's.
     """
     if degree < 0:
@@ -180,32 +169,34 @@ def counted_trace(spec, degree, sigma, partitions=None):
     group = spec.concrete_group()
     if degree % 2:
         return 0
-    if partitions is None:
-        partitions = enumerate_set_partitions(spec.r)
-    sigma_cycles = _cycles(lambda i: sigma[i - 1], range(1, spec.r + 1))
-    cycle_of = {i: c for c, cycle in enumerate(sigma_cycles) for i in cycle}
+    lengths = [len(c) for c in _cycles(lambda i: sigma[i - 1], range(1, spec.r + 1))]
     m = concrete_order(group)
     torsion = {g: group.torsion_count(g) for g in range(1, spec.r + 1)}
-    q = degree // 2
+    base = degree // 2 - spec.r
     minimum = spec.variant.singleton_min_exponent
     total = 0
-    for blocks in partitions:
-        singletons = sum(1 for blk in blocks if len(blk) == 1)
-        t = q - (spec.r - len(blocks)) - minimum * singletons
-        if t < 0:
-            continue
-        cycles = _block_cycles(blocks, sigma)
-        if cycles is None:
-            continue
-        weights = 1
-        ways = [1] + [0] * t
-        for first, length in cycles:
-            met = {cycle_of[i] for i in first}
-            g = math.gcd(*(len(sigma_cycles[c]) // length for c in met))
-            weights *= torsion[g] * m ** (len(met) - 1)
-            for v in range(length, t + 1):
-                ways[v] += ways[v - length]
-        total += weights * ways[t]
+    for groups in enumerate_set_partitions(len(lengths)):
+        # per group S: (L, weight of its placements, singletons) for each L
+        choices = []
+        for cycles in groups:
+            ls = [lengths[c - 1] for c in cycles]
+            choices.append([
+                (L, (L * m) ** (len(ls) - 1) * torsion[math.gcd(*(l // L for l in ls))],
+                 L if ls == [L] else 0)
+                for L in range(1, min(ls) + 1)
+                if all(l % L == 0 for l in ls)
+            ])
+        for choice in itertools.product(*choices):
+            t = base + sum(L - minimum * s for L, _, s in choice)
+            if t < 0:
+                continue
+            weights = 1
+            ways = [1] + [0] * t
+            for L, weight, _ in choice:
+                weights *= weight
+                for v in range(L, t + 1):
+                    ways[v] += ways[v - L]
+            total += weights * ways[t]
     return total
 
 
@@ -216,9 +207,8 @@ def counted_character(spec, degree):
     groups far too large to enumerate work.
     """
     _check_character_r(spec.r)
-    partitions = enumerate_set_partitions(spec.r)
     values = {
-        ct: counted_trace(spec, degree, representative_permutation(ct), partitions)
+        ct: counted_trace(spec, degree, representative_permutation(ct))
         for ct in cycle_types(spec.r)
     }
     return SrCharacter.from_dict(spec.r, values)

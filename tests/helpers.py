@@ -6,7 +6,7 @@ import math
 from fractions import Fraction
 
 from prymalg import linalg
-from prymalg.abelian_group import FiniteAbelianGroup
+from prymalg.abelian_group import FiniteAbelianGroup, concrete_order
 from prymalg.algebra import (
     AlgebraElement,
     NormalMonomial,
@@ -27,15 +27,15 @@ from prymalg.partitions import (
     DWeightedPartition,
     _compositions,
     block_offsets,
+    block_singleton_counts,
     enumerate_set_partitions,
     integer_partitions,
     merge_offsets,
     rebase_offsets,
-    stirling2,
     validate_permutation,
 )
 from prymalg.polynomial import IntPoly
-from prymalg.symmetry import centralizer_order
+from prymalg.symmetry import _cycles, centralizer_order
 
 
 def prime_factorization(n):
@@ -612,6 +612,11 @@ def packed_to_indices(code, width):
 # only the tests use.
 
 
+def stirling2(n, k):
+    """Number of set partitions of an n-set into k blocks."""
+    return sum(count for b, _, count in block_singleton_counts(n) if b == k)
+
+
 def bell_number(n):
     return sum(stirling2(n, k) for k in range(n + 1))
 
@@ -806,6 +811,67 @@ def permutation_with_cycle_type(cycle_type, rng):
             sigma[src - 1] = cycle[(i + 1) % length]
         pos += length
     return tuple(sigma)
+
+
+def _block_cycles(blocks, sigma):
+    """Cycles of the permutation sigma induces on the blocks, or None.
+
+    None when sigma does not map the set partition onto itself.  Each
+    cycle is (first block, length).  It suffices that every block lands
+    inside one block: the induced map on blocks is then onto, hence a
+    bijection, and each block maps onto its image.
+    """
+    block_of = {i: b for b, blk in enumerate(blocks) for i in blk}
+    image = []
+    for blk in blocks:
+        target = block_of[sigma[blk[0] - 1]]
+        if any(block_of[sigma[i - 1]] != target for i in blk[1:]):
+            return None
+        image.append(target)
+    return [
+        (blocks[cycle[0]], len(cycle))
+        for cycle in _cycles(image.__getitem__, range(len(blocks)))
+    ]
+
+
+def bell_walk_trace(spec, degree, sigma, partitions):
+    """``counted_trace`` by filtering all set partitions of {1..r}.
+
+    ``partitions`` is ``enumerate_set_partitions(spec.r)``, shared by the
+    caller across traces.  Each set partition sigma maps onto itself
+    contributes its block cycles' weights times the coin-change count of
+    their exponents, as the ``counted_trace`` docstring derives; the
+    partitions sigma moves are skipped.  No checks: sigma must be a
+    permutation of 1..r and the degree at least 0.
+    """
+    if degree % 2:
+        return 0
+    sigma_cycles = _cycles(lambda i: sigma[i - 1], range(1, spec.r + 1))
+    cycle_of = {i: c for c, cycle in enumerate(sigma_cycles) for i in cycle}
+    group = spec.concrete_group()
+    m = concrete_order(group)
+    torsion = {g: group.torsion_count(g) for g in range(1, spec.r + 1)}
+    q = degree // 2
+    minimum = spec.variant.singleton_min_exponent
+    total = 0
+    for blocks in partitions:
+        singletons = sum(1 for blk in blocks if len(blk) == 1)
+        t = q - (spec.r - len(blocks)) - minimum * singletons
+        if t < 0:
+            continue
+        cycles = _block_cycles(blocks, sigma)
+        if cycles is None:
+            continue
+        weights = 1
+        ways = [1] + [0] * t
+        for first, length in cycles:
+            met = {cycle_of[i] for i in first}
+            g = math.gcd(*(len(sigma_cycles[c]) // length for c in met))
+            weights *= torsion[g] * m ** (len(met) - 1)
+            for v in range(length, t + 1):
+                ways[v] += ways[v - length]
+        total += weights * ways[t]
+    return total
 
 
 def table_to_json_dict(table):

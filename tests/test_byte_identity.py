@@ -7,7 +7,8 @@ interpreter, and ``j-twisted`` through the functions ``bench/job.py``
 runs it with.  The bench modules are compiled from their source text, so
 nothing is written under ``bench/``.  The oracle counters the benchmark
 reads off ``_oracle_ideal``'s return are checked the same way, with
-``bench/instrument.py`` installed in a fresh interpreter.
+``bench/instrument.py`` installed in a fresh interpreter, and so is the
+presence of every function it wraps.
 """
 
 import contextlib
@@ -73,14 +74,18 @@ def test_every_recorded_digest_is_checked():
     assert sorted(EXPECTED) == sorted([*CLI_JOBS, "j-twisted"])
 
 
-# Installs bench/instrument.py (compiled from its source text, as ``_load``
-# does) around one CLI run and prints the oracle metrics it reports.
-_TRACED_RUN = """
-import contextlib, io, json, sys, types
+# Compiles bench/instrument.py from its source text, as ``_load`` does.
+_LOAD_INSTRUMENT = """
+import contextlib, importlib, io, json, pkgutil, sys, types
 path, argv = sys.argv[1], sys.argv[2:]
 instrument = types.ModuleType("bench_instrument")
 with open(path, encoding="utf-8") as fh:
     exec(compile(fh.read(), path, "exec"), vars(instrument))
+"""
+
+# Installs the instrument around one CLI run and prints the oracle metrics
+# it reports.
+_TRACED_RUN = _LOAD_INSTRUMENT + """
 import prymalg.cli
 tracer = instrument.install(0)
 with contextlib.redirect_stdout(io.StringIO()):
@@ -91,16 +96,38 @@ print(json.dumps({"exit": code, "metrics": instrument.evaluate(totals)}))
 """
 
 
-def test_oracle_counters_read_the_ideal_that_was_built():
-    argv = ["oracle-check", "--max-r", "2", "--max-degree", "6",
-            "--groups", "Z1,Z2", "--format", "csv"]
+# Imports every prymalg module, installs the instrument and prints the
+# names of the targets it found missing.
+_INSTALL_ALL = _LOAD_INSTRUMENT + """
+import prymalg
+for info in pkgutil.iter_modules(prymalg.__path__):
+    importlib.import_module("prymalg." + info.name)
+print(json.dumps(sorted(instrument.install(0).absent)))
+"""
+
+
+def _run_with_instrument(script, *argv):
+    """stdout of ``script`` as JSON, run in a fresh interpreter on this
+    checkout's sources with bench/instrument.py's path and ``argv``."""
     src = str(BENCH.parent / "src")
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     proc = subprocess.run(
-        [sys.executable, "-c", _TRACED_RUN, str(BENCH / "instrument.py"), *argv],
+        [sys.executable, "-c", script, str(BENCH / "instrument.py"), *argv],
         capture_output=True, env=env, timeout=60, check=True,
     )
-    record = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_every_benchmark_target_exists():
+    # a renamed or deleted function the benchmark wraps would read as an
+    # absent metric, not as a failure
+    assert _run_with_instrument(_INSTALL_ALL) == []
+
+
+def test_oracle_counters_read_the_ideal_that_was_built():
+    argv = ["oracle-check", "--max-r", "2", "--max-degree", "6",
+            "--groups", "Z1,Z2", "--format", "csv"]
+    record = _run_with_instrument(_TRACED_RUN, *argv)
     metrics = record["metrics"]
     assert record["exit"] == 0
     # every cell of the grid reads its ideal; the untwisted variants run on

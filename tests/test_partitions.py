@@ -5,7 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prymalg.abelian_group import FiniteAbelianGroup, parse_group_literal
+from prymalg.abelian_group import FiniteAbelianGroup, SymbolicOrder, parse_group_literal
 from prymalg.algebra import AlgebraSpec, Variant, graded_dimension, parse_monomial
 from prymalg.errors import CapExceededError, InvalidParameterError, ParseError
 from prymalg.partitions import (
@@ -18,7 +18,6 @@ from prymalg.partitions import (
     format_partition,
     parse_partition,
     relabel,
-    stirling2,
     stirling2_no_singletons,
     validate_permutation,
 )
@@ -31,6 +30,7 @@ from helpers import (
     compatible_with,
     enumerate_weighted_partitions,
     half_degree,
+    stirling2,
 )
 
 TRIVIAL = FiniteAbelianGroup(())
@@ -373,3 +373,26 @@ def test_parse_partition_errors_name_token():
     expected = parse_partition("{1<2:d=(0,1)}", Z22)
     for text in ("{1<2:d=(0, 1)}", "{1<2:d=(0,1) }"):
         assert parse_partition(text, Z22) == expected
+
+
+# a symbolic order or None has no elements to weight blocks with
+NOT_GROUPS = (SymbolicOrder(), SymbolicOrder(level=2, genus=3), None)
+
+
+def test_enumerate_d_weighted_partitions_requires_concrete_group():
+    for group in NOT_GROUPS:
+        with pytest.raises(InvalidParameterError, match="requires a concrete group"):
+            enumerate_d_weighted_partitions(3, group)
+
+
+def test_d_weighted_partition_requires_concrete_group():
+    for group in NOT_GROUPS:
+        with pytest.raises(InvalidParameterError, match="requires a concrete group"):
+            DWeightedPartition(group, ())
+
+
+def test_parse_partition_requires_concrete_group():
+    for group in NOT_GROUPS:
+        for text in ("{1}", "{}", "{1<2:d=(0)}"):
+            with pytest.raises(InvalidParameterError, match="requires a concrete group"):
+                parse_partition(text, group)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from prymalg.abelian_group import FiniteAbelianGroup, parse_group_literal
 from prymalg.algebra import AlgebraSpec, Variant, basis, graded_dimension
 from prymalg.errors import CapExceededError, InvalidParameterError, OracleMismatchError
+from prymalg.partitions import enumerate_set_partitions
 from prymalg.symmetry import (
     MAX_CHARACTER_R,
     SrCharacter,
@@ -23,7 +24,12 @@ from prymalg.symmetry import (
     sr_character_table,
 )
 
-from helpers import all_abelian_groups, class_size, permutation_with_cycle_type
+from helpers import (
+    all_abelian_groups,
+    bell_walk_trace,
+    class_size,
+    permutation_with_cycle_type,
+)
 
 Z2 = FiniteAbelianGroup((2,))
 Z3 = FiniteAbelianGroup((3,))
@@ -226,6 +232,36 @@ def test_counted_trace_equals_fixed_point_count(data):
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     sigma = permutation_with_cycle_type(cycle_type, random.Random(seed))
     assert counted_trace(spec, degree, sigma) == fixed_point_count(spec, degree, sigma)
+
+
+WALK_GROUPS = tuple(
+    parse_group_literal(text)
+    for text in ("Z1", "Z2", "Z3", "Z4", "Z2xZ2", "Z2xZ4", "H1(g=2,l=2)")
+)
+
+
+def test_counted_trace_matches_bell_walk():
+    """The cycle walk against the Bell walk it replaced: every cycle type,
+    as a seeded permutation whose cycles interleave, at every degree."""
+    cells = [
+        (AlgebraSpec(variant, r, group), degree)
+        for r in range(7)
+        for variant in Variant
+        for group in (WALK_GROUPS if variant.twisted else (None,))
+        for degree in range(13)
+    ]
+    cells += [
+        (AlgebraSpec(Variant.LEVEL_PRIME, 8, Z2), 12),
+        (AlgebraSpec(Variant.LEVEL_FULL, 8, parse_group_literal("H1(g=50,l=3)")), 20),
+        (AlgebraSpec(Variant.KAWAZUMI_DPRIME, 8), 12),
+    ]
+    rng = random.Random(26)
+    partitions = {r: enumerate_set_partitions(r) for r in range(9)}
+    for spec, degree in cells:
+        for cycle_type in cycle_types(spec.r):
+            sigma = permutation_with_cycle_type(cycle_type, rng)
+            expected = bell_walk_trace(spec, degree, sigma, partitions[spec.r])
+            assert counted_trace(spec, degree, sigma) == expected, (spec, degree, sigma)
 
 
 def test_counted_character_bounds_and_r_cap():
