@@ -352,6 +352,7 @@ _TUPLE_RE = re.compile(r"\(([^()]*)\)")
 
 def parse_block(token, group):
     """Parse one "{i1<i2:d=(..),(..)}" block into (indices, weights)."""
+    _check_concrete(group)
     token = token.strip()
     m = _BLOCK_RE.fullmatch(token)
     if not m:
@@ -387,7 +388,6 @@ def parse_block(token, group):
 
 def parse_partition(text, group):
     """Inverse of format_partition; raises ParseError naming the bad token."""
-    _check_concrete(group)
     t = text.strip()
     if t == "{}":
         return DWeightedPartition(group, ())

@@ -16,6 +16,7 @@ from prymalg.partitions import (
     enumerate_d_weighted_partitions,
     enumerate_set_partitions,
     format_partition,
+    parse_block,
     parse_partition,
     relabel,
     stirling2_no_singletons,
@@ -396,3 +397,5 @@ def test_parse_partition_requires_concrete_group():
         for text in ("{1}", "{}", "{1<2:d=(0)}"):
             with pytest.raises(InvalidParameterError, match="requires a concrete group"):
                 parse_partition(text, group)
+        with pytest.raises(InvalidParameterError, match="requires a concrete group"):
+            parse_block("{1<2:d=(0)}", group)
