@@ -115,6 +115,10 @@ class AlgebraSpec(_Value):
             raise InvalidParameterError(
                 "%s requires a group or symbolic order" % variant.value
             )
+        elif not isinstance(group, (FiniteAbelianGroup, SymbolicOrder)):
+            raise InvalidParameterError(
+                "%s requires a group or symbolic order, got %r" % (variant.value, group)
+            )
         object.__setattr__(self, "variant", variant)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "group", group)
@@ -205,6 +209,11 @@ def multiply(spec, x, y):
     weight offsets must agree up to a common shift or the product is
     zero, and exponents accumulate onto merged blocks.  The merge order is
     immaterial.
+
+    Only merged blocks are re-based.  A block of x stays as it is until a
+    block of y with two or more indices reaches it, and one that none
+    reaches keeps its indices and weights with no offset dict built; a
+    singleton of y only adds its exponent.
     """
     if not spec.variant.is_full:
         raise InvalidParameterError(
@@ -215,23 +224,25 @@ def multiply(spec, x, y):
     for mon in (x, y):
         if mon.partition.r != spec.r:
             raise InvalidParameterError("monomial index set does not match spec")
-        if mon.partition.group != group:
+        if mon.partition.group is not group and mon.partition.group != group:
             raise InvalidParameterError("monomial group does not match spec")
 
-    items = {}  # key -> (offsets, exponent) of a block built so far
+    # key -> (block, exponent) of a block built so far: an x block as the
+    # (indices, weights) pair it is, a merged block as an offset dict
+    items = {}
     owner = {}  # index -> key of the block holding it
     key = 0
-    for (idx, weights), exponent in zip(x.partition.blocks, x.exponents):
-        items[key] = block_offsets(group, idx, weights), exponent
-        for i in idx:
+    for item in zip(x.partition.blocks, x.exponents):
+        items[key] = item
+        for i in item[0][0]:
             owner[i] = key
         key += 1
     for (idx, weights), exponent in zip(y.partition.blocks, y.exponents):
         if len(idx) == 1:
             # a singleton pins no offset: its exponent joins its block's
             other = owner[idx[0]]
-            off_o, exp_o = items[other]
-            items[other] = off_o, exp_o + exponent
+            block, exp_o = items[other]
+            items[other] = block, exp_o + exponent
             continue
         offsets = block_offsets(group, idx, weights)
         for i in idx:
@@ -240,21 +251,24 @@ def multiply(spec, x, y):
                 continue  # merged already, at an earlier index of this block
             off_o, exp_o = items.pop(other)
             exponent += exp_o
-            if len(off_o) > 1:
-                merged = merge_offsets(group, off_o, offsets)
-                if merged is None:
-                    return AlgebraElement.zero()
-                # t shared indices: the union holds t fewer than the two
-                exponent += len(off_o) + len(offsets) - len(merged) - 1
-                offsets = merged
+            if isinstance(off_o, tuple):
+                if not off_o[1]:
+                    continue  # an x singleton: offsets already holds i
+                off_o = block_offsets(group, *off_o)
+            merged = merge_offsets(group, off_o, offsets)
+            if merged is None:
+                return AlgebraElement.zero()
+            # t shared indices: the union holds t fewer than the two
+            exponent += len(off_o) + len(offsets) - len(merged) - 1
+            offsets = merged
         items[key] = offsets, exponent
         for i in offsets:
             owner[i] = key
         key += 1
 
     blocks = [
-        (rebase_offsets(group, offsets.items()), exponent)
-        for offsets, exponent in items.values()
+        (block if isinstance(block, tuple) else rebase_offsets(group, block.items()), e)
+        for block, e in items.values()
     ]
     # blocks are disjoint, so sorting them compares first indices only
     blocks.sort()
@@ -599,9 +613,11 @@ def oracle_graded_dimension(spec, degree):
     basis vector per connected component of the binomial relation graph
     that holds no monomial row.  For the full variants the answer is the
     number of those live components; for the primed subspaces it is the
-    number of live components touched by the monomials whose indices all
-    sit in an a-class factor or carry at least the singleton minimum
-    exponent.
+    number of live components whose monomials have every index in an
+    a-class factor or carrying at least the singleton minimum exponent.
+    That coverage is the same for every monomial of a component (each
+    relation changes v-exponents only inside its own a-classes, whose
+    cover it keeps), so only each component's root is tested.
     """
     if degree < 0:
         raise InvalidParameterError("degree must be >= 0")
@@ -613,12 +629,11 @@ def oracle_graded_dimension(spec, degree):
         return len(monomials) - components.rank
     minimum = spec.variant.singleton_min_exponent
     width = (degree // 2).bit_length()
-    touched = {
-        label
-        for label, mon in zip(components.labels, monomials)
-        if label is not None and _covers_all_indices(mon, gens, spec.r, minimum, width)
-    }
-    return len(touched)
+    return sum(
+        1
+        for c, (label, mon) in enumerate(zip(components.labels, monomials))
+        if label == c and _covers_all_indices(mon, gens, spec.r, minimum, width)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ the oracle: ``block_offsets``, ``merge_offsets`` and ``rebase_offsets``
 turn a block into an offset dict, unite two of them (or report that they
 contradict), and re-base (index, offset) pairs on their minimal index,
 shifting by ``FiniteAbelianGroup.subtract`` unless that index already
-sits at the identity.  ``relabel`` re-bases every block of two or more
-indices; a singleton block has nothing to re-base and only moves.
+sits at the identity.  ``relabel`` and ``algebra.multiply`` re-base
+only the blocks whose base point can move.
 Parsers and public constructors validate; ``DWeightedPartition._trusted``
 does not.
 """
@@ -319,17 +319,31 @@ def relabel(partition, sigma):
     i0 is the preimage of the new base.  This is the unique rule
     consistent with reading the j-th weight as the deck translation from
     the base marked point to the (j+1)-st; no other convention is
-    supported.  A singleton block has no weights and moves as it is.
+    supported.  A singleton block has no weights and moves as it is.  A
+    block {i < j} with weight w keeps w when sigma(i) < sigma(j) and
+    otherwise becomes {sigma(j) < sigma(i)} with weight -w, computed as
+    ``subtract(identity, w)``.  Only a larger block is re-based by
+    ``rebase_offsets``.
     """
     group = partition.group
-    sigma = validate_permutation(sigma, partition.r)
-    base_offset = (group.identity(),)
-    moved = [
-        rebase_offsets(group, zip([sigma[i - 1] for i in idx], base_offset + weights))
-        if weights
-        else ((sigma[idx[0] - 1],), ())
-        for idx, weights in partition.blocks
-    ]
+    # image[i] is sigma(i) for the 1-based indices of the blocks
+    image = (0,) + validate_permutation(sigma, partition.r)
+    identity = group.identity()
+    base_offset = (identity,)
+    moved = []
+    for idx, weights in partition.blocks:
+        if not weights:
+            moved.append(((image[idx[0]],), ()))
+        elif len(weights) == 1:
+            i = image[idx[0]]
+            j = image[idx[1]]
+            if i < j:
+                moved.append(((i, j), weights))
+            else:
+                moved.append(((j, i), (group.subtract(identity, weights[0]),)))
+        else:
+            pairs = zip(map(image.__getitem__, idx), base_offset + weights)
+            moved.append(rebase_offsets(group, pairs))
     # blocks are disjoint, so sorting them compares first indices only
     moved.sort()
     return DWeightedPartition._trusted(group, tuple(moved), partition.r)

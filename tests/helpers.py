@@ -10,6 +10,8 @@ from prymalg.abelian_group import FiniteAbelianGroup, concrete_order
 from prymalg.algebra import (
     AlgebraElement,
     NormalMonomial,
+    _covers_all_indices,
+    _oracle_ideal,
     format_monomial,
     multiply,
     parse_monomial,
@@ -469,6 +471,22 @@ def reference_multiply(spec, x, y, rng=None):
     monomial = NormalMonomial._trusted(partition, tuple(e for _, e in blocks))
     assert monomial.degree == x.degree + y.degree
     return element_of_monomial(monomial)
+
+
+def live_component_coverage(spec, degree):
+    """For a primed spec, {label: set of _covers_all_indices values} over
+    every member of each live component of the oracle's degree slice.  The
+    reference for oracle_graded_dimension, which tests component roots
+    only: its count is the number of labels whose set holds True."""
+    components, monomials, gens = _oracle_ideal(spec.r, spec.concrete_group(), degree)
+    minimum = spec.variant.singleton_min_exponent
+    width = (degree // 2).bit_length()
+    coverage = {}
+    for label, mon in zip(components.labels, monomials):
+        if label is not None:
+            covered = _covers_all_indices(mon, gens, spec.r, minimum, width)
+            coverage.setdefault(label, set()).add(covered)
+    return coverage
 
 
 def reference_degree(monomial):

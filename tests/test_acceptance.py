@@ -55,6 +55,7 @@ from helpers import (
     all_abelian_groups,
     class_size,
     kron,
+    live_component_coverage,
     mat_inv,
     mat_vec,
     matrix_rank,
@@ -100,40 +101,62 @@ def test_criterion_01_r2_tables():
     assert elapsed < 1.0, "runtime %.3fs exceeds 1 s" % elapsed
 
 
-@criterion(2, "oracle equivalence grid")
-def test_criterion_02_oracle_equivalence():
-    start = time.perf_counter()
-    # (groups, r values, degrees); untwisted variants run on the trivial group
-    grid = (
-        ((TRIVIAL, Z2, Z3), range(4), range(11)),
-        ((TRIVIAL, Z2), (4,), range(11)),
-        ((Z3,), (4,), range(9)),
-        ((TRIVIAL,), (5,), range(13)),  # 80 475 columns at degree 12
-        ((Z4, Z22, Z5), range(4), range(11)),
-        ((Z4, Z22), (4,), range(9)),  # 61 321 columns at degree 8
-        ((Z2,), (5,), range(9)),  # 35 311 columns at degree 8
-    )
-    mismatches = []
-    checked = 0
-    for variant, (groups, rs, degrees) in itertools.product(Variant, grid):
+# (groups, r values, degrees); untwisted variants run on the trivial group
+ORACLE_GRID = (
+    ((TRIVIAL, Z2, Z3), range(4), range(11)),
+    ((TRIVIAL, Z2), (4,), range(11)),
+    ((Z3,), (4,), range(9)),
+    ((TRIVIAL,), (5,), range(13)),  # 80 475 columns at degree 12
+    ((Z4, Z22, Z5), range(4), range(11)),
+    ((Z4, Z22), (4,), range(9)),  # 61 321 columns at degree 8
+    ((Z2,), (5,), range(9)),  # 35 311 columns at degree 8
+)
+
+
+def oracle_grid_cells(variants=Variant):
+    """(spec, group, degree) for every cell of ORACLE_GRID."""
+    for variant, (groups, rs, degrees) in itertools.product(variants, ORACLE_GRID):
         variant_groups = groups if variant.twisted else [g for g in groups if g == TRIVIAL]
         for group in variant_groups:
             for r in rs:
                 spec = AlgebraSpec(variant, r, group if variant.twisted else None)
                 for degree in degrees:
-                    closed = graded_dimension(spec, degree)
-                    if isinstance(closed, IntPoly):
-                        closed = closed.evaluate(group.order())
-                    orc = oracle_graded_dimension(spec, degree)
-                    checked += 1
-                    if closed != orc:
-                        mismatches.append((variant, group, r, degree, closed, orc))
+                    yield spec, group, degree
+
+
+@criterion(2, "oracle equivalence grid")
+def test_criterion_02_oracle_equivalence():
+    start = time.perf_counter()
+    mismatches = []
+    checked = 0
+    for spec, group, degree in oracle_grid_cells():
+        closed = graded_dimension(spec, degree)
+        if isinstance(closed, IntPoly):
+            closed = closed.evaluate(group.order())
+        orc = oracle_graded_dimension(spec, degree)
+        checked += 1
+        if closed != orc:
+            mismatches.append((spec.variant, group, spec.r, degree, closed, orc))
     # the pinned fixture
     assert oracle_graded_dimension(AlgebraSpec(Variant.LEVEL_FULL, 2, Z2), 4) == 5
     assert not mismatches, mismatches
     assert checked >= 5 * 4 * 9
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, "runtime %.1fs exceeds 60 s" % elapsed
+
+
+def test_primed_oracle_tests_one_member_per_component():
+    # coverage is constant on each live component, so the primed count
+    # from component roots equals the count over every member
+    primed = [v for v in Variant if not v.is_full]
+    checked = 0
+    for spec, _, degree in oracle_grid_cells(primed):
+        coverage = live_component_coverage(spec, degree)
+        assert all(len(values) == 1 for values in coverage.values()), (spec, degree)
+        covered = sum(True in values for values in coverage.values())
+        assert covered == oracle_graded_dimension(spec, degree), (spec, degree)
+        checked += 1
+    assert checked == 471
 
 
 @criterion(3, "specialization at m=1")

@@ -70,11 +70,21 @@ def spec_of(variant, r, group=None):
 def test_spec_validation():
     with pytest.raises(InvalidParameterError):
         AlgebraSpec(Variant.LEVEL_FULL, 2)  # missing group
-    # untwisted variants ignore the group field
+    # untwisted variants ignore the group field, whatever it holds
     s = AlgebraSpec(Variant.LOOIJENGA_FULL, 2, Z2)
     assert s.group is None
+    assert AlgebraSpec(Variant.LOOIJENGA_FULL, 2, "Z2").group is None
     with pytest.raises(InvalidParameterError):
         AlgebraSpec(Variant.LEVEL_FULL, -1, Z2)
+    # a twisted variant refuses a literal, an int or None when the spec is
+    # built, not later as an AttributeError inside graded_dimension
+    for variant in (v for v in Variant if v.twisted):
+        for bad in ("Z2", 3):
+            with pytest.raises(InvalidParameterError, match="got %r" % (bad,)):
+                AlgebraSpec(variant, 2, bad)
+        with pytest.raises(InvalidParameterError) as info:
+            AlgebraSpec(variant, 2, None)
+        assert str(info.value) == "%s requires a group or symbolic order" % variant.value
 
 
 def test_multiply_merges_overlapping_blocks():
@@ -198,7 +208,7 @@ def test_product_and_relabel_match_references_exhaustive():
                 for sigma in perms:
                     assert relabel(p, sigma) == reference_relabel(p, sigma), (p, sigma)
     # multiply against the pairwise-rescan reference on all ordered pairs
-    for r, group, degree in ((4, Z2, 4), (3, Z3, 4)):
+    for r, group, degree in ((4, Z2, 4), (3, Z3, 4), (3, Z22, 4)):
         spec = AlgebraSpec(Variant.LEVEL_FULL, r, group)
         pool = basis(spec, degree)
         nonzero = 0
@@ -208,6 +218,18 @@ def test_product_and_relabel_match_references_exhaustive():
                 assert product == reference_multiply(spec, x, y), (x, y)
                 nonzero += not product.is_zero()
         assert 0 < nonzero < len(pool) ** 2
+
+
+def test_relabel_matches_reference_on_every_bench_input():
+    # all 742 partitions at r = 5 over Z3, the bench's relabel domain,
+    # each under all 120 permutations
+    group = parse_group_literal("Z3")
+    perms = list(itertools.permutations(range(1, 6)))
+    partitions = enumerate_d_weighted_partitions(5, group)
+    assert len(partitions) == 742
+    for p in partitions:
+        for sigma in perms:
+            assert relabel(p, sigma) == reference_relabel(p, sigma), (p, sigma)
 
 
 def test_relabel_matches_reference_on_sampled_permutations():
