@@ -395,8 +395,9 @@ def _oracle_generators(r, group, degree):
     return gens
 
 
-def _monomials_of_degree(gens, degree, width):
-    """Monomials of total weighted degree ``degree`` over gens, packed.
+class _MonomialTable:
+    """The packed monomials of each degree over gens, listed through one
+    memo table.
 
     A monomial is a packed exponent vector: one int in which generator i
     owns the bits [width * i, width * (i + 1)), so v_1^2 * a is
@@ -404,40 +405,73 @@ def _monomials_of_degree(gens, degree, width):
     width (d // 2).bit_length(): every generator has degree at least 2,
     so no exponent of the slice, or of a factor of one of its monomials,
     exceeds d // 2 < 2^width, and the product of two monomials is their
-    sum with no carry between fields.  Every generator has even degree
-    and gens[0] = v_1 has degree 2, so each partial product ends in
-    exactly one way with a power of v_1 and the search never backtracks:
-    its work is proportional to its output.
+    sum with no carry between fields.
+
+    Every generator has even degree and gens[0] = v_1 has degree 2, so the
+    monomials of degree n over gens[0..top] are v_1^(n/2), then, for each
+    generator i from top down to 1 and each exponent e >= 1, g_i^e times
+    the monomials of degree n - e deg(g_i) over gens[0..i-1].  The table
+    holds each such list under (top, n), with top clamped to the last
+    generator of degree at most n, so a slice and every complementary
+    degree listed from one table share their parts.  The table lives as
+    long as the object; the lists it returns are its own and must not be
+    changed.
     """
-    if degree % 2 or not gens:
-        return [] if degree else [0]
-    degrees = [d for _, d in gens]
-    out = []
 
-    def extend(top, remaining, code):
-        out.append(code + remaining // 2)
-        for i in range(min(top, bisect.bisect_right(degrees, remaining) - 1), 0, -1):
-            d = degrees[i]
-            field = 1 << (width * i)
-            for e in range(1, remaining // d + 1):
-                extend(i - 1, remaining - e * d, code + e * field)
+    def __init__(self, gens, width):
+        self.degrees = [d for _, d in gens]
+        self.width = width
+        self.table = {}
 
-    extend(len(gens) - 1, degree, 0)
-    return out
+    def of_degree(self, degree):
+        if degree % 2 or not self.degrees:
+            return [] if degree else [0]
+        return self._listing(len(self.degrees) - 1, degree)
+
+    def _listing(self, top, remaining):
+        degrees = self.degrees
+        top = min(top, bisect.bisect_right(degrees, remaining) - 1)
+        out = self.table.get((top, remaining))
+        if out is None:
+            out = [remaining // 2]
+            for i in range(top, 0, -1):
+                d = degrees[i]
+                field = 1 << (self.width * i)
+                for e in range(1, remaining // d + 1):
+                    out += map((e * field).__add__, self._listing(i - 1, remaining - e * d))
+            self.table[top, remaining] = out
+        return out
+
+
+def _monomials_of_degree(gens, degree, width):
+    """Monomials of total weighted degree ``degree`` over gens, packed at
+    ``width`` as ``_MonomialTable`` describes, from a table of its own."""
+    return _MonomialTable(gens, width).of_degree(degree)
+
+
+@functools.lru_cache(maxsize=None)
+def _merged_class(group, key_a, key_b):
+    """Key (S, weights) of the a-class that two overlapping a-classes merge
+    into, or None when their weights contradict.  Cached for the life of
+    the process, so every slice over the same group merges a pair once."""
+    merged = merge_offsets(
+        group, block_offsets(group, *key_a), block_offsets(group, *key_b)
+    )
+    return None if merged is None else rebase_offsets(group, merged.items())
 
 
 def _oracle_relations(gens, group, degree, width):
     """Homogeneous relations of degree at most ``degree``, each as
     (relation degree, terms).
 
-    A term is a monomial packed at ``width`` as in ``_monomials_of_degree``:
+    A term is a monomial packed at ``width`` as in ``_MonomialTable``:
     v_i a for the v-class relations, a_lo a_hi for a product of a-classes,
     and the v^(t-1) a that merging two a-classes over t shared indices
     gives.  Every relation has coefficients 1 and -1: one term t stands
     for the monomial t, two terms (s, t) for the binomial s - t, and
     s != t.  A pair of a-classes is visited only when its product fits
     the degree, so the pairs visited are no more than the monomials of
-    the slice.
+    the slice; each pair's merge comes from ``_merged_class``.
     """
     index_of = {key: i for i, (key, _) in enumerate(gens)}
     one = [1 << (width * i) for i in range(len(gens))]  # each generator, packed
@@ -463,15 +497,12 @@ def _oracle_relations(gens, group, degree, width):
             if not shared:
                 continue
             lhs = one[gi_a] + one[gi_b]
-            merged = merge_offsets(
-                group, block_offsets(group, *key_a), block_offsets(group, *key_b)
-            )
+            merged = _merged_class(group, key_a, key_b)
             if merged is None:
                 relations.append((d_a + d_b, (lhs,)))
             else:
                 v_index = index_of[("v", min(shared))]
-                a_index = index_of[("a", rebase_offsets(group, merged.items()))]
-                rhs = (len(shared) - 1) * one[v_index] + one[a_index]
+                rhs = (len(shared) - 1) * one[v_index] + one[index_of[("a", merged)]]
                 relations.append((d_a + d_b, (lhs, rhs)))
     return relations
 
@@ -499,40 +530,48 @@ def _oracle_ideal(r, group, degree):
     coefficients 1 and -1, its terms ``lhs + f`` and ``rhs + f``, so the
     quotient of the slice by the ideal has one basis vector per live
     component and no arithmetic is needed: union-find merges the two
-    columns of each binomial row and marks the component of each monomial
-    row dead, taking each row as it is made.  The monomials of each
-    complementary degree are listed once per call.
+    columns of each binomial row as it is made, and each monomial row
+    only marks its column.  After the last union, each marked column
+    kills its root's component.  The slice and every complementary degree
+    are listed from one ``_MonomialTable``, which is dropped once they
+    are listed, before the first row.
     """
     gens = tuple(_oracle_generators(r, group, degree))
     width = (degree // 2).bit_length()
-    monomials = tuple(_monomials_of_degree(gens, degree, width))
+    table = _MonomialTable(gens, width)
+    monomials = tuple(table.of_degree(degree))
+    relations = _oracle_relations(gens, group, degree, width)
+    listed = {rest: table.of_degree(rest) for rest in {degree - d for d, _ in relations}}
+    del table  # its partial listings would outweigh the slice
     column = {code: c for c, code in enumerate(monomials)}
     parent = list(range(len(monomials)))
-    dead = [False] * len(monomials)
 
     def find(c):
         while parent[c] != c:
             parent[c] = c = parent[parent[c]]
         return c
 
-    factors = {}
-    for rel_degree, terms in _oracle_relations(gens, group, degree, width):
-        rest = degree - rel_degree
-        if rest not in factors:
-            factors[rest] = _monomials_of_degree(gens, rest, width)
+    marked = []  # the column of each monomial row
+    for rel_degree, terms in relations:
+        factors = listed[degree - rel_degree]
         if len(terms) == 1:
-            (lhs,) = terms
-            for f in factors[rest]:
-                dead[find(column[lhs + f])] = True
+            marked += map(column.__getitem__, map(terms[0].__add__, factors))
             continue
         lhs, rhs = terms
-        for f in factors[rest]:
-            a = find(column[lhs + f])
-            b = find(column[rhs + f])
+        for f in factors:
+            # find, inlined: this loop runs once per row
+            a = column[lhs + f]
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            b = column[rhs + f]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
             if a != b:
                 parent[a] = b
-                dead[b] = dead[b] or dead[a]
     roots = [find(c) for c in range(len(monomials))]
+    dead = [False] * len(monomials)
+    for c in marked:
+        dead[roots[c]] = True
     live = sum(1 for c, root in enumerate(roots) if root == c and not dead[c])
     labels = tuple(None if dead[root] else root for root in roots)
     return _SliceComponents(labels, len(monomials) - live), monomials, gens
@@ -554,13 +593,16 @@ def _covers_all_indices(monomial, gens, r, minimum, width):
     )
 
 
+@functools.lru_cache(maxsize=None)
 def _oracle_columns(r, order, degree):
     """Number of monomials of the given degree in the oracle's generators.
 
-    Counted without listing them.  There are r v-classes of half-degree 1
-    and C(r, s) * order^(s - 1) a-classes of half-degree s - 1 for each
-    2 <= s <= r, so the count a_t at half-degree t is the number of ways
-    to make change for t from those coins: the coefficient of x^t in
+    Counted without listing them, and memoised: a cell's cap is checked
+    when a grid is listed and again when its slice is built.  There are r
+    v-classes of half-degree 1 and C(r, s) * order^(s - 1) a-classes of
+    half-degree s - 1 for each 2 <= s <= r, so the count a_t at
+    half-degree t is the number of ways to make change for t from those
+    coins: the coefficient of x^t in
     prod_h (1 - x^h)^(-n_h).  The recurrence t a_t = sum_j b_j a_(t - j),
     with b_j the sum of h n_h over the h dividing j, gives the a_t in
     increasing t.  For r >= 1 they never decrease (multiply by v_1), so the
@@ -611,13 +653,18 @@ def oracle_graded_dimension(spec, degree):
     multiplying every relation by all complementary-degree monomials.
     Each such row is a monomial or a binomial, so the quotient has one
     basis vector per connected component of the binomial relation graph
-    that holds no monomial row.  For the full variants the answer is the
-    number of those live components; for the primed subspaces it is the
-    number of live components whose monomials have every index in an
-    a-class factor or carrying at least the singleton minimum exponent.
-    That coverage is the same for every monomial of a component (each
-    relation changes v-exponents only inside its own a-classes, whose
-    cover it keeps), so only each component's root is tested.
+    that holds no monomial row.  ``_oracle_ideal`` builds those
+    components once per (r, group, degree): the slice and its
+    complementary degrees come from one memo table, each a-class merge
+    is made once per group for the whole process, and the monomial rows
+    are folded in after the last union.  For the full variants the
+    answer is the number of those live components; for the primed
+    subspaces it is the number of live components whose monomials have
+    every index in an a-class factor or carrying at least the singleton
+    minimum exponent.  That coverage is the same for every monomial of a
+    component (each relation changes v-exponents only inside its own
+    a-classes, whose cover it keeps), so only each component's root is
+    tested.
     """
     if degree < 0:
         raise InvalidParameterError("degree must be >= 0")

@@ -19,6 +19,7 @@ import argparse
 import contextlib
 import json
 import os
+import re
 import shutil
 import sys
 import tempfile
@@ -529,11 +530,19 @@ def cmd_commutant(cfg):
     )
 
 
+# a comma outside parentheses, so that H1(g=1,l=2) stays one literal
+_GROUP_SEPARATOR = re.compile(r",(?![^()]*\))")
+
+
 def cmd_oracle_check(cfg):
     max_r = cfg.get_int("max_r", 3, minimum=0)
     max_degree = cfg.get_int("max_degree", 8, minimum=0)
     groups_text = cfg.get_str("groups", "Z1,Z2,Z3")
-    groups = [parse_group_literal(tok) for tok in groups_text.split(",") if tok.strip()]
+    groups = [
+        parse_group_literal(tok)
+        for tok in _GROUP_SEPARATOR.split(groups_text)
+        if tok.strip()
+    ]
     if not groups:
         raise InvalidParameterError("--groups names no group: %r" % groups_text)
     variants_text = cfg.get_str("variants")

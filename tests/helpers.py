@@ -10,7 +10,9 @@ from prymalg.abelian_group import FiniteAbelianGroup, concrete_order
 from prymalg.algebra import (
     AlgebraElement,
     NormalMonomial,
+    _SliceComponents,
     _covers_all_indices,
+    _oracle_generators,
     _oracle_ideal,
     format_monomial,
     multiply,
@@ -599,6 +601,63 @@ def pair_oracle_rows(group, degree, gens):
         for f in pair_monomials_of_degree(gens, degree - rel_degree):
             rows.append(tuple(pair_times(term, f) for term in terms))
     return rows
+
+
+def reference_oracle_ideal(r, group, degree):
+    """``_oracle_ideal`` computed the plain way, as the same
+    (components, monomials, gens): each degree listed by its own recursive
+    search, each relation's a-class merge made afresh by
+    ``pair_oracle_relations``, and the ideal carried through every union
+    as each monomial row is made."""
+    gens = tuple(_oracle_generators(r, group, degree))
+    width = (degree // 2).bit_length()
+    degrees = [d for _, d in gens]
+
+    def listing(total):
+        if total % 2 or not gens:
+            return [] if total else [0]
+        out = []
+
+        def extend(top, remaining, code):
+            out.append(code + remaining // 2)
+            for i in range(min(top, bisect.bisect_right(degrees, remaining) - 1), 0, -1):
+                d = degrees[i]
+                field = 1 << (width * i)
+                for e in range(1, remaining // d + 1):
+                    extend(i - 1, remaining - e * d, code + e * field)
+
+        extend(len(gens) - 1, total, 0)
+        return out
+
+    monomials = tuple(listing(degree))
+    column = {code: c for c, code in enumerate(monomials)}
+    parent = list(range(len(monomials)))
+    dead = [False] * len(monomials)
+
+    def find(c):
+        while parent[c] != c:
+            parent[c] = c = parent[parent[c]]
+        return c
+
+    factors = {}
+    for rel_degree, terms in pair_oracle_relations(gens, group, degree):
+        terms = [indices_to_packed(pair_to_indices(term), width) for term in terms]
+        rest = degree - rel_degree
+        if rest not in factors:
+            factors[rest] = listing(rest)
+        for f in factors[rest]:
+            if len(terms) == 1:
+                dead[find(column[terms[0] + f])] = True
+                continue
+            a = find(column[terms[0] + f])
+            b = find(column[terms[1] + f])
+            if a != b:
+                parent[a] = b
+                dead[b] = dead[b] or dead[a]
+    roots = [find(c) for c in range(len(monomials))]
+    live = sum(1 for c, root in enumerate(roots) if root == c and not dead[c])
+    labels = tuple(None if dead[root] else root for root in roots)
+    return _SliceComponents(labels, len(monomials) - live), monomials, gens
 
 
 def pair_to_indices(monomial):

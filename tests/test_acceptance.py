@@ -18,6 +18,7 @@ from prymalg.abelian_group import FiniteAbelianGroup, SymbolicOrder, homology_gr
 from prymalg.algebra import (
     AlgebraSpec,
     Variant,
+    _oracle_ideal,
     graded_dimension,
     oracle_graded_dimension,
 )
@@ -60,6 +61,7 @@ from helpers import (
     mat_vec,
     matrix_rank,
     random_symplectic,
+    reference_oracle_ideal,
     tensor_square_embedding,
 )
 
@@ -157,6 +159,24 @@ def test_primed_oracle_tests_one_member_per_component():
         assert covered == oracle_graded_dimension(spec, degree), (spec, degree)
         checked += 1
     assert checked == 471
+
+
+def test_oracle_ideal_matches_reference_kernel():
+    # every distinct slice of ORACLE_GRID with r <= 4, plus the slices of
+    # the benchmark's two oracle-grid commands (oracle-check --max-r 3
+    # --max-degree 10 --groups Z1,Z2,Z3, and --max-degree 8 --groups
+    # Z4,Z2xZ2): labels, rank, monomials in order and gens all equal
+    slices = {
+        (spec.r, spec.concrete_group(), degree)
+        for spec, _, degree in oracle_grid_cells()
+        if spec.r <= 4
+    }
+    slices.update((r, g, d) for g in (TRIVIAL, Z2, Z3) for r in range(4) for d in range(11))
+    slices.update((r, g, d) for g in (Z4, Z22) for r in range(4) for d in range(9))
+    for r, group, degree in slices:
+        expected = reference_oracle_ideal(r, group, degree)
+        assert _oracle_ideal(r, group, degree) == expected, (r, group, degree)
+    assert len(slices) == 313
 
 
 @criterion(3, "specialization at m=1")

@@ -233,16 +233,15 @@ def test_relabel_matches_reference_on_every_bench_input():
 
 
 def test_relabel_matches_reference_on_sampled_permutations():
-    # every partition at r = 5 over Z3 (the partitions the bench's relabel
-    # job draws from) and at r = 4 over the non-cyclic Z2xZ4, each under a
-    # seeded sample of permutations
+    # every partition at r = 4 over the non-cyclic Z2xZ4, each under a
+    # seeded sample of permutations; r = 5 over Z3 is checked exhaustively
+    # by test_relabel_matches_reference_on_every_bench_input
     rng = random.Random(23)
-    for r, literal, draws in ((5, "Z3", 40), (4, "Z2xZ4", 12)):
-        group = parse_group_literal(literal)
-        perms = list(itertools.permutations(range(1, r + 1)))
-        for p in enumerate_d_weighted_partitions(r, group):
-            for sigma in rng.sample(perms, draws):
-                assert relabel(p, sigma) == reference_relabel(p, sigma), (p, sigma)
+    group = parse_group_literal("Z2xZ4")
+    perms = list(itertools.permutations(range(1, 5)))
+    for p in enumerate_d_weighted_partitions(4, group):
+        for sigma in rng.sample(perms, 12):
+            assert relabel(p, sigma) == reference_relabel(p, sigma), (p, sigma)
 
 
 def test_degree_matches_block_sum_reference():

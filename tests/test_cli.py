@@ -221,6 +221,20 @@ def test_oracle_check_small_grid_passes():
     assert all(line.split(",")[6] == "true" for line in lines[1:])
 
 
+def test_oracle_check_groups_keep_h1_literals_whole(tmp_path):
+    # a comma inside H1(...) does not split the list; H1(g=1,l=2) prints
+    # as Z2xZ2, so both lists give the same table
+    argv = ["oracle-check", "--max-r", "2", "--max-degree", "4", "--format", "csv"]
+    expected = _main_in_process(argv + ["--groups", "Z2,Z2xZ2"])
+    assert expected[0] == 0
+    assert _main_in_process(argv + ["--groups", "Z2,H1(g=1,l=2)"]) == expected
+    config = tmp_path / "run.cfg"
+    config.write_text("groups=Z2,H1(g=1,l=2)\n")
+    assert _main_in_process(argv + ["--config", str(config)]) == expected
+    code, out, _ = _main_in_process(argv + ["--groups", "H1(g=1,l=2)"])
+    assert code == 0 and ",Z2xZ2," in out
+
+
 def test_invalid_config_exits_2_with_single_line_error(tmp_path):
     proc = run_cli("dims", "--variant", "bogus", "--r", "2", "--degree", "2", expect_code=2)
     err = proc.stderr.decode()
