@@ -46,13 +46,11 @@ from .partitions import (
 from .polynomial import IntPoly
 from .rigidity import (
     AbelianSymplecticAction,
-    LieSubalgebraReport,
     commutant_sp,
     sp_dimension,
 )
 from .series import (
     DimensionTable,
-    PutmanGapReport,
     StableRangeKind,
     in_stable_range,
     j_twisted_dims,
@@ -62,7 +60,6 @@ from .series import (
     twisted_cohomology_dims,
 )
 from .symmetry import (
-    SrCharacter,
     counted_character,
     decompose,
     permutation_character,

@@ -173,9 +173,6 @@ class NormalMonomial(_Value):
         partition = self.partition
         return 2 * (sum(self.exponents) + partition.r - len(partition.blocks))
 
-    def sort_key(self):
-        return (self.degree, self.partition.blocks, self.exponents)
-
     def __str__(self):
         return format_monomial(self)
 
@@ -441,12 +438,6 @@ class _MonomialTable:
                     out += map((e * field).__add__, self._listing(i - 1, remaining - e * d))
             self.table[top, remaining] = out
         return out
-
-
-def _monomials_of_degree(gens, degree, width):
-    """Monomials of total weighted degree ``degree`` over gens, packed at
-    ``width`` as ``_MonomialTable`` describes, from a table of its own."""
-    return _MonomialTable(gens, width).of_degree(degree)
 
 
 @functools.lru_cache(maxsize=None)

@@ -83,18 +83,17 @@ def commutes_with(A, B):
 
 
 def matrix_order(M):
-    """Multiplicative order, or a cap error for (apparently) infinite order."""
+    """Multiplicative order, or a cap error for (apparently) infinite order.
+
+    The generators passed here are symplectic, hence invertible, so the
+    first power that repeats is the identity itself."""
     n = len(M)
     ident = linalg.identity(n)
     power = M
-    seen = {M}
     for k in range(1, DEFAULT_ORDER_CAP + 1):
         if power == ident:
             return k
         power = linalg.mat_mul(power, M)
-        if power in seen:
-            break
-        seen.add(power)
     raise CapExceededError(
         "matrix order exceeds cap %d (infinite order?)" % DEFAULT_ORDER_CAP
     )
@@ -141,22 +140,6 @@ class AbelianSymplecticAction(_Value):
         object.__setattr__(self, "generators", gens)
 
 
-class LieSubalgebraReport(_Value):
-    """Dimension and reduced-echelon basis of a commutant subalgebra."""
-
-    __slots__ = ("dimension", "basis", "free_coordinates")
-
-    def __init__(
-        self,
-        dimension: int,
-        basis: tuple[tuple[tuple[Fraction, ...], ...], ...],
-        free_coordinates: tuple[int, ...],
-    ):
-        object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "free_coordinates", free_coordinates)
-
-
 def sp_dimension(h):
     """Dimension h(2h+1) of the full symplectic algebra."""
     if h < 0:
@@ -196,7 +179,8 @@ def _rows_and_columns(M):
 
 
 def commutant_sp(action):
-    """Null space of {X^T J + J X = 0} and {X M = M X for each generator}.
+    """Null space of {X^T J + J X = 0} and {X M = M X for each generator},
+    as a tuple of basis matrices; its length is the commutant's dimension.
 
     Unknown a n + b is the entry X[a][b].  Each equation is one sparse
     row holding only its nonzero coefficients; the rows are solved by
@@ -222,11 +206,8 @@ def commutant_sp(action):
                     [(i * n + k, v) for k, v in M_cols[j].items()]
                     + [(k * n + j, -v) for k, v in M_rows[i].items()]
                 ))
-    vectors, free_cols = linalg.null_space(rows, n * n)
-    basis = tuple(_unflatten(v, n) for v in vectors)
-    return LieSubalgebraReport(
-        dimension=len(basis), basis=basis, free_coordinates=tuple(free_cols)
-    )
+    vectors, _ = linalg.null_space(rows, n * n)
+    return tuple(_unflatten(v, n) for v in vectors)
 
 
 # ---------------------------------------------------------------------------

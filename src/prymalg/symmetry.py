@@ -8,7 +8,8 @@ the set partitions of sigma's cycles, never filtering all Bell(r) of
 them.  ``permutation_character`` enumerates the basis and is its oracle.
 Characters are taken over a concrete deck group only: the trace of a
 swap, for instance, is a torsion count, which the order alone does not
-determine.
+determine.  A character is a dict {cycle type: value} in ``cycle_types``
+order; ``decompose`` checks that one it is given covers every cycle type.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 
 from .abelian_group import concrete_order
 from .algebra import DEFAULT_BASIS_DEGREE_CAP, basis, relabel_monomial
-from .errors import CapExceededError, InvalidParameterError, OracleMismatchError, _Value
+from .errors import CapExceededError, InvalidParameterError, OracleMismatchError
 from .partitions import (
     enumerate_set_partitions,
     integer_partitions,
@@ -28,37 +29,6 @@ from .partitions import (
 )
 
 MAX_CHARACTER_R = 8
-
-
-class SrCharacter(_Value):
-    """Class function on the symmetric group, indexed by cycle types."""
-
-    __slots__ = ("r", "values")
-
-    def __init__(self, r: int, values: tuple[tuple[tuple[int, ...], int], ...]):
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "values", values)
-
-    @classmethod
-    def from_dict(cls, r, mapping):
-        expected = cycle_types(r)
-        if sorted(mapping) != sorted(expected):
-            raise InvalidParameterError("values must cover every cycle type")
-        return cls(r, tuple((ct, int(mapping[ct])) for ct in expected))
-
-    def as_dict(self):
-        return dict(self.values)
-
-    def value(self, cycle_type):
-        ct = tuple(sorted(cycle_type, reverse=True))
-        for key, val in self.values:
-            if key == ct:
-                return val
-        raise InvalidParameterError("unknown cycle type %r" % (cycle_type,))
-
-    @property
-    def dimension(self):
-        return self.value((1,) * self.r) if self.r else self.value(())
 
 
 def cycle_types(r):
@@ -104,14 +74,15 @@ def _check_character_r(r):
 
 
 def permutation_character(spec, degree):
-    """Trace of each cycle type on the degree slice of the algebra."""
+    """Trace of each cycle type on the degree slice of the algebra, as a
+    dict {cycle type: trace} in ``cycle_types`` order."""
     _check_character_r(spec.r)
     basis_list = basis(spec, degree)
     values = {}
     for ct in cycle_types(spec.r):
         sigma = representative_permutation(ct)
         values[ct] = fixed_point_count(spec, degree, sigma, basis_list)
-    return SrCharacter.from_dict(spec.r, values)
+    return values
 
 
 def _cycles(step, points):
@@ -207,11 +178,10 @@ def counted_character(spec, degree):
     groups far too large to enumerate work.
     """
     _check_character_r(spec.r)
-    values = {
+    return {
         ct: counted_trace(spec, degree, representative_permutation(ct))
         for ct in cycle_types(spec.r)
     }
-    return SrCharacter.from_dict(spec.r, values)
 
 
 def _beta_to_partition(beta_desc):
@@ -255,31 +225,34 @@ def murnaghan_nakayama(lam, mu):
 
 
 def sr_character_table(r):
-    """Irreducible characters of S_r indexed by partitions of r."""
+    """Irreducible characters of S_r indexed by partitions of r, each a
+    dict {cycle type: value} in ``cycle_types`` order."""
     _check_character_r(r)
     classes = cycle_types(r)
-    table = {}
-    for lam in sorted(integer_partitions(r), reverse=True):
-        table[lam] = SrCharacter.from_dict(
-            r, {ct: murnaghan_nakayama(lam, ct) for ct in classes}
-        )
-    return table
+    return {
+        lam: {ct: murnaghan_nakayama(lam, ct) for ct in classes}
+        for lam in sorted(integer_partitions(r), reverse=True)
+    }
 
 
 def decompose(character):
-    """Multiplicities of the irreducibles in a genuine character.
+    """Multiplicities of the irreducibles in a genuine character, given as
+    a dict {cycle type: value} that covers every cycle type of one S_r.
 
     A fractional or negative multiplicity cannot come from an actual
     representation, so it is treated as an upstream bug and raised, never
     returned.
     """
-    table = sr_character_table(character.r)
-    values = character.as_dict()
+    r = sum(next(iter(character), ()))
+    table = sr_character_table(r)
+    classes = cycle_types(r)
+    if sorted(character) != classes:
+        raise InvalidParameterError("values must cover every cycle type")
     out = {}
     for lam, irr in table.items():
         total = Fraction(0)
-        for ct in cycle_types(character.r):
-            total += Fraction(values[ct] * irr.value(ct), centralizer_order(ct))
+        for ct in classes:
+            total += Fraction(character[ct] * irr[ct], centralizer_order(ct))
         if total.denominator != 1 or total < 0:
             raise OracleMismatchError(
                 "multiplicity of %r is %s; input is not a genuine character"
@@ -297,7 +270,7 @@ def character_report_json(spec, degree, character, decomposition):
         "degree": degree,
         "group": str(group),
         "values": [
-            {"cycle_type": list(ct), "trace": val} for ct, val in character.values
+            {"cycle_type": list(ct), "trace": val} for ct, val in character.items()
         ],
         "decomposition": [
             {"partition": list(lam), "multiplicity": mult}

@@ -510,11 +510,11 @@ def element_of_terms(pairs):
     acc = {}
     for coeff, mon in pairs:
         acc[mon] = acc.get(mon, Fraction(0)) + Fraction(coeff)
-    terms = tuple(
-        (c, m)
-        for m, c in sorted(acc.items(), key=lambda kv: kv[0].sort_key())
-        if c != 0
+    ordered = sorted(
+        acc.items(),
+        key=lambda kv: (kv[0].degree, kv[0].partition.blocks, kv[0].exponents),
     )
+    terms = tuple((c, m) for m, c in ordered if c != 0)
     return AlgebraElement(terms)
 
 
@@ -793,8 +793,20 @@ def _flatten(M):
     return tuple(x for row in M for x in row)
 
 
-def adjoint_matrix(action, F, report):
-    """Matrix of X -> F X F^(-1) in the commutant basis of the report."""
+def free_coordinates(basis):
+    """The free column of each reduced-echelon basis matrix: the index of
+    its last nonzero flattened entry, where it holds 1 and every other
+    basis matrix holds 0."""
+    coords = []
+    for B in basis:
+        flat = _flatten(B)
+        coords.append(max(i for i, x in enumerate(flat) if x))
+    return tuple(coords)
+
+
+def adjoint_matrix(action, F, basis):
+    """Matrix of X -> F X F^(-1) in the commutant basis ``commutant_sp``
+    returns."""
     F = as_matrix(F)
     if not is_symplectic(F):
         raise InvalidParameterError("F is not in the commutant group: not symplectic")
@@ -805,24 +817,25 @@ def adjoint_matrix(action, F, report):
                 % i
             )
     Finv = mat_inv(F)
+    free = free_coordinates(basis)
     cols = []
-    for B in report.basis:
+    for B in basis:
         image = linalg.mat_mul(linalg.mat_mul(F, B), Finv)
         flat = _flatten(image)
-        coords = [flat[c] for c in report.free_coordinates]
+        coords = [flat[c] for c in free]
         # the basis is echelon over the free coordinates, so coordinates
         # read off directly; verify the residual vanishes exactly
         recon = [Fraction(0)] * len(flat)
-        for coeff, vec in zip(coords, report.basis):
+        for coeff, vec in zip(coords, basis):
             fv = _flatten(vec)
             for t in range(len(flat)):
                 recon[t] += coeff * fv[t]
         if tuple(recon) != flat:
             raise InvalidParameterError(
-                "conjugation left the commutant; report basis does not match action"
+                "conjugation left the commutant; basis does not match action"
             )
         cols.append(coords)
-    n = len(report.basis)
+    n = len(basis)
     return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
 
 

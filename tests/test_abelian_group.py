@@ -103,6 +103,8 @@ def test_torsion_count_examples():
     # the two examples re-derived by enumeration
     assert torsion_count_brute(FiniteAbelianGroup((3,)), 2) == 1
     assert torsion_count_brute(FiniteAbelianGroup((4, 4)), 2) == 4
+    with pytest.raises(InvalidParameterError):
+        FiniteAbelianGroup((3,)).torsion_count(0)
 
 
 def test_torsion_count_matches_enumeration_up_to_256():
@@ -120,6 +122,9 @@ def test_element_reduction_idempotent():
     group = FiniteAbelianGroup((4, 6))
     e = group.element([7, 13])
     assert e == group.element(e) == group.element([3, 1])
+    for residues in ([1], [1, 2, 3]):
+        with pytest.raises(InvalidParameterError, match="expected 2 residues"):
+            group.element(residues)
 
 
 def test_parse_group_literals():

@@ -212,11 +212,11 @@ def test_criterion_04_stability_vs_instability():
             ]
     # r = 2, k = 2 gap with the genus exactly at the threshold 2k^2+7k+2 = 24
     assert 2 * 2 * 2 + 7 * 2 + 2 == 24
-    rep2 = putman_gap(2, 0, 2, 2, 24)
-    assert (rep2.lhs_dim, rep2.rhs_dim, rep2.differ) == (1, 2**48, True)
-    rep3 = putman_gap(2, 0, 2, 3, 24)
-    assert (rep3.lhs_dim, rep3.rhs_dim, rep3.differ) == (1, 3**48, True)
-    assert rep3.rhs_dim == 79766443076872509863361
+    lhs2, rhs2 = putman_gap(2, 0, 2, 2, 24)
+    assert (lhs2, rhs2, lhs2 != rhs2) == (1, 2**48, True)
+    lhs3, rhs3 = putman_gap(2, 0, 2, 3, 24)
+    assert (lhs3, rhs3, lhs3 != rhs3) == (1, 3**48, True)
+    assert rhs3 == 79766443076872509863361
 
 
 @criterion(5, "odd-degree vanishing")
@@ -272,7 +272,7 @@ def test_criterion_07_characters():
     # swap trace equals the 2-torsion count for every |D| <= 64
     for group in all_abelian_groups(64):
         chi = permutation_character(AlgebraSpec(Variant.LEVEL_PRIME, 2, group), 2)
-        assert chi.value((2,)) == group.torsion_count(2), group
+        assert chi[(2,)] == group.torsion_count(2), group
     # all decompositions in the grid are nonnegative integers
     for variant in (Variant.LEVEL_PRIME, Variant.LEVEL_FULL):
         for r in range(1, 5):
@@ -300,34 +300,34 @@ def test_criterion_07_characters():
         for i, l1 in enumerate(lams):
             for l2 in lams[i:]:
                 inner = sum(
-                    class_size(ct) * table[l1].value(ct) * table[l2].value(ct)
+                    class_size(ct) * table[l1][ct] * table[l2][ct]
                     for ct in cts
                 )
                 assert inner == (math.factorial(r) if l1 == l2 else 0)
         for c1 in cts:
             for c2 in cts:
-                inner = sum(table[l].value(c1) * table[l].value(c2) for l in lams)
+                inner = sum(table[l][c1] * table[l][c2] for l in lams)
                 assert inner == (centralizer_order(c1) if c1 == c2 else 0)
 
 
 @criterion(8, "rigidity linear algebra")
 def test_criterion_08_rigidity():
     start = time.perf_counter()
-    assert commutant_sp(trivial_action(2)).dimension == 10
-    assert commutant_sp(scalar_action(1)).dimension == 3
-    assert commutant_sp(plane_swap_action()).dimension == 6
+    assert len(commutant_sp(trivial_action(2))) == 10
+    assert len(commutant_sp(scalar_action(1))) == 3
+    assert len(commutant_sp(plane_swap_action())) == 6
     rng_seed = 20250809
     import random
 
     rng = random.Random(rng_seed)
     for h in (1, 2, 3):
-        report = commutant_sp(trivial_action(h))
-        vectors = [tensor_square_embedding(B) for B in report.basis]
+        basis = commutant_sp(trivial_action(h))
+        vectors = [tensor_square_embedding(B) for B in basis]
         assert matrix_rank(vectors) == sp_dimension(h)
         F = random_symplectic(h, rng)
         FF = kron(F, F)
         Finv = mat_inv(F)
-        for B in report.basis[:3]:
+        for B in basis[:3]:
             conj = linalg.mat_mul(linalg.mat_mul(F, B), Finv)
             assert tensor_square_embedding(conj) == tuple(
                 mat_vec(FF, tensor_square_embedding(B))

@@ -23,7 +23,7 @@ from prymalg.algebra import (
     parse_monomial,
     relabel_monomial,
     _covers_all_indices,
-    _monomials_of_degree,
+    _MonomialTable,
     _oracle_columns,
     _oracle_generators,
     _oracle_ideal,
@@ -143,6 +143,8 @@ def test_primed_variants_multiply_via_full_algebra():
     v1 = parse_monomial("v{1}", full)
     assert in_subspace(prime, v1v2)
     assert not in_subspace(prime, v1)
+    # a full variant has no minimum exponent, so it holds every monomial
+    assert in_subspace(full, v1)
 
 
 def test_confluence_and_associativity_random_triples():
@@ -383,6 +385,14 @@ def test_basis_requires_concrete_group():
 def test_basis_caps():
     with pytest.raises(CapExceededError):
         basis(AlgebraSpec(Variant.LOOIJENGA_FULL, 2), 70)
+    # a slice over the enumeration cap is refused from its count, before
+    # any monomial is listed
+    spec = AlgebraSpec(Variant.LEVEL_FULL, 7, FiniteAbelianGroup((5,)))
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError) as err:
+        basis(spec, 10)
+    assert time.perf_counter() - start < 2.0
+    assert str(err.value) == "basis size 1334942 exceeds cap 1000000"
 
 
 def test_oracle_examples():
@@ -440,7 +450,7 @@ def test_oracle_column_count_matches_listing():
             for degree in range(9):
                 columns = _oracle_columns(r, group.order(), degree)
                 width = (degree // 2).bit_length()
-                assert columns == len(_monomials_of_degree(gens, degree, width)), (
+                assert columns == len(_MonomialTable(gens, width).of_degree(degree)), (
                     group,
                     r,
                     degree,
@@ -461,7 +471,7 @@ def test_sorted_index_rows_match_pair_form_reference():
             for degree in range(11):
                 gens = tuple(_oracle_generators(r, group, degree))
                 width = (degree // 2).bit_length()
-                monomials = _monomials_of_degree(gens, degree, width)
+                monomials = _MonomialTable(gens, width).of_degree(degree)
                 reference = pair_monomials_of_degree(gens, degree)
                 assert len(set(monomials)) == len(monomials)
                 assert {packed_to_indices(code, width) for code in monomials} == set(
@@ -472,7 +482,7 @@ def test_sorted_index_rows_match_pair_form_reference():
                 rows = collections.Counter(
                     tuple(term + f for term in terms)
                     for rel_degree, terms in _oracle_relations(gens, group, degree, width)
-                    for f in _monomials_of_degree(gens, degree - rel_degree, width)
+                    for f in _MonomialTable(gens, width).of_degree(degree - rel_degree)
                 )
                 expected = collections.Counter(
                     tuple(indices_to_packed(pair_to_indices(mon), width) for mon in row)
@@ -643,6 +653,13 @@ def test_monomial_parse_errors():
         parse_monomial("v{5}", spec)
     with pytest.raises(ParseError):
         parse_monomial("v{1<2}", spec)  # no matching a-factor
+    for text in (
+        "a{1:d=}",  # an a-factor spans two or more indices
+        "a{1<2:d=(1)} * a{1<2:d=(1)}",  # one a-factor per block
+        "v{0}",  # indices start at 1
+    ):
+        with pytest.raises(ParseError):
+            parse_monomial(text, spec)
 
 
 def test_element_json_roundtrip():

@@ -80,6 +80,30 @@ def test_gap_example_r1_verdict():
     assert "false" in text  # differ column
 
 
+def test_gap_prints_each_verdict(capsys):
+    # the verdict is a stderr note in csv, a header line in pretty and a
+    # row field in json
+    cases = (
+        (("--r", "2", "--k", "2", "--level", "2", "--genus", "24"),
+         "dims differ; the comparison map is not an isomorphism"),
+        (("--r", "1", "--k", "4", "--level", "5", "--genus", "100"),
+         "dims equal; consistent with isomorphism for r = 1"),
+        (("--r", "2", "--k", "0", "--level", "2", "--genus", "24"), "dims equal"),
+    )
+    for argv, verdict in cases:
+        assert cli.main(["gap", *argv, "--format", "csv"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == verdict + "\n"
+        assert "verdict" not in captured.out
+        assert cli.main(["gap", *argv, "--format", "pretty"]) == 0
+        captured = capsys.readouterr()
+        assert "# verdict = %s\n" % verdict in captured.out and captured.err == ""
+        assert cli.main(["gap", *argv, "--format", "json"]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["rows"][0]["verdict"] == verdict
+        assert captured.err == ""
+
+
 def test_gap_json_contains_exact_dims():
     proc = run_cli(
         "gap", "--r", "2", "--k", "2", "--level", "2", "--genus", "24",
@@ -339,6 +363,13 @@ def test_cap_exceeded_exits_3():
         err = proc.stderr.decode()
         assert err.startswith("error: cap-exceeded:") and err.count("\n") == 1, err
         assert proc.stdout == b""
+
+
+def test_strata_past_counting_cap_exits_3(capsys):
+    assert cli.main(["strata", "--r", "31"]) == cli.EXIT_CAP_EXCEEDED
+    captured = capsys.readouterr()
+    assert captured.err == "error: cap-exceeded: [strata] r=31 exceeds counting cap 30\n"
+    assert captured.out == ""
 
 
 def test_oracle_check_refuses_each_cell_as_it_is_listed():

@@ -78,6 +78,15 @@ def test_set_partition_validation():
         DWeightedPartition(TRIVIAL, (((1, 2), ((),)), ((2, 3), ((),))))
     with pytest.raises(InvalidParameterError):
         DWeightedPartition(TRIVIAL, (((1, 3), ((),)),))
+    # and so are an empty block, an unsorted block and blocks out of order
+    for blocks, message in (
+        ((((), ()),), "empty block"),
+        ((((2, 1), ((),)),), "block (2, 1) is not sorted"),
+        ((((2,), ()), ((1,), ())), "blocks are not ordered by minimum element"),
+    ):
+        with pytest.raises(InvalidParameterError) as err:
+            DWeightedPartition(TRIVIAL, blocks)
+        assert str(err.value) == message
     # the deck-weighted constructor checks every weight
     one = Z3.element([1])
     assert DWeightedPartition(Z3, (((1, 2), (one,)),)).r == 2
@@ -343,6 +352,12 @@ def test_text_roundtrip_frozen_example():
     )
     assert format_partition(p) == "{1<2:d=(0,1)}|{3}"
     assert parse_partition("{1<2:d=(0,1)}|{3}", Z22) == p
+    # over the trivial group a block may leave out its weights, which are
+    # then the identity
+    q = parse_partition("{1<2}", TRIVIAL)
+    assert q.blocks == (((1, 2), ((),)),)
+    assert format_partition(q) == "{1<2:d=()}"
+    assert parse_partition(format_partition(q), TRIVIAL) == q
 
 
 def test_text_roundtrip_enumerated():

@@ -32,6 +32,7 @@ from helpers import (
     dense_commutant_system,
     dense_determinant,
     dense_null_space,
+    free_coordinates,
     in_commutant_group,
     invariant_sp_dimension,
     kron,
@@ -60,15 +61,15 @@ def test_form_squares_to_minus_identity():
 
 
 def test_commutant_dimensions_fixed_cases():
-    assert commutant_sp(trivial_action(2)).dimension == 10
-    assert commutant_sp(scalar_action(1)).dimension == 3
-    assert commutant_sp(plane_swap_action()).dimension == 6
+    assert len(commutant_sp(trivial_action(2))) == 10
+    assert len(commutant_sp(scalar_action(1))) == 3
+    assert len(commutant_sp(plane_swap_action())) == 6
 
 
 def test_commutant_basis_satisfies_constraints():
     action = plane_swap_action()
-    report = commutant_sp(action)
-    for X in report.basis:
+    basis = commutant_sp(action)
+    for X in basis:
         assert preserves_form_infinitesimally(X)
         for M in action.generators:
             assert linalg.mat_mul(X, M) == linalg.mat_mul(M, X)
@@ -77,12 +78,12 @@ def test_commutant_basis_satisfies_constraints():
 def test_swap_commutant_matches_eigenspace_split():
     # the swap splits the space into two 2-dimensional symplectic
     # eigenspaces, so the commutant is sp(2) + sp(2)
-    assert commutant_sp(plane_swap_action()).dimension == 2 * sp_dimension(1)
+    assert len(commutant_sp(plane_swap_action())) == 2 * sp_dimension(1)
 
 
 def test_rotation_commutant():
-    assert commutant_sp(rotation_action(1)).dimension == 1
-    assert commutant_sp(rotation_action(2)).dimension == 4
+    assert len(commutant_sp(rotation_action(1))) == 1
+    assert len(commutant_sp(rotation_action(2))) == 4
 
 
 def test_commutant_validation_names_constraint():
@@ -113,7 +114,7 @@ def test_commutant_dimension_invariant_under_conjugation():
     rng = random.Random(4242)
     for h in (1, 2, 3):
         base = scalar_action(h)
-        expected = commutant_sp(base).dimension
+        expected = len(commutant_sp(base))
         trials = 20 if h < 3 else 6
         for _ in range(trials):
             S = random_symplectic(h, rng)
@@ -122,7 +123,7 @@ def test_commutant_dimension_invariant_under_conjugation():
                 linalg.mat_mul(linalg.mat_mul(S, M), Sinv) for M in base.generators
             )
             conj = AbelianSymplecticAction(h, gens)
-            assert commutant_sp(conj).dimension == expected
+            assert len(commutant_sp(conj)) == expected
     # and for the swap action specifically
     swap = plane_swap_action()
     for _ in range(10):
@@ -131,7 +132,7 @@ def test_commutant_dimension_invariant_under_conjugation():
         gens = tuple(
             linalg.mat_mul(linalg.mat_mul(S, M), Sinv) for M in swap.generators
         )
-        assert commutant_sp(AbelianSymplecticAction(2, gens)).dimension == 6
+        assert len(commutant_sp(AbelianSymplecticAction(2, gens))) == 6
 
 
 def _conjugate(action, S):
@@ -155,7 +156,7 @@ def test_commutant_dimension_matches_character_formula():
         if action.h <= 3:
             actions.append(_conjugate(action, random_symplectic(action.h, rng)))
     for action in actions:
-        assert commutant_sp(action).dimension == invariant_sp_dimension(
+        assert len(commutant_sp(action)) == invariant_sp_dimension(
             action.generators, 2 * action.h
         ), (action.h, action.generators)
 
@@ -172,11 +173,34 @@ def test_commutant_basis_matches_dense_reference():
     for action in actions:
         n = 2 * action.h
         vectors, free = dense_null_space(dense_commutant_system(action), n * n)
-        report = commutant_sp(action)
-        assert report.basis == tuple(
+        basis = commutant_sp(action)
+        assert basis == tuple(
             tuple(tuple(v[i * n : (i + 1) * n]) for i in range(n)) for v in vectors
         ), (action.h, action.generators)
-        assert report.free_coordinates == tuple(free)
+        assert free_coordinates(basis) == tuple(free)
+
+
+def test_free_coordinates_are_the_null_space_free_columns():
+    # the tests read each basis matrix's free column off the matrix itself;
+    # check that it is the column ``linalg.null_space`` reports as free
+    actions = [fixture_action("trivial", h) for h in range(5)]
+    actions += [fixture_action("scalar", h) for h in range(1, 5)]
+    actions += [fixture_action("rotation", h) for h in (1, 2, 3, 4, 6, 8)]
+    actions += [plane_swap_action(), cover_action(parse_group_literal("Z2"), 2)]
+    assert len(actions) == 17 and actions[-1].h == 3
+    real = linalg.null_space
+    for action in actions:
+        seen = []
+
+        def spy(rows, ncols):
+            vectors, free = real(rows, ncols)
+            seen.append(free)
+            return vectors, free
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "null_space", spy)
+            basis = commutant_sp(action)
+        assert free_coordinates(basis) == tuple(seen[0]), (action.h, action.generators)
 
 
 def test_commutant_of_cover_models():
@@ -186,7 +210,7 @@ def test_commutant_of_cover_models():
         group = parse_group_literal(literal)
         action = cover_action(group, genus)
         assert action.h == 1 + group.order() * (genus - 1)
-        dim = commutant_sp(action).dimension
+        dim = len(commutant_sp(action))
         assert dim == cover_commutant_dimension(group, genus), (literal, genus)
         assert dim == invariant_sp_dimension(action.generators, 2 * action.h)
     assert cover_commutant_dimension(parse_group_literal("H1(g=2,l=2)"), 2) == 55
@@ -204,9 +228,9 @@ def test_commutant_of_random_conjugate(name, h, seed):
     else:
         action = fixture_action(name, 2 if name == "plane-swap" else h)
     action = _conjugate(action, random_symplectic(action.h, random.Random(seed)))
-    report = commutant_sp(action)
-    assert report.dimension == invariant_sp_dimension(action.generators, 2 * action.h)
-    for X in report.basis:
+    basis = commutant_sp(action)
+    assert len(basis) == invariant_sp_dimension(action.generators, 2 * action.h)
+    for X in basis:
         assert preserves_form_infinitesimally(X)
         assert all(commutes_with(X, M) for M in action.generators)
 
@@ -219,7 +243,7 @@ def test_commutant_dimension_bounded_with_equality_for_scalars():
         (rotation_action(2), False),
     ]
     for action, expect_full in cases:
-        dim = commutant_sp(action).dimension
+        dim = len(commutant_sp(action))
         h = action.h
         assert dim <= sp_dimension(h)
         assert (dim == sp_dimension(h)) == expect_full
@@ -227,12 +251,12 @@ def test_commutant_dimension_bounded_with_equality_for_scalars():
 
 def test_adjoint_identity_and_center():
     action = plane_swap_action()
-    report = commutant_sp(action)
+    basis = commutant_sp(action)
     n = 2 * action.h
     ident = linalg.identity(n)
     neg = tuple(tuple(-x for x in row) for row in ident)
-    assert adjoint_matrix(action, ident, report) == linalg.identity(report.dimension)
-    assert adjoint_matrix(action, neg, report) == linalg.identity(report.dimension)
+    assert adjoint_matrix(action, ident, basis) == linalg.identity(len(basis))
+    assert adjoint_matrix(action, neg, basis) == linalg.identity(len(basis))
 
 
 def _diagonal_sl2_in_swap_commutant(a, b, c, d):
@@ -247,13 +271,13 @@ def _diagonal_sl2_in_swap_commutant(a, b, c, d):
 
 def test_adjoint_respects_composition_and_trace():
     action = plane_swap_action()
-    report = commutant_sp(action)
+    basis = commutant_sp(action)
     F1 = _diagonal_sl2_in_swap_commutant(2, 1, 1, 1)
     F2 = _diagonal_sl2_in_swap_commutant(1, 2, 0, 1)
     assert in_commutant_group(action, F1) and in_commutant_group(action, F2)
-    A1 = adjoint_matrix(action, F1, report)
-    A2 = adjoint_matrix(action, F2, report)
-    A12 = adjoint_matrix(action, linalg.mat_mul(F1, F2), report)
+    A1 = adjoint_matrix(action, F1, basis)
+    A2 = adjoint_matrix(action, F2, basis)
+    A12 = adjoint_matrix(action, linalg.mat_mul(F1, F2), basis)
     assert linalg.mat_mul(A1, A2) == A12
     # conjugation preserves the trace form on the commutant, so det = +-1
     assert dense_determinant(A1) in (Fraction(1), Fraction(-1))
@@ -262,24 +286,25 @@ def test_adjoint_respects_composition_and_trace():
     # and the direct-conjugation trace oracle
     F1inv = mat_inv(F1)
     direct_trace = Fraction(0)
-    for j, B in enumerate(report.basis):
+    free = free_coordinates(basis)
+    for j, B in enumerate(basis):
         image = linalg.mat_mul(linalg.mat_mul(F1, B), F1inv)
         flat = [x for row in image for x in row]
-        direct_trace += flat[report.free_coordinates[j]]
-    assert sum(A1[i][i] for i in range(report.dimension)) == direct_trace
+        direct_trace += flat[free[j]]
+    assert sum(A1[i][i] for i in range(len(basis))) == direct_trace
 
 
 def test_adjoint_rejects_outsiders():
     action = plane_swap_action()
-    report = commutant_sp(action)
+    basis = commutant_sp(action)
     rot_first_plane = as_matrix(
         [[0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1]]
     )
     with pytest.raises(InvalidParameterError) as err:
-        adjoint_matrix(action, rot_first_plane, report)
+        adjoint_matrix(action, rot_first_plane, basis)
     assert "commute" in str(err.value)
     with pytest.raises(InvalidParameterError):
-        adjoint_matrix(action, as_matrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 1, 1]]), report)
+        adjoint_matrix(action, as_matrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 1, 1]]), basis)
 
 
 def test_tensor_square_zero_and_frozen_example():
@@ -298,20 +323,20 @@ def test_tensor_square_zero_and_frozen_example():
 
 def test_tensor_square_rank_is_full():
     for h in (1, 2, 3):
-        report = commutant_sp(trivial_action(h))
-        vectors = [tensor_square_embedding(B) for B in report.basis]
+        basis = commutant_sp(trivial_action(h))
+        vectors = [tensor_square_embedding(B) for B in basis]
         assert matrix_rank(vectors) == sp_dimension(h)
 
 
 def test_tensor_square_equivariance_exact():
     rng = random.Random(77)
     for h in (1, 2, 3):
-        report = commutant_sp(trivial_action(h))
+        basis = commutant_sp(trivial_action(h))
         for _ in range(5):
             F = random_symplectic(h, rng)
             FF = kron(F, F)
             Finv = mat_inv(F)
-            for B in report.basis[:4]:
+            for B in basis[:4]:
                 conj = linalg.mat_mul(linalg.mat_mul(F, B), Finv)
                 left = tensor_square_embedding(conj)
                 right = mat_vec(FF, tensor_square_embedding(B))
@@ -336,9 +361,9 @@ def test_matrix_text_forms():
 
 
 def test_fixture_selection():
-    assert commutant_sp(fixture_action("trivial", 2)).dimension == 10
-    assert commutant_sp(fixture_action("scalar", 1)).dimension == 3
-    assert commutant_sp(fixture_action("plane-swap", 2)).dimension == 6
+    assert len(commutant_sp(fixture_action("trivial", 2))) == 10
+    assert len(commutant_sp(fixture_action("scalar", 1))) == 3
+    assert len(commutant_sp(fixture_action("plane-swap", 2))) == 6
     with pytest.raises(InvalidParameterError):
         fixture_action("plane-swap", 3)
     with pytest.raises(InvalidParameterError):
