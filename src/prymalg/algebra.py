@@ -26,7 +26,6 @@ the stable genus ranges tracked by the series module.
 
 from __future__ import annotations
 
-import bisect
 import enum
 import functools
 import itertools
@@ -49,6 +48,7 @@ from .partitions import (
     _compositions,
     block_offsets,
     block_singleton_counts,
+    coin_counts,
     enumerate_set_partitions,
     merge_offsets,
     parse_block,
@@ -392,9 +392,9 @@ def _oracle_generators(r, group, degree):
     return gens
 
 
-class _MonomialTable:
-    """The packed monomials of each degree over gens, listed through one
-    memo table.
+def _oracle_monomials(gens, width, degree):
+    """The packed monomials over gens of every even degree up to
+    ``degree``, as {degree: tuple}, listed in one pass over the generators.
 
     A monomial is a packed exponent vector: one int in which generator i
     owns the bits [width * i, width * (i + 1)), so v_1^2 * a is
@@ -407,37 +407,27 @@ class _MonomialTable:
     Every generator has even degree and gens[0] = v_1 has degree 2, so the
     monomials of degree n over gens[0..top] are v_1^(n/2), then, for each
     generator i from top down to 1 and each exponent e >= 1, g_i^e times
-    the monomials of degree n - e deg(g_i) over gens[0..i-1].  The table
-    holds each such list under (top, n), with top clamped to the last
-    generator of degree at most n, so a slice and every complementary
-    degree listed from one table share their parts.  The table lives as
-    long as the object; the lists it returns are its own and must not be
-    changed.
+    the monomials of degree n - e deg(g_i) over gens[0..i-1].  Each degree
+    keeps that listing as blocks: [v_1^(n/2)], then one block per
+    generator in the order the generators are added, read back last-first.
+    Adding generator i walks n downward, so the lower degrees its block
+    reads are still over gens[0..i-1].  With no generators, only degree 0
+    has a monomial, the empty one.
     """
 
-    def __init__(self, gens, width):
-        self.degrees = [d for _, d in gens]
-        self.width = width
-        self.table = {}
+    def in_order(blocks):
+        return itertools.chain(blocks[0], *blocks[:0:-1])
 
-    def of_degree(self, degree):
-        if degree % 2 or not self.degrees:
-            return [] if degree else [0]
-        return self._listing(len(self.degrees) - 1, degree)
-
-    def _listing(self, top, remaining):
-        degrees = self.degrees
-        top = min(top, bisect.bisect_right(degrees, remaining) - 1)
-        out = self.table.get((top, remaining))
-        if out is None:
-            out = [remaining // 2]
-            for i in range(top, 0, -1):
-                d = degrees[i]
-                field = 1 << (self.width * i)
-                for e in range(1, remaining // d + 1):
-                    out += map((e * field).__add__, self._listing(i - 1, remaining - e * d))
-            self.table[top, remaining] = out
-        return out
+    parts = {n: [[n // 2]] for n in range(0, degree + 1, 2) if gens or not n}
+    for i in range(1, len(gens)):
+        d = gens[i][1]
+        field = 1 << (width * i)
+        for n in range(degree - degree % 2, d - 1, -2):
+            block = []
+            for e in range(1, n // d + 1):
+                block += map((e * field).__add__, in_order(parts[n - e * d]))
+            parts[n].append(block)
+    return {n: tuple(in_order(blocks)) for n, blocks in parts.items()}
 
 
 @functools.lru_cache(maxsize=None)
@@ -455,7 +445,7 @@ def _oracle_relations(gens, group, degree, width):
     """Homogeneous relations of degree at most ``degree``, each as
     (relation degree, terms).
 
-    A term is a monomial packed at ``width`` as in ``_MonomialTable``:
+    A term is a monomial packed at ``width`` as in ``_oracle_monomials``:
     v_i a for the v-class relations, a_lo a_hi for a product of a-classes,
     and the v^(t-1) a that merging two a-classes over t shared indices
     gives.  Every relation has coefficients 1 and -1: one term t stands
@@ -523,17 +513,16 @@ def _oracle_ideal(r, group, degree):
     component and no arithmetic is needed: union-find merges the two
     columns of each binomial row as it is made, and each monomial row
     only marks its column.  After the last union, each marked column
-    kills its root's component.  The slice and every complementary degree
-    are listed from one ``_MonomialTable``, which is dropped once they
-    are listed, before the first row.
+    kills its root's component.  One call of ``_oracle_monomials`` lists
+    the slice and every complementary degree; the slice is popped from
+    it, and an odd degree, or a positive one over no generators, holds no
+    monomial.
     """
     gens = tuple(_oracle_generators(r, group, degree))
     width = (degree // 2).bit_length()
-    table = _MonomialTable(gens, width)
-    monomials = tuple(table.of_degree(degree))
+    listed = _oracle_monomials(gens, width, degree)
+    monomials = listed.pop(degree, ())
     relations = _oracle_relations(gens, group, degree, width)
-    listed = {rest: table.of_degree(rest) for rest in {degree - d for d, _ in relations}}
-    del table  # its partial listings would outweigh the slice
     column = {code: c for c, code in enumerate(monomials)}
     parent = list(range(len(monomials)))
 
@@ -544,7 +533,7 @@ def _oracle_ideal(r, group, degree):
 
     marked = []  # the column of each monomial row
     for rel_degree, terms in relations:
-        factors = listed[degree - rel_degree]
+        factors = listed.get(degree - rel_degree, ())
         if len(terms) == 1:
             marked += map(column.__getitem__, map(terms[0].__add__, factors))
             continue
@@ -593,28 +582,20 @@ def _oracle_columns(r, order, degree):
     v-classes of half-degree 1 and C(r, s) * order^(s - 1) a-classes of
     half-degree s - 1 for each 2 <= s <= r, so the count a_t at
     half-degree t is the number of ways to make change for t from those
-    coins: the coefficient of x^t in
-    prod_h (1 - x^h)^(-n_h).  The recurrence t a_t = sum_j b_j a_(t - j),
-    with b_j the sum of h n_h over the h dividing j, gives the a_t in
-    increasing t.  For r >= 1 they never decrease (multiply by v_1), so the
-    count stops at the first a_t above ORACLE_MAX_COLUMNS and returns it.
+    coins, read from ``coin_counts``.  For r >= 1 the a_t never decrease
+    (multiply by v_1), so the count stops at the first a_t above
+    ORACLE_MAX_COLUMNS and returns it; for r = 0 they are 1, 0, 0, ...
     """
     if degree % 2:
         return 0
     q = degree // 2
-    if r <= 1:  # no a-classes: v_1^q, or for r = 0 the empty monomial
-        return 1 if r == 1 or q == 0 else 0
     coins = {1: r}
     for s in range(2, min(r, q + 1) + 1):
         coins[s - 1] = coins.get(s - 1, 0) + math.comb(r, s) * order ** (s - 1)
-    b = [0]
-    a = [1]
-    for t in range(1, q + 1):
-        b.append(sum(h * n for h, n in coins.items() if t % h == 0))
-        a.append(sum(b[j] * a[t - j] for j in range(1, t + 1)) // t)
-        if a[t] > ORACLE_MAX_COLUMNS:
+    for count in itertools.islice(coin_counts(coins), q + 1):
+        if count > ORACLE_MAX_COLUMNS:
             break
-    return a[-1]
+    return count
 
 
 def check_oracle_cap(spec, degree):
@@ -646,16 +627,16 @@ def oracle_graded_dimension(spec, degree):
     basis vector per connected component of the binomial relation graph
     that holds no monomial row.  ``_oracle_ideal`` builds those
     components once per (r, group, degree): the slice and its
-    complementary degrees come from one memo table, each a-class merge
-    is made once per group for the whole process, and the monomial rows
-    are folded in after the last union.  For the full variants the
-    answer is the number of those live components; for the primed
-    subspaces it is the number of live components whose monomials have
-    every index in an a-class factor or carrying at least the singleton
-    minimum exponent.  That coverage is the same for every monomial of a
-    component (each relation changes v-exponents only inside its own
-    a-classes, whose cover it keeps), so only each component's root is
-    tested.
+    complementary degrees are listed in one pass over the generators,
+    each a-class merge is made once per group for the whole process, and
+    the monomial rows are folded in after the last union.  For the full
+    variants the answer is the number of those live components; for the
+    primed subspaces it is the number of live components whose monomials
+    have every index in an a-class factor or carrying at least the
+    singleton minimum exponent.  That coverage is the same for every
+    monomial of a component (each relation changes v-exponents only
+    inside its own a-classes, whose cover it keeps), so only each
+    component's root is tested.
     """
     if degree < 0:
         raise InvalidParameterError("degree must be >= 0")

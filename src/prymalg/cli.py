@@ -148,7 +148,7 @@ class RunConfig:
 def _load_config_file(path):
     values = {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
                 stripped = line.strip()
                 if not stripped or stripped.startswith("#"):
@@ -159,7 +159,7 @@ def _load_config_file(path):
                     )
                 key, _, value = stripped.partition("=")
                 values[key.strip().replace("-", "_")] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidParameterError("cannot read config %s: %s" % (path, exc))
     return values
 
@@ -428,7 +428,7 @@ def cmd_twisted(cfg):
 def cmd_gap(cfg):
     r = cfg.get_int("r", required=True)
     p = cfg.get_int("p", 0)
-    k = cfg.get_int("k", required=True)
+    k = cfg.get_int("k", required=True, minimum=0)
     level = cfg.get_int("level", required=True)
     genus = cfg.get_int("genus", required=True)
     lhs, rhs = putman_gap(r, p, k, level, genus)
@@ -515,8 +515,10 @@ def cmd_commutant(cfg):
         try:
             with open(gen_file, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise InvalidParameterError("cannot read generators file: %s" % exc)
+        except (OSError, RecursionError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise InvalidParameterError(
+                "cannot read generators file %s: %s" % (gen_file, exc)
+            )
         if not isinstance(data, list):
             raise InvalidParameterError("generators file must hold a list of matrices")
         action = AbelianSymplecticAction(h, data)

@@ -431,6 +431,24 @@ def integer_partitions(n):
     return result
 
 
+def coin_counts(coins):
+    """Yield a_0, a_1, ...: a_t is the number of ways to make change for
+    t from n_h kinds of coin of each value h, for coins = {h: n_h}, the
+    coefficient of x^t in prod_h (1 - x^h)^(-n_h).
+
+    The recurrence t a_t = sum_j b_j a_(t - j), with b_j the sum of h n_h
+    over the h dividing j, gives the a_t in increasing t; the sequence
+    never ends, so a caller takes what it needs.
+    """
+    a = [1]
+    b = [0]
+    yield 1
+    for t in itertools.count(1):
+        b.append(sum(h * n for h, n in coins.items() if t % h == 0))
+        a.append(sum(b[j] * a[t - j] for j in range(1, t + 1)) // t)
+        yield a[t]
+
+
 @functools.cache
 def stirling2_no_singletons(n, k):
     """S2(n, k): set partitions of an n-set into k blocks, none a singleton.

@@ -25,11 +25,13 @@ from .partitions import (
     MAX_COUNT_R,
     JVector,
     block_singleton_counts,
+    coin_counts,
     count_d_weighted_partitions,
 )
 from .polynomial import M, IntPoly, as_poly, at_order
 
 import enum
+import itertools
 import math
 
 MAX_STABLE_DEGREE = 200
@@ -116,21 +118,12 @@ class DimensionTable(_Value, frozen=False):
         ]
 
 
-def _partition_counts(max_q):
-    """ways[q] = number of integer partitions of q (degree-2i generators)."""
-    ways = [0] * (max_q + 1)
-    ways[0] = 1
-    for part in range(1, max_q + 1):
-        for q in range(part, max_q + 1):
-            ways[q] += ways[q - part]
-    return ways
-
-
 def stable_cohomology_dims(p, max_degree):
     """Stable ring dimensions: p degree-2 classes times one degree-2i
-    class for each i >= 1, truncated at max_degree.  The p classes
-    multiply the partition counts by (1 - x)^(-p), whose x^d coefficient
-    is C(d + p - 1, d), so the cost does not grow with p."""
+    class for each i >= 1, truncated at max_degree.  That ring is free,
+    so its degree-2q dimension is ``coin_counts`` at q with p + 1 coins
+    of half-degree 1 and one of each half-degree 2 to q; p enters only
+    as a number of coins, so the cost hardly grows with it."""
     if p < 0:
         raise InvalidParameterError("p must be >= 0")
     if not 0 <= max_degree <= MAX_STABLE_DEGREE:
@@ -138,10 +131,8 @@ def stable_cohomology_dims(p, max_degree):
             "max_degree must lie in [0, %d]" % MAX_STABLE_DEGREE
         )
     max_q = max_degree // 2
-    ways = _partition_counts(max_q)
-    if p:
-        coef = [math.comb(d + p - 1, d) for d in range(max_q + 1)]
-        ways = [sum(ways[j] * coef[q - j] for j in range(q + 1)) for q in range(max_q + 1)]
+    coins = {1: p + 1, **dict.fromkeys(range(2, max_q + 1), 1)}
+    ways = list(itertools.islice(coin_counts(coins), max_q + 1))
     table = DimensionTable(variant="stable", p=p)
     for k in range(max_degree + 1):
         table.entries[k] = ways[k // 2] if k % 2 == 0 else 0
@@ -243,6 +234,8 @@ def putman_gap(r, p, k, level, genus):
     if r < 0 or p < 0:
         raise InvalidParameterError("r and p must be >= 0")
     check_homology_parameters(genus, level)
+    if k < 0:
+        raise InvalidParameterError("k must be >= 0")
     if k % 2 == 1:
         raise InvalidParameterError(
             "k must be even: both compared dimensions vanish for odd k"

@@ -603,33 +603,37 @@ def pair_oracle_rows(group, degree, gens):
     return rows
 
 
+def packed_monomials_of_degree(gens, width, total):
+    """Reference listing of the oracle's degree-``total`` monomials, packed
+    at ``width``, by a recursive search of its own: v_1^(total/2), then for
+    each generator i from the last down to 1 and each exponent e >= 1,
+    g_i^e times the monomials over gens[0..i-1] of the degree left."""
+    if total % 2 or not gens:
+        return [] if total else [0]
+    degrees = [d for _, d in gens]
+    out = []
+
+    def extend(top, remaining, code):
+        out.append(code + remaining // 2)
+        for i in range(min(top, bisect.bisect_right(degrees, remaining) - 1), 0, -1):
+            d = degrees[i]
+            field = 1 << (width * i)
+            for e in range(1, remaining // d + 1):
+                extend(i - 1, remaining - e * d, code + e * field)
+
+    extend(len(gens) - 1, total, 0)
+    return out
+
+
 def reference_oracle_ideal(r, group, degree):
     """``_oracle_ideal`` computed the plain way, as the same
     (components, monomials, gens): each degree listed by its own recursive
-    search, each relation's a-class merge made afresh by
-    ``pair_oracle_relations``, and the ideal carried through every union
-    as each monomial row is made."""
+    search (``packed_monomials_of_degree``), each relation's a-class
+    merge made afresh by ``pair_oracle_relations``, and the ideal carried
+    through every union as each monomial row is made."""
     gens = tuple(_oracle_generators(r, group, degree))
     width = (degree // 2).bit_length()
-    degrees = [d for _, d in gens]
-
-    def listing(total):
-        if total % 2 or not gens:
-            return [] if total else [0]
-        out = []
-
-        def extend(top, remaining, code):
-            out.append(code + remaining // 2)
-            for i in range(min(top, bisect.bisect_right(degrees, remaining) - 1), 0, -1):
-                d = degrees[i]
-                field = 1 << (width * i)
-                for e in range(1, remaining // d + 1):
-                    extend(i - 1, remaining - e * d, code + e * field)
-
-        extend(len(gens) - 1, total, 0)
-        return out
-
-    monomials = tuple(listing(degree))
+    monomials = tuple(packed_monomials_of_degree(gens, width, degree))
     column = {code: c for c, code in enumerate(monomials)}
     parent = list(range(len(monomials)))
     dead = [False] * len(monomials)
@@ -644,7 +648,7 @@ def reference_oracle_ideal(r, group, degree):
         terms = [indices_to_packed(pair_to_indices(term), width) for term in terms]
         rest = degree - rel_degree
         if rest not in factors:
-            factors[rest] = listing(rest)
+            factors[rest] = packed_monomials_of_degree(gens, width, rest)
         for f in factors[rest]:
             if len(terms) == 1:
                 dead[find(column[terms[0] + f])] = True

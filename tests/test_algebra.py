@@ -23,10 +23,10 @@ from prymalg.algebra import (
     parse_monomial,
     relabel_monomial,
     _covers_all_indices,
-    _MonomialTable,
     _oracle_columns,
     _oracle_generators,
     _oracle_ideal,
+    _oracle_monomials,
     _oracle_relations,
 )
 from prymalg.errors import CapExceededError, InvalidParameterError, ParseError
@@ -46,6 +46,7 @@ from helpers import (
     element_to_json,
     graded_dimension_by_shapes,
     indices_to_packed,
+    packed_monomials_of_degree,
     pair_monomials_of_degree,
     pair_oracle_rows,
     pair_to_indices,
@@ -450,7 +451,8 @@ def test_oracle_column_count_matches_listing():
             for degree in range(9):
                 columns = _oracle_columns(r, group.order(), degree)
                 width = (degree // 2).bit_length()
-                assert columns == len(_MonomialTable(gens, width).of_degree(degree)), (
+                listed = _oracle_monomials(gens, width, degree).get(degree, ())
+                assert columns == len(listed), (
                     group,
                     r,
                     degree,
@@ -462,6 +464,21 @@ def test_oracle_column_count_matches_listing():
     assert _oracle_columns(3, 4, 10) == 24548
 
 
+def test_one_listing_gives_every_even_degree_in_reference_order():
+    # one call lists each even degree up to the slice's: as many monomials
+    # as the count, in the order of the recursive reference search
+    for group, max_r, degree in ((TRIVIAL, 5, 10), (Z2, 4, 8), (Z3, 3, 12), (Z22, 3, 10)):
+        for r in range(max_r + 1):
+            gens = _oracle_generators(r, group, degree)
+            width = (degree // 2).bit_length()
+            listed = _oracle_monomials(gens, width, degree)
+            for n in range(0, degree + 1, 2):
+                monomials = listed.get(n, ())
+                assert len(monomials) == _oracle_columns(r, group.order(), n)
+                reference = packed_monomials_of_degree(gens, width, n)
+                assert list(monomials) == reference, (group, r, n)
+
+
 def test_sorted_index_rows_match_pair_form_reference():
     # the packed kernel against the (index, exponent) pair form: the same
     # columns and the same multiset of relation rows, each row a relation's
@@ -471,7 +488,8 @@ def test_sorted_index_rows_match_pair_form_reference():
             for degree in range(11):
                 gens = tuple(_oracle_generators(r, group, degree))
                 width = (degree // 2).bit_length()
-                monomials = _MonomialTable(gens, width).of_degree(degree)
+                listed = _oracle_monomials(gens, width, degree)
+                monomials = listed.get(degree, ())
                 reference = pair_monomials_of_degree(gens, degree)
                 assert len(set(monomials)) == len(monomials)
                 assert {packed_to_indices(code, width) for code in monomials} == set(
@@ -482,7 +500,7 @@ def test_sorted_index_rows_match_pair_form_reference():
                 rows = collections.Counter(
                     tuple(term + f for term in terms)
                     for rel_degree, terms in _oracle_relations(gens, group, degree, width)
-                    for f in _MonomialTable(gens, width).of_degree(degree - rel_degree)
+                    for f in listed.get(degree - rel_degree, ())
                 )
                 expected = collections.Counter(
                     tuple(indices_to_packed(pair_to_indices(mon), width) for mon in row)

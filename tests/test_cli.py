@@ -10,10 +10,13 @@ import tempfile
 import time
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from prymalg import cli
 from prymalg.algebra import Variant
+from prymalg.errors import InvalidParameterError
+from prymalg.series import putman_gap
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -527,6 +530,40 @@ def test_config_file_flags_win(tmp_path, monkeypatch):
     )
 
 
+def test_undecodable_input_files_exit_2(tmp_path):
+    # bytes that are not UTF-8, and JSON nested past the parser's depth,
+    # are refused with one line naming the file
+    junk = tmp_path / "junk.bin"
+    junk.write_bytes(b"\xff\xfer=2\n")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    for argv, name, path in (
+        (["strata", "--r", "2", "--config", str(junk)], "config", junk),
+        (["commutant", "--h", "1", "--generators-file", str(junk)], "generators file", junk),
+        (["commutant", "--h", "1", "--generators-file", str(deep)], "generators file", deep),
+    ):
+        code, out, err = _main_in_process(argv)
+        assert (code, out) == (2, ""), err
+        assert err.startswith("error: invalid-config: [%s] cannot read %s %s: "
+                              % (argv[0], name, path)), err
+        assert err.count("\n") == 1, err
+    # a leading byte-order mark is not part of the first key
+    config = tmp_path / "bom.cfg"
+    config.write_bytes("r=2\nformat=csv\n".encode("utf-8-sig"))
+    assert _main_in_process(["strata", "--config", str(config)]) == (
+        _main_in_process(["strata", "--r", "2", "--format", "csv"])
+    )
+
+
+def test_gap_refuses_negative_k_by_name():
+    argv = ["gap", "--r", "2", "--k", "-2", "--level", "2", "--genus", "24"]
+    assert _main_in_process(argv) == (
+        2, "", "error: invalid-config: [gap] option --k must be >= 0, got -2\n"
+    )
+    with pytest.raises(InvalidParameterError, match="^k must be >= 0$"):
+        putman_gap(2, 0, -2, 2, 24)
+
+
 def test_output_file(tmp_path):
     out = tmp_path / "table.csv"
     run_cli(
@@ -736,21 +773,28 @@ def _argv(draw):
     return argv
 
 
+def _file_bytes(valid):
+    """Bytes for an input file: its valid text or drawn bytes, behind no
+    mark, a UTF-8 byte-order mark or a UTF-16 one."""
+    marks = st.sampled_from((b"", b"\xef\xbb\xbf", b"\xff\xfe"))
+    return st.tuples(marks, st.one_of(st.just(valid), st.binary(max_size=40))).map(b"".join)
+
+
 @settings(max_examples=100, deadline=None)
-@given(argv=_argv())
-def test_random_argv_keeps_the_exit_contract(argv):
+@given(argv=_argv(), config=_file_bytes(b"format=csv\n"), gens=_file_bytes(b"[]"))
+def test_random_argv_keeps_the_exit_contract(argv, config, gens):
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as scratch:
         os.chdir(scratch)  # --output, --config and --generators-file name files here
-        Path("run.cfg").write_text("format=csv\n")
-        Path("gens.json").write_text("[]")
+        Path("run.cfg").write_bytes(config)
+        Path("gens.json").write_bytes(gens)
         try:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli.main(argv)
         finally:
             os.chdir(cwd)
-    assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
+    assert code in (0, 2, 3), (argv, config, gens, code, err.getvalue())
     if code:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err.getvalue())

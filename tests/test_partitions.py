@@ -12,6 +12,7 @@ from prymalg.partitions import (
     DWeightedPartition,
     JVector,
     block_singleton_counts,
+    coin_counts,
     count_d_weighted_partitions,
     enumerate_d_weighted_partitions,
     enumerate_set_partitions,
@@ -40,6 +41,24 @@ Z3 = FiniteAbelianGroup((3,))
 Z4 = FiniteAbelianGroup((4,))
 Z5 = FiniteAbelianGroup((5,))
 Z22 = FiniteAbelianGroup((2, 2))
+
+
+def test_coin_counts_match_brute_force_multisets():
+    # a_t is the number of multisets of coin kinds, n_h kinds of value h,
+    # whose values add to t
+    for coins in ({}, {1: 0}, {2: 0, 3: 1}, {1: 1}, {1: 3}, {1: 2, 2: 1},
+                  {1: 0, 2: 3}, {1: 3, 2: 1, 3: 2}, {2: 2, 5: 1}):
+        kinds = [h for h, n in coins.items() for _ in range(n)]
+        counts = list(itertools.islice(coin_counts(coins), 9))
+        expected = [
+            sum(
+                sum(kinds[i] for i in chosen) == t
+                for size in range(t + 1)
+                for chosen in itertools.combinations_with_replacement(range(len(kinds)), size)
+            )
+            for t in range(9)
+        ]
+        assert counts == expected, coins
 
 
 def test_set_partition_counts():
