@@ -225,7 +225,7 @@ def _exact_integer_text():
         sys.set_int_max_str_digits(limit)
 
 
-class Table(_Value, frozen=False):
+class Table(_Value):
     """What a handler returns: the table to render and how the run ends.
 
     ``payload``, when set, is the command's own JSON document and replaces
@@ -243,12 +243,12 @@ class Table(_Value, frozen=False):
         code: int = EXIT_OK,
         payload: dict | None = None,
     ):
-        self.columns = columns
-        self.rows = rows
-        self.metadata = metadata
-        self.note = note  # one line for stderr
-        self.code = code
-        self.payload = payload
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "metadata", metadata)
+        object.__setattr__(self, "note", note)  # one line for stderr
+        object.__setattr__(self, "code", code)
+        object.__setattr__(self, "payload", payload)
 
 
 def _cell_text(value):
@@ -540,25 +540,26 @@ def cmd_commutant(cfg):
 
 
 # a comma outside parentheses, so that H1(g=1,l=2) stays one literal
-_GROUP_SEPARATOR = re.compile(r",(?![^()]*\))")
+_LIST_SEPARATOR = re.compile(r",(?![^()]*\))")
+
+
+def _read_list(cfg, flag, default, parse, noun):
+    """The comma-separated list of flag, each item read by parse; blank
+    items are skipped, and a list that names nothing is refused."""
+    text = cfg.get_str(flag, default)
+    items = [parse(tok.strip()) for tok in _LIST_SEPARATOR.split(text) if tok.strip()]
+    if not items:
+        raise InvalidParameterError("--%s names no %s: %r" % (flag, noun, text))
+    return items
 
 
 def cmd_oracle_check(cfg):
     max_r = cfg.get_int("max_r", 3, minimum=0)
     max_degree = cfg.get_int("max_degree", 8, minimum=0)
-    groups_text = cfg.get_str("groups", "Z1,Z2,Z3")
-    groups = [
-        parse_group_literal(tok)
-        for tok in _GROUP_SEPARATOR.split(groups_text)
-        if tok.strip()
-    ]
-    if not groups:
-        raise InvalidParameterError("--groups names no group: %r" % groups_text)
-    variants_text = cfg.get_str("variants")
-    if variants_text:
-        variants = [_variant_from(tok.strip()) for tok in variants_text.split(",")]
-    else:
-        variants = list(Variant)
+    groups = _read_list(cfg, "groups", "Z1,Z2,Z3", parse_group_literal, "group")
+    variants = _read_list(
+        cfg, "variants", ",".join(v.value for v in Variant), _variant_from, "variant"
+    )
 
     # refuse an oversized grid before computing any of it, checking each
     # cell as it is listed so that a huge grid is never listed whole
@@ -590,15 +591,15 @@ def cmd_oracle_check(cfg):
 
     rows = _pool_map(check, cells)
     mismatches = sum(1 for row in rows if not row["match"])
-    table = Table(
+    return Table(
         ("variant", "r", "group", "degree", "closed_form", "oracle", "match", "provenance"),
         rows,
         {"cells": len(rows), "mismatches": mismatches},
+        "error: oracle-mismatch: %d of %d cells disagree" % (mismatches, len(rows))
+        if mismatches
+        else None,
+        EXIT_ORACLE_MISMATCH if mismatches else EXIT_OK,
     )
-    if mismatches:
-        table.note = "error: oracle-mismatch: %d of %d cells disagree" % (mismatches, len(rows))
-        table.code = EXIT_ORACLE_MISMATCH
-    return table
 
 
 def cmd_strata(cfg):

@@ -43,14 +43,15 @@ class _Value:
     ``Name(field=value, ...)``.  A one-field class compares its field
     directly rather than as a 1-tuple, which gives the same result for
     every field that compares equal to itself (its tuples and ints do).
-    A frozen class refuses attribute assignment and deletion, so its
-    ``__init__`` stores with ``object.__setattr__``; ``frozen=False``
-    gives a mutable, unhashable record.
+    Every value class refuses attribute assignment and deletion, so its
+    ``__init__`` stores with ``object.__setattr__`` and an instance is
+    whole once built.  One holding a dict or list is unhashable, as a
+    frozen dataclass holding one is.
     """
 
     __slots__ = ()
 
-    def __init_subclass__(cls, fields=None, frozen=True, **kwargs):
+    def __init_subclass__(cls, fields=None, **kwargs):
         super().__init_subclass__(**kwargs)
         fields = tuple(cls.__slots__ if fields is None else fields)
         # the field itself for one field, else the tuple of fields
@@ -78,13 +79,8 @@ class _Value:
             )
 
         cls.__eq__ = __eq__
+        cls.__hash__ = __hash__
         cls.__repr__ = __repr__
-        if frozen:
-            cls.__hash__ = __hash__
-        else:
-            cls.__hash__ = None
-            cls.__setattr__ = object.__setattr__
-            cls.__delattr__ = object.__delattr__
 
     def __setattr__(self, name, value):
         raise AttributeError("cannot assign to field %r" % name)

@@ -3,7 +3,8 @@
 Tables hold exact coefficients, never closed-form rational functions.
 Every count is built as a polynomial in the deck-group order m and kept
 in ``poly_entries``; ``entries`` holds it at m = |D| (``at_order``), or
-the polynomial itself while m is unbound.  Every entry
+None while m is unbound.  Each table is built whole, in one constructor
+call, by ``_build``.  Every entry
 carries an in_stable_range flag; entries outside the proven genus range
 are still computed, because the formulas are total, but consumers must
 treat them as extrapolations.  When the genus is not bound the flag is
@@ -40,7 +41,6 @@ MAX_STABLE_DEGREE = 200
 class StableRangeKind(enum.Enum):
     PUTMAN = "putman"
     LOOIJENGA = "looijenga"
-    HARER = "harer"
 
 
 def in_stable_range(kind, genus, k):
@@ -51,94 +51,96 @@ def in_stable_range(kind, genus, k):
         return genus >= 2 * k * k + 7 * k + 2
     if kind is StableRangeKind.LOOIJENGA:
         return 2 * genus >= 3 * k + 2
-    if kind is StableRangeKind.HARER:
-        return 3 * k <= 2 * (genus - 1)
     raise InvalidParameterError("unknown stable range kind %r" % (kind,))
 
 
-class DimensionTable(_Value, frozen=False):
+class DimensionTable(_Value):
     """Map degree -> exact count, with per-entry stable-range flags.
 
     Twisted tables are keyed by the total degree k; the group-cohomology
-    degree of the k-entry is k - r and is reported alongside.
-    Each dict field left out starts as a new empty dict.
+    degree of the k-entry is k - r and is reported alongside (k itself
+    when r is None, as for the stable ring).
     """
 
-    __slots__ = (
-        "variant", "entries", "in_range", "r", "p", "level", "genus", "symbolic",
-        "poly_entries",
-    )
+    __slots__ = ("r", "genus", "poly_entries", "entries", "in_range")
 
     def __init__(
         self,
-        variant: str,
-        entries: dict[int, object] | None = None,
-        in_range: dict[int, bool] | None = None,
-        r: int | None = None,
-        p: int | None = None,
-        level: int | None = None,
-        genus: int | None = None,
-        symbolic: bool = False,
-        # the entries as polynomials in m
-        poly_entries: dict[int, IntPoly] | None = None,
+        r: int | None,
+        genus: int | None,
+        poly_entries: dict[int, IntPoly],
+        entries: dict[int, int | None],
+        in_range: dict[int, bool],
     ):
-        self.variant = variant
-        self.entries = {} if entries is None else entries
-        self.in_range = {} if in_range is None else in_range
-        self.r = r
-        self.p = p
-        self.level = level
-        self.genus = genus
-        self.symbolic = symbolic
-        self.poly_entries = {} if poly_entries is None else poly_entries
-
-    def degrees(self):
-        return sorted(self.entries)
-
-    def value(self, k):
-        return self.entries[k]
-
-    def flag(self, k):
-        return self.in_range[k]
-
-    def cohomological_degree(self, k):
-        return k - self.r if self.r is not None else k
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "poly_entries", poly_entries)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "in_range", in_range)
 
     def rows(self):
         """Row dicts in the delimited-output column order."""
         return [
             {
                 "k": k,
-                "cohomological_degree": self.cohomological_degree(k),
-                "dim_polynomial_in_m": str(self.poly_entries[k]),
-                "dim_at_concrete_m": None if self.symbolic else self.entries[k],
+                "cohomological_degree": k if self.r is None else k - self.r,
+                "dim_polynomial_in_m": str(poly),
+                "dim_at_concrete_m": self.entries[k],
                 "in_stable_range": self.in_range[k],
             }
-            for k in self.degrees()
+            for k, poly in self.poly_entries.items()
         ]
 
 
+def _check_max_degree(name, value):
+    if not 0 <= value <= MAX_STABLE_DEGREE:
+        raise InvalidParameterError("%s must lie in [0, %d]" % (name, MAX_STABLE_DEGREE))
+
+
+def _build(p, max_k, factor, m=1, r=None, genus=None, kind=None):
+    """The table of the stable ring with p punctures convolved with an
+    algebra factor, up to degree max_k.
+
+    factor[b] is the factor's degree-b dimension as a polynomial in m (an
+    int is a constant one), zero past the end of the list.  Each entry is
+    the convolved polynomial at m (``at_order``), None while m is None;
+    the sums run on coefficient lists, with one IntPoly built per entry.
+    The flags are those of ``kind`` at the genus, False while the genus
+    is unbound, and all True for kind None (the stable ring itself).
+
+    The stable ring is p degree-2 classes times one degree-2i class for
+    each i >= 1.  It is free, so its degree-2q dimension is ``coin_counts``
+    at q with p + 1 coins of half-degree 1 and one of each half-degree 2
+    to q; p enters only as a number of coins, so the cost hardly grows
+    with it.
+    """
+    max_q = max_k // 2
+    coins = {1: p + 1, **dict.fromkeys(range(2, max_q + 1), 1)}
+    stable = list(itertools.islice(coin_counts(coins), max_q + 1))
+    rows = [as_poly(f).coeffs for f in factor]
+    width = max(map(len, rows), default=0)
+    poly_entries, entries, in_range = {}, {}, {}
+    for k in range(max_k + 1):
+        coeffs = [0] * width
+        # the stable ring lives in even degrees, so b has k's parity
+        for b in range(k % 2, min(k + 1, len(rows)), 2):
+            c = stable[(k - b) // 2]
+            for i, x in enumerate(rows[b]):
+                coeffs[i] += c * x
+        poly = poly_entries[k] = IntPoly(coeffs)
+        entries[k] = None if m is None else at_order(poly, m)
+        in_range[k] = kind is None or (
+            genus is not None and in_stable_range(kind, genus, k)
+        )
+    return DimensionTable(r, genus, poly_entries, entries, in_range)
+
+
 def stable_cohomology_dims(p, max_degree):
-    """Stable ring dimensions: p degree-2 classes times one degree-2i
-    class for each i >= 1, truncated at max_degree.  That ring is free,
-    so its degree-2q dimension is ``coin_counts`` at q with p + 1 coins
-    of half-degree 1 and one of each half-degree 2 to q; p enters only
-    as a number of coins, so the cost hardly grows with it."""
+    """Stable ring dimensions (see ``_build``), truncated at max_degree."""
     if p < 0:
         raise InvalidParameterError("p must be >= 0")
-    if not 0 <= max_degree <= MAX_STABLE_DEGREE:
-        raise InvalidParameterError(
-            "max_degree must lie in [0, %d]" % MAX_STABLE_DEGREE
-        )
-    max_q = max_degree // 2
-    coins = {1: p + 1, **dict.fromkeys(range(2, max_q + 1), 1)}
-    ways = list(itertools.islice(coin_counts(coins), max_q + 1))
-    table = DimensionTable(variant="stable", p=p)
-    for k in range(max_degree + 1):
-        table.entries[k] = ways[k // 2] if k % 2 == 0 else 0
-        table.poly_entries[k] = IntPoly.constant(table.entries[k])
-        table.in_range[k] = True
-    return table
+    _check_max_degree("max_degree", max_degree)
+    return _build(p, max_degree, [1])
 
 
 def _algebra_factor_spec(mode, r, level, genus):
@@ -170,9 +172,10 @@ def twisted_cohomology_dims(
     The k-entry is the convolution of the stable ring with the prime
     algebra factor (deck-weighted for mode="level", untwisted for
     mode="full-mcg") and describes group cohomology in degree k - r.
-    In level mode, leaving level/genus unbound keeps entries polynomial
-    in m.  The surface must not be closed: with p = 0 the table refers
-    to a surface with boundary (which count never enters).
+    In level mode, leaving level/genus unbound keeps m unbound: the
+    entries are None and the polynomials are in ``poly_entries``.  The
+    surface must not be closed: with p = 0 the table refers to a surface
+    with boundary (which count never enters).
     """
     if r < 0 or p < 0:
         raise InvalidParameterError("r and p must be >= 0")
@@ -187,45 +190,11 @@ def twisted_cohomology_dims(
         raise InvalidParameterError(
             "closed_surface contradicts p >= 1 (punctures make the surface open)"
         )
-    if not 0 <= max_k <= MAX_STABLE_DEGREE:
-        raise InvalidParameterError("max_k must lie in [0, %d]" % MAX_STABLE_DEGREE)
+    _check_max_degree("max_k", max_k)
     spec, m = _algebra_factor_spec(mode, r, level, genus)
     alg = [graded_dimension(spec, b) for b in range(max_k + 1)]
     kind = StableRangeKind.PUTMAN if mode == "level" else StableRangeKind.LOOIJENGA
-    table = DimensionTable(
-        variant=mode,
-        r=r,
-        p=p,
-        level=level,
-        genus=genus,
-        symbolic=m is None,
-    )
-    _convolve_into(table, stable_cohomology_dims(p, max_k), alg, m, kind)
-    return table
-
-
-def _convolve_into(table, stable, factor, m, kind):
-    """Fill table with the stable ring convolved with an algebra factor.
-
-    factor[b] is the factor's degree-b dimension as a polynomial in m (an
-    int is a constant one); each entry is the convolved polynomial at m
-    (``at_order``).  The sums run on coefficient lists, with one IntPoly
-    built per entry.
-    """
-    rows = [as_poly(f).coeffs for f in factor]
-    width = max(map(len, rows), default=0)
-    for k in range(len(factor)):
-        coeffs = [0] * width
-        for a in range(0, k + 1, 2):
-            c = stable.value(a)
-            for i, x in enumerate(rows[k - a]):
-                coeffs[i] += c * x
-        poly = IntPoly(coeffs)
-        table.poly_entries[k] = poly
-        table.entries[k] = at_order(poly, m)
-        table.in_range[k] = (
-            in_stable_range(kind, table.genus, k) if table.genus is not None else False
-        )
+    return _build(p, max_k, alg, m, r, genus, kind)
 
 
 def putman_gap(r, p, k, level, genus):
@@ -245,10 +214,10 @@ def putman_gap(r, p, k, level, genus):
             "(genus=%d, k=%d) is outside the proven range genus >= 2k^2+7k+2 = %d"
             % (genus, k, 2 * k * k + 7 * k + 2)
         )
-    lhs = twisted_cohomology_dims(r, p, mode="full-mcg", genus=genus, max_k=k).value(k)
+    lhs = twisted_cohomology_dims(r, p, mode="full-mcg", genus=genus, max_k=k).entries[k]
     rhs = twisted_cohomology_dims(
         r, p, mode="level", level=level, genus=genus, max_k=k
-    ).value(k)
+    ).entries[k]
     if r >= 2 and k >= r + r % 2 and lhs == rhs:
         # from degree 2*ceil(r/2) on (r/2 pair blocks, or one triple for
         # odd r), two or more tensor factors always gain deck-weighted
@@ -301,20 +270,10 @@ def j_twisted_dims(j_vector, level, genus, max_k=20):
     if not isinstance(j_vector, JVector):
         j_vector = JVector(tuple(j_vector))
     check_homology_parameters(genus, level)
-    if not 0 <= max_k <= MAX_STABLE_DEGREE:
-        raise InvalidParameterError("max_k must lie in [0, %d]" % MAX_STABLE_DEGREE)
+    _check_max_degree("max_k", max_k)
     factor = [j_factor_dimension(j_vector, b) for b in range(max_k + 1)]
-    table = DimensionTable(
-        variant="j-twisted", r=len(j_vector), p=None, level=level, genus=genus
-    )
-    _convolve_into(
-        table,
-        stable_cohomology_dims(0, max_k),
-        factor,
-        concrete_order(SymbolicOrder(level=level, genus=genus)),
-        StableRangeKind.PUTMAN,
-    )
-    return table
+    m = concrete_order(SymbolicOrder(level=level, genus=genus))
+    return _build(0, max_k, factor, m, len(j_vector), genus, StableRangeKind.PUTMAN)
 
 
 def stratum_census(r, codim):

@@ -969,17 +969,10 @@ def bell_walk_trace(spec, degree, sigma, partitions):
 
 
 def table_to_json_dict(table):
-    """JSON form of a DimensionTable: its metadata and its rows, with the
-    concrete value as a string."""
+    """JSON form of a DimensionTable: its r and genus and its rows, with
+    the concrete value as a string."""
     return {
-        "metadata": {
-            "variant": table.variant,
-            "r": table.r,
-            "p": table.p,
-            "level": table.level,
-            "genus": table.genus,
-            "symbolic": table.symbolic,
-        },
+        "metadata": {"r": table.r, "genus": table.genus},
         "rows": [
             {
                 **row,

@@ -479,7 +479,7 @@ def test_one_listing_gives_every_even_degree_in_reference_order():
                 assert list(monomials) == reference, (group, r, n)
 
 
-def test_sorted_index_rows_match_pair_form_reference():
+def test_packed_rows_match_pair_form_reference():
     # the packed kernel against the (index, exponent) pair form: the same
     # columns and the same multiset of relation rows, each row a relation's
     # terms plus a complementary monomial

@@ -262,6 +262,20 @@ def test_oracle_check_groups_keep_h1_literals_whole(tmp_path):
     assert code == 0 and ",Z2xZ2," in out
 
 
+def test_oracle_check_lists_share_one_reader():
+    # --groups and --variants skip blank items and refuse a list naming nothing
+    argv = ["oracle-check", "--max-r", "1", "--max-degree", "2", "--format", "csv"]
+    for flag, one in (("--groups", "Z2"), ("--variants", "level-prime")):
+        expected = _main_in_process(argv + [flag, one])
+        assert expected[0] == 0
+        assert _main_in_process(argv + [flag, one + ","]) == expected
+        assert _main_in_process(argv + [flag, " ," + one]) == expected
+        for empty in ("", ",", " , "):
+            code, out, err = _main_in_process(argv + [flag, empty])
+            assert (code, out) == (2, "")
+            assert err.startswith("error: invalid-config:") and "names no" in err
+
+
 def test_invalid_config_exits_2_with_single_line_error(tmp_path):
     proc = run_cli("dims", "--variant", "bogus", "--r", "2", "--degree", "2", expect_code=2)
     err = proc.stderr.decode()
@@ -291,6 +305,8 @@ def test_invalid_config_exits_2_with_single_line_error(tmp_path):
         ("oracle-check", "--max-degree", "-1"),
         ("oracle-check", "--groups", ","),
         ("oracle-check", "--groups", " "),
+        ("oracle-check", "--variants", ""),
+        ("oracle-check", "--variants", ","),
         ("strata", "--r", "2", "--output", str(tmp_path / "missing" / "x.txt")),
         ("strata", "--r", "2", "--output", str(tmp_path)),
         # a deck group is a literal, or a full --level/--genus pair, never both

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import math
 import operator
@@ -42,18 +43,18 @@ Z3 = FiniteAbelianGroup((3,))
 
 def test_stable_dims_closed_surface():
     table = stable_cohomology_dims(0, 6)
-    assert [table.value(k) for k in (0, 2, 4, 6)] == [1, 1, 2, 3]
-    assert all(table.value(k) == 0 for k in (1, 3, 5))
+    assert [table.entries[k] for k in (0, 2, 4, 6)] == [1, 1, 2, 3]
+    assert all(table.entries[k] == 0 for k in (1, 3, 5))
 
 
 def test_stable_dims_match_partition_count_oracle():
     table = stable_cohomology_dims(0, 24)
     for q in range(13):
-        assert table.value(2 * q) == partition_count_brute(q)
+        assert table.entries[2 * q] == partition_count_brute(q)
 
 
 def test_stable_dims_with_punctures():
-    assert stable_cohomology_dims(1, 2).value(2) == 2  # one Euler class + one kappa
+    assert stable_cohomology_dims(1, 2).entries[2] == 2  # one Euler class + one kappa
     # p-fold convolution against a direct double sum
     p = 2
     table = stable_cohomology_dims(p, 12)
@@ -63,8 +64,8 @@ def test_stable_dims_with_punctures():
         for a in range(0, k + 1, 2):
             for b in range(0, k - a + 1, 2):
                 # e1^i e2^j kappa-part; count pairs (a used by e1, b by e2)
-                direct += base.value(k - a - b)
-        assert table.value(k) == direct
+                direct += base.entries[k - a - b]
+        assert table.entries[k] == direct
 
 
 def test_stable_dims_closed_form_matches_prefix_sums():
@@ -72,7 +73,7 @@ def test_stable_dims_closed_form_matches_prefix_sums():
         reference = reference_stable_dims(p, 200)
         for max_degree in range(201):
             table = stable_cohomology_dims(p, max_degree)
-            assert [table.value(k) for k in range(max_degree + 1)] == [
+            assert [table.entries[k] for k in range(max_degree + 1)] == [
                 reference[k // 2] if k % 2 == 0 else 0 for k in range(max_degree + 1)
             ], (p, max_degree)
 
@@ -81,13 +82,13 @@ def test_stable_dims_cost_does_not_grow_with_p():
     start = time.perf_counter()
     table = twisted_cohomology_dims(1, 10**9, max_k=200)
     assert time.perf_counter() - start < 1.0
-    assert table.degrees() == list(range(201))
+    assert list(table.entries) == list(range(201))
     # degree 2: the p Euler classes and kappa_1; degree 4: e_i e_j, e_i kappa_1,
     # kappa_1^2 and kappa_2
     p = 10**9
     stable = stable_cohomology_dims(p, 4)
-    assert stable.value(2) == p + 1
-    assert stable.value(4) == math.comb(p + 1, 2) + p + 2
+    assert stable.entries[2] == p + 1
+    assert stable.entries[4] == math.comb(p + 1, 2) + p + 2
 
 
 def test_stable_dims_validation():
@@ -112,17 +113,19 @@ def test_int_poly_hash_degree_and_refusals():
 
 def test_twisted_level_symbolic_entries():
     table = twisted_cohomology_dims(2, 0, mode="level", max_k=4)
-    assert table.value(2) == IntPoly((0, 1))  # m
-    assert table.value(4) == IntPoly((1, 2))  # 1 + 2m
-    assert table.value(3) == IntPoly(())
-    assert table.symbolic
+    assert table.poly_entries[2] == IntPoly((0, 1))  # m
+    assert table.poly_entries[4] == IntPoly((1, 2))  # 1 + 2m
+    assert table.poly_entries[3] == IntPoly(())
+    # m is unbound: no entry has a value
+    assert set(table.entries.values()) == {None}
+    assert [row["dim_at_concrete_m"] for row in table.rows()] == [None] * 5
 
 
 def test_twisted_level_concrete_big_integer():
     table = twisted_cohomology_dims(2, 0, mode="level", level=2, genus=24, max_k=4)
-    assert table.value(2) == 2**48
-    assert table.flag(2) is True
-    assert table.flag(4) is False
+    assert table.entries[2] == 2**48
+    assert table.in_range[2] is True
+    assert table.in_range[4] is False
     rows = {row["k"]: row for row in table.rows()}
     assert rows[2]["dim_polynomial_in_m"] == "m"
     assert rows[2]["dim_at_concrete_m"] == 281474976710656
@@ -143,7 +146,8 @@ def test_symbolic_twisted_table_evaluates_to_concrete(r, p, level, genus, max_k)
     )
     m = level ** (2 * genus)
     assert symbolic.poly_entries == concrete.poly_entries
-    assert {k: v.evaluate(m) for k, v in symbolic.entries.items()} == concrete.entries
+    assert {k: v.evaluate(m) for k, v in symbolic.poly_entries.items()} == concrete.entries
+    assert {k: at_order(v, m) for k, v in concrete.poly_entries.items()} == concrete.entries
 
 
 def test_large_genus_order_is_one_power():
@@ -174,8 +178,8 @@ def test_level_and_genus_are_checked_in_one_place():
             twisted_cohomology_dims(0, 0, mode=mode, genus=-1, max_k=6)
     # a genus alone still fixes the stable-range flags, with m unbound
     table = twisted_cohomology_dims(1, 0, genus=3, max_k=4)
-    assert table.symbolic and table.flag(2) is False
-    assert twisted_cohomology_dims(1, 0, mode="full-mcg", genus=3, max_k=4).flag(0)
+    assert table.entries[2] is None and table.in_range[2] is False
+    assert twisted_cohomology_dims(1, 0, mode="full-mcg", genus=3, max_k=4).in_range[0]
     # j_twisted_dims and putman_gap share check_homology_parameters' texts
     for level, genus, text in ((1, 3, "level must be >= 2"), (2, -1, "genus must be >= 0")):
         with pytest.raises(InvalidParameterError, match=text):
@@ -186,22 +190,26 @@ def test_level_and_genus_are_checked_in_one_place():
 
 def test_twisted_full_mcg():
     table = twisted_cohomology_dims(2, 0, mode="full-mcg", genus=24, max_k=4)
-    assert table.value(2) == 1
-    assert table.value(4) == 3  # kappa_1 * a + u1u2 + u_{12} a
-    assert table.flag(2) is True  # 2g >= 3k + 2 at g = 24, k = 2
+    assert table.entries[2] == 1
+    assert table.entries[4] == 3  # kappa_1 * a + u1u2 + u_{12} a
+    assert table.in_range[2] is True  # 2g >= 3k + 2 at g = 24, k = 2
 
 
 def test_twisted_odd_degrees_vanish():
     for r in range(4):
         sym = twisted_cohomology_dims(r, 1, mode="level", max_k=9)
         for k in (1, 3, 5, 7, 9):
-            assert sym.value(k) == IntPoly(())
+            assert sym.poly_entries[k] == IntPoly(())
 
 
 def test_twisted_cohomological_degree_shift():
     table = twisted_cohomology_dims(2, 0, mode="level", level=2, genus=24, max_k=4)
-    assert table.cohomological_degree(2) == 0
-    assert table.cohomological_degree(4) == 2
+    degrees = {row["k"]: row["cohomological_degree"] for row in table.rows()}
+    assert (degrees[2], degrees[4]) == (0, 2)
+    # the stable ring has no shift
+    assert [row["cohomological_degree"] for row in stable_cohomology_dims(0, 2).rows()] == [
+        0, 1, 2
+    ]
 
 
 def test_twisted_convolution_identity_reversed_order():
@@ -213,8 +221,49 @@ def test_twisted_convolution_identity_reversed_order():
     for k in range(max_k + 1):
         total = IntPoly(())
         for b in range(k, -1, -1):
-            total = total + graded_dimension(spec, b) * stable.value(k - b)
-        assert table.value(k) == total
+            total = total + graded_dimension(spec, b) * stable.entries[k - b]
+        assert table.poly_entries[k] == total
+
+
+def test_twisted_degree_in_m_is_the_stability_dichotomy():
+    # the paper's dichotomy as a closed form: a level entry is constant in
+    # m for r <= 1 (stable) and grows with m for r >= 2 (unstable)
+    for p in range(3):
+        for r in range(13):
+            table = twisted_cohomology_dims(r, p, max_k=40)
+            for k, poly in table.poly_entries.items():
+                if k % 2 == 1 or k < 2 * math.ceil(r / 2):
+                    assert poly.is_zero(), (r, p, k)
+                else:
+                    expected = 0 if r <= 1 else min(k // 2, r - 1)
+                    assert poly.degree == expected, (r, p, k)
+
+
+def _grid_tables():
+    for p in range(4):
+        yield stable_cohomology_dims(p, 24)
+    for r in range(7):
+        for p in range(3):
+            yield twisted_cohomology_dims(r, p, max_k=12)
+            for genus in (0, 5, 24):
+                yield twisted_cohomology_dims(r, p, genus=genus, max_k=12)
+                for level in (2, 3):
+                    yield twisted_cohomology_dims(r, p, level=level, genus=genus, max_k=12)
+            for genus in (None, 0, 5, 24):
+                yield twisted_cohomology_dims(r, p, mode="full-mcg", genus=genus, max_k=12)
+    for j in ((), (0,), (1,), (0, 1), (1, 1, 0), (0, 0, 0, 1)):
+        yield j_twisted_dims(j, 3, 5, max_k=12)
+
+
+def test_table_rows_over_a_grid_match_recorded_digest():
+    # stable, level (symbolic, concrete, lone genus), full-mcg and
+    # j-twisted tables: their rows, keys, key order and value types
+    digest = hashlib.sha256()
+    for table in _grid_tables():
+        digest.update(repr(table.rows()).encode())
+    assert digest.hexdigest() == (
+        "186a1dad968dc1f533fca397d9130b55f396dc9a4d76bd99ee2fda96e504c391"
+    )
 
 
 def test_twisted_has_no_boundary_parameter():
@@ -235,7 +284,7 @@ def test_twisted_level_entries_have_nonnegative_coefficients():
     for r in range(5):
         table = twisted_cohomology_dims(r, 1, mode="level", max_k=12)
         for k in range(13):
-            value = table.value(k)
+            value = table.poly_entries[k]
             assert all(c >= 0 for c in value.coeffs)
 
 
@@ -364,13 +413,13 @@ def test_j_twisted_all_ones_matches_level_pipeline():
         j = JVector((1,) * r)
         jt = j_twisted_dims(j, 2, 1, max_k=10)
         lv = twisted_cohomology_dims(r, 1, mode="level", level=2, genus=1, max_k=10)
-        assert [jt.value(k) for k in range(11)] == [lv.value(k) for k in range(11)]
+        assert jt.entries == lv.entries
 
 
 def test_j_twisted_r0_is_stable_table_with_one_puncture():
     jt = j_twisted_dims(JVector(()), 2, 3, max_k=8)
     st = stable_cohomology_dims(1, 8)
-    assert [jt.value(k) for k in range(9)] == [st.value(k) for k in range(9)]
+    assert jt.entries == st.entries
 
 
 def test_j_single_zero_slot_degree_two():
@@ -401,8 +450,6 @@ def test_in_stable_range_examples():
     assert in_stable_range(StableRangeKind.PUTMAN, 40, 3) is False
     assert in_stable_range(StableRangeKind.LOOIJENGA, 4, 2) is True
     assert in_stable_range(StableRangeKind.LOOIJENGA, 3, 2) is False
-    assert in_stable_range(StableRangeKind.HARER, 4, 2) is True
-    assert in_stable_range(StableRangeKind.HARER, 1, 1) is False
     with pytest.raises(InvalidParameterError):
         in_stable_range(StableRangeKind.PUTMAN, -1, 3)
     with pytest.raises(InvalidParameterError, match="unknown stable range kind"):
