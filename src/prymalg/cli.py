@@ -72,6 +72,13 @@ _ERROR_KINDS = (
 
 FORMATS = ("csv", "json", "pretty")
 
+MAX_DIMS_DEGREE = 10**5
+"""The largest ``dims --max-degree``, refused before any row is built.
+Rows cost time and memory linearly.  In-process on a 2-vCPU Xeon with
+CPython 3.11, ``dims --variant level-full --r 2 --group Z2`` took 0.9 s
+and a 95 MB peak at 10^5, and 8.8 s and 821 MB at 10^6; under a 1 GB
+address-space limit, 10^8 exited 5 with a MemoryError."""
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -356,6 +363,10 @@ def cmd_dims(cfg):
     max_degree = cfg.get_int("max_degree", minimum=0)
     if degree is None and max_degree is None:
         raise InvalidParameterError("specify --degree or --max-degree")
+    if degree is None and max_degree > MAX_DIMS_DEGREE:
+        raise CapExceededError(
+            "--max-degree %d exceeds cap %d" % (max_degree, MAX_DIMS_DEGREE)
+        )
     degrees = [degree] if degree is not None else list(range(max_degree + 1))
     spec = AlgebraSpec(variant, r, SymbolicOrder())
 

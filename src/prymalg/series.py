@@ -11,6 +11,10 @@ treat them as extrapolations.  When the genus is not bound the flag is
 False: an entry is only marked in range when that is provable from the
 given parameters.
 
+The stability comparison ``putman_gap`` reads one level polynomial P_k
+at m = 1 (the untwisted entry) and at m = |D|; ``_m_degree`` owns the
+paper's dichotomy, the m-degree of P_k, and P_k is checked against it.
+
 A boundary-component count never enters: the tables depend on the genus,
 the puncture count, and the level only.  A table for p = 0 refers to a
 surface with at least one boundary component; a closed surface is outside
@@ -197,9 +201,26 @@ def twisted_cohomology_dims(
     return _build(p, max_k, alg, m, r, genus, kind)
 
 
+def _m_degree(r, k):
+    """The m-degree of a level table's k-entry, -1 for a zero entry: the
+    paper's dichotomy, 0 (stable) for r <= 1 and growing for r >= 2.
+
+    A set partition of {1..r} with b blocks, s of them singletons, adds
+    m^(r-b) from degree 2(r - b + s) on (``graded_dimension``), so at
+    k = 2q the top degree is the largest r - b with r - b + s <= q:
+    min(q, r - 1), through blocks of size >= 2, once q >= ceil(r/2).
+    """
+    if k % 2 or k < 2 * ((r + 1) // 2):
+        return -1
+    return 0 if r <= 1 else min(k // 2, r - 1)
+
+
 def putman_gap(r, p, k, level, genus):
-    """Compare the untwisted-coefficient and deck-twisted tables at degree
-    k: (lhs_dim, rhs_dim), the full-mcg entry and the level entry."""
+    """(lhs_dim, rhs_dim) at degree k: the k-entry P_k of one level table
+    with m unbound, read at m = 1, where every deck weight is trivial and
+    P_k is the untwisted entry, and at m = |D| = level^(2 genus).  P_k
+    must have the m-degree ``_m_degree`` gives; any other is an oracle
+    mismatch."""
     if r < 0 or p < 0:
         raise InvalidParameterError("r and p must be >= 0")
     check_homology_parameters(genus, level)
@@ -214,19 +235,16 @@ def putman_gap(r, p, k, level, genus):
             "(genus=%d, k=%d) is outside the proven range genus >= 2k^2+7k+2 = %d"
             % (genus, k, 2 * k * k + 7 * k + 2)
         )
-    lhs = twisted_cohomology_dims(r, p, mode="full-mcg", genus=genus, max_k=k).entries[k]
-    rhs = twisted_cohomology_dims(
-        r, p, mode="level", level=level, genus=genus, max_k=k
-    ).entries[k]
-    if r >= 2 and k >= r + r % 2 and lhs == rhs:
-        # from degree 2*ceil(r/2) on (r/2 pair blocks, or one triple for
-        # odd r), two or more tensor factors always gain deck-weighted
-        # classes; equality there means a computation bug
+    _check_max_degree("k", k)
+    poly = twisted_cohomology_dims(r, p, max_k=k).poly_entries[k]
+    expected = _m_degree(r, k)
+    if poly.degree != expected:
         raise OracleMismatchError(
-            "expected differing dimensions for r=%d, k=%d but both are %d"
-            % (r, k, lhs)
+            "expected m-degree %d for r=%d, k=%d but the level entry has %d"
+            % (expected, r, k, poly.degree)
         )
-    return lhs, rhs
+    m = concrete_order(SymbolicOrder(level=level, genus=genus))
+    return at_order(poly, 1), at_order(poly, m)
 
 
 def j_factor_dimension(j_vector, degree):

@@ -39,6 +39,7 @@ from prymalg.partitions import (
     validate_permutation,
 )
 from prymalg.polynomial import IntPoly
+from prymalg.series import twisted_cohomology_dims
 from prymalg.symmetry import _cycles, centralizer_order
 
 
@@ -966,6 +967,14 @@ def bell_walk_trace(spec, degree, sigma, partitions):
                 ways[v] += ways[v - length]
         total += weights * ways[t]
     return total
+
+
+def two_table_gap(r, p, k, level, genus):
+    """``putman_gap``'s pair from two whole tables: the k-entry of the
+    full-mcg table, and that of the level table at m = level^(2 genus)."""
+    lhs = twisted_cohomology_dims(r, p, mode="full-mcg", genus=genus, max_k=k)
+    rhs = twisted_cohomology_dims(r, p, mode="level", level=level, genus=genus, max_k=k)
+    return lhs.entries[k], rhs.entries[k]
 
 
 def table_to_json_dict(table):

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -13,9 +14,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prymalg import cli
+from prymalg import cli, series
 from prymalg.algebra import Variant
 from prymalg.errors import InvalidParameterError
+from prymalg.polynomial import at_order
 from prymalg.series import putman_gap
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -105,6 +107,28 @@ def test_gap_prints_each_verdict(capsys):
         captured = capsys.readouterr()
         assert json.loads(captured.out)["rows"][0]["verdict"] == verdict
         assert captured.err == ""
+
+
+# (r, p, k, level, genus): each verdict, at r <= 1 and r >= 2 and below
+# degree 2*ceil(r/2), then the odd-k, negative-k and below-range refusals
+_GAP_PIN_CELLS = (
+    (2, 0, 2, 2, 24), (3, 0, 4, 2, 62), (2, 1, 4, 3, 200),
+    (1, 0, 4, 5, 100), (0, 3, 2, 7, 24),
+    (2, 0, 0, 2, 24), (5, 1, 4, 2, 62),
+    (2, 0, 3, 2, 100), (2, 0, -2, 2, 24), (2, 0, 2, 2, 23),
+)
+
+
+def test_gap_output_matches_recorded_digest():
+    # stdout, stderr and exit code of every cell in every format
+    digest = hashlib.sha256()
+    for cell in _GAP_PIN_CELLS:
+        flags = ["--%s=%d" % pair for pair in zip(("r", "p", "k", "level", "genus"), cell)]
+        for fmt in cli.FORMATS:
+            digest.update(repr(_main_in_process(["gap", *flags, "--format", fmt])).encode())
+    assert digest.hexdigest() == (
+        "96e3c712f22574d86ae81df66b8c987b01704e5c6e47000022cfc103b5ed12fd"
+    )
 
 
 def test_gap_json_contains_exact_dims():
@@ -391,6 +415,22 @@ def test_strata_past_counting_cap_exits_3(capsys):
     assert captured.out == ""
 
 
+def test_dims_past_max_degree_cap_exits_3_at_once():
+    # one past the cap, so that a missing cap costs about a second, not
+    # the gigabytes a far larger value would
+    argv = ["dims", "--variant", "level-full", "--r", "2", "--group", "Z2",
+            "--max-degree", str(cli.MAX_DIMS_DEGREE + 1), "--format", "csv"]
+    start = time.perf_counter()
+    assert _main_in_process(argv) == (
+        cli.EXIT_CAP_EXCEEDED, "",
+        "error: cap-exceeded: [dims] --max-degree 100001 exceeds cap 100000\n",
+    )
+    assert time.perf_counter() - start < 0.5
+    argv[-3] = str(cli.MAX_DIMS_DEGREE)
+    code, out, _ = _main_in_process(argv)
+    assert code == 0 and out.count("\n") == cli.MAX_DIMS_DEGREE + 2
+
+
 def test_oracle_check_refuses_each_cell_as_it_is_listed():
     # a degree past the basis cap and an r past the counting cap are
     # refused at their first cell, before the rest of the grid is listed;
@@ -578,6 +618,24 @@ def test_gap_refuses_negative_k_by_name():
     )
     with pytest.raises(InvalidParameterError, match="^k must be >= 0$"):
         putman_gap(2, 0, -2, 2, 24)
+
+
+def test_gap_refuses_k_past_the_degree_cap_by_name():
+    argv = ["gap", "--r", "2", "--k", "202", "--level", "2", "--genus", "90000"]
+    assert _main_in_process(argv) == (
+        2, "", "error: invalid-config: [gap] k must lie in [0, 200]\n"
+    )
+
+
+def test_gap_level_entry_without_m_exits_4(monkeypatch):
+    # a level factor that lost its deck weights gives P_k the wrong m-degree
+    real = series.graded_dimension
+    monkeypatch.setattr(series, "graded_dimension", lambda spec, b: at_order(real(spec, b), 1))
+    code, out, err = _main_in_process(
+        ["gap", "--r", "2", "--k", "2", "--level", "2", "--genus", "24"]
+    )
+    assert (code, out) == (cli.EXIT_ORACLE_MISMATCH, "")
+    assert err.startswith("error: oracle-mismatch: [gap] ") and err.count("\n") == 1, err
 
 
 def test_output_file(tmp_path):

@@ -1,5 +1,6 @@
 import hashlib
 import inspect
+import itertools
 import math
 import operator
 import time
@@ -7,6 +8,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from prymalg import series
 from prymalg.abelian_group import FiniteAbelianGroup, SymbolicOrder, concrete_order
 from prymalg.algebra import AlgebraSpec, Variant, graded_dimension
 from prymalg.errors import CapExceededError, InvalidParameterError
@@ -20,6 +22,7 @@ from prymalg.polynomial import M, IntPoly, at_order
 from prymalg.series import (
     StableRangeKind,
     _algebra_factor_spec,
+    _m_degree,
     in_stable_range,
     j_factor_dimension,
     j_twisted_dims,
@@ -35,6 +38,7 @@ from helpers import (
     partition_count_brute,
     reference_stable_dims,
     table_to_json_dict,
+    two_table_gap,
 )
 
 Z2 = FiniteAbelianGroup((2,))
@@ -226,17 +230,13 @@ def test_twisted_convolution_identity_reversed_order():
 
 
 def test_twisted_degree_in_m_is_the_stability_dichotomy():
-    # the paper's dichotomy as a closed form: a level entry is constant in
+    # the paper's dichotomy, owned by _m_degree: a level entry is constant in
     # m for r <= 1 (stable) and grows with m for r >= 2 (unstable)
-    for p in range(3):
-        for r in range(13):
-            table = twisted_cohomology_dims(r, p, max_k=40)
+    for p in range(4):
+        for r in range(31):
+            table = twisted_cohomology_dims(r, p, max_k=60)
             for k, poly in table.poly_entries.items():
-                if k % 2 == 1 or k < 2 * math.ceil(r / 2):
-                    assert poly.is_zero(), (r, p, k)
-                else:
-                    expected = 0 if r <= 1 else min(k // 2, r - 1)
-                    assert poly.degree == expected, (r, p, k)
+                assert poly.degree == _m_degree(r, k), (r, p, k)
 
 
 def _grid_tables():
@@ -320,6 +320,33 @@ def test_putman_gap_rejections():
         putman_gap(2, 0, 2, 2, 23)  # genus below 2k^2+7k+2 = 24
     with pytest.raises(InvalidParameterError):
         putman_gap(2, 0, 2, 1, 24)
+    # past the degree cap, refused by its own name
+    with pytest.raises(InvalidParameterError, match=r"^k must lie in \[0, 200\]$"):
+        putman_gap(2, 0, 202, 2, 90000)
+
+
+def test_putman_gap_matches_two_table_reference():
+    for r, p, k, level in itertools.product(range(11), (0, 1, 3), range(0, 21, 2), (2, 3, 5)):
+        genus = 2 * k * k + 7 * k + 2
+        assert putman_gap(r, p, k, level, genus) == two_table_gap(r, p, k, level, genus), (
+            r, p, k, level,
+        )
+
+
+def test_putman_gap_reads_one_table_with_m_unbound(monkeypatch):
+    tables = []
+
+    def recording(*args, **kwargs):
+        tables.append(twisted_cohomology_dims(*args, **kwargs))
+        return tables[-1]
+
+    monkeypatch.setattr(series, "twisted_cohomology_dims", recording)
+    for r, k, level, genus in ((2, 2, 2, 24), (1, 4, 5, 100), (6, 12, 3, 400)):
+        tables.clear()
+        lhs, rhs = putman_gap(r, 0, k, level, genus)
+        assert len(tables) == 1 and tables[0].entries[k] is None
+        poly = tables[0].poly_entries[k]
+        assert (lhs, rhs) == (at_order(poly, 1), at_order(poly, level ** (2 * genus)))
 
 
 def _brute_j_factors(length, group, degrees):
