@@ -1,16 +1,20 @@
 """Batch command-line front end.
 
-Every run is one pipeline: parse the flags, merge them with a plain
-key=value config file (flags win; environment variables are never read),
-run the subcommand's handler, render the table it returns as csv, json
-or pretty text, and write that to stdout or --output.  Each subcommand
-declares its flags once.  A deck group is named by --group LITERAL or by
---level L with --genus G (H1 of the genus-G surface with Z/L
-coefficients, of order L^(2G)); --symbolic leaves its order m unbound.
-Output is byte-identical for identical (config, seed).  --workers is
-checked (it must be >= 1) but has no effect: every command runs in order
-on one thread.  Exit codes: 0 success, 2 invalid config, 3 cap exceeded,
-4 oracle mismatch, 5 internal error (a bug, not bad input).
+Every run is one pipeline: parse the flags, resolve every option of the
+subcommand, run its handler on the resolved values, render the table it
+returns as csv, json or pretty text, and write that to stdout or
+--output.  Each flag is declared once, with its default.  Resolving takes
+each option from the command line, else from a plain key=value --config
+file, else its default (environment variables are never read), reads its
+text the same way whatever the source, and checks it, so that a bad
+option fails before anything is computed.  A deck group is named by
+--group LITERAL or by --level L with --genus G (H1 of the genus-G surface
+with Z/L coefficients, of order L^(2G)); --symbolic leaves its order m
+unbound.  Output is byte-identical for identical (config, seed).
+--workers is checked (it must be >= 1) but has no effect: every command
+runs in order on one thread.  Exit codes: 0 success, 2 invalid config,
+3 cap exceeded, 4 oracle mismatch, 5 internal error (a bug, not bad
+input).
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from .errors import (
     OracleMismatchError,
     _Value,
 )
-from .polynomial import IntPoly, at_order
+from .polynomial import at_order
 from .rigidity import (
     AbelianSymplecticAction,
     check_commutant_h,
@@ -83,73 +87,6 @@ address-space limit, 10^8 exited 5 with a MemoryError."""
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise InvalidParameterError(message)
-
-
-class RunConfig:
-    """Merged view of CLI flags and a key=value config file; flags win.
-
-    Only the subcommand's own flags are read: a config key that names no
-    flag of it is ignored.
-    """
-
-    def __init__(self, namespace, file_values):
-        self._flags = vars(namespace)
-        self._file = file_values
-
-    def get(self, key, default=None):
-        if key not in self._flags:
-            return default
-        value = self._flags[key]
-        if value is not None:
-            return value
-        if key in self._file:
-            return self._file[key]
-        return default
-
-    def get_int(self, key, default=None, required=False, minimum=None):
-        value = self.get(key, default)
-        if value is None:
-            if required:
-                raise InvalidParameterError("missing required option --%s" % key.replace("_", "-"))
-            return None
-        try:
-            value = int(value)
-        except (TypeError, ValueError):
-            raise InvalidParameterError(
-                "option --%s expects an integer, got %r" % (key.replace("_", "-"), value)
-            )
-        if minimum is not None and value < minimum:
-            raise InvalidParameterError(
-                "option --%s must be >= %d, got %d" % (key.replace("_", "-"), minimum, value)
-            )
-        return value
-
-    def get_str(self, key, default=None, required=False):
-        value = self.get(key, default)
-        if value is None and required:
-            raise InvalidParameterError("missing required option --%s" % key.replace("_", "-"))
-        return value
-
-    def get_bool(self, key):
-        value = self.get(key, False)
-        if isinstance(value, bool):
-            return value
-        if isinstance(value, str):
-            lowered = value.strip().lower()
-            if lowered in ("1", "true", "yes", "on"):
-                return True
-            if lowered in ("0", "false", "no", "off"):
-                return False
-        raise InvalidParameterError(
-            "option --%s expects a boolean, got %r" % (key.replace("_", "-"), value)
-        )
-
-    @property
-    def fmt(self):
-        fmt = self.get_str("format", "pretty")
-        if fmt not in FORMATS:
-            raise InvalidParameterError("unknown format %r" % (fmt,))
-        return fmt
 
 
 def _load_config_file(path):
@@ -280,10 +217,7 @@ def _render(fmt, command, seed, table):
                 "command": command,
                 "seed": seed,
                 "metadata": metadata,
-                "rows": [
-                    {c: (str(v) if isinstance(v, IntPoly) else v) for c, v in row.items()}
-                    for row in rows
-                ],
+                "rows": rows,
             }
         return json.dumps(payload, indent=2) + "\n"
     lines = ["# command = %s" % command, "# seed = %d" % seed]
@@ -299,7 +233,7 @@ def _render(fmt, command, seed, table):
     return "\n".join(lines) + "\n"
 
 
-def _deck_group(cfg, lone_genus=False):
+def _deck_group(args, lone_genus=False):
     """(group, m): the deck group named by the flags and its order
     m = ``concrete_order(group)``, None when unbound.
 
@@ -309,10 +243,10 @@ def _deck_group(cfg, lone_genus=False):
     or --genus is refused, and so is half of a level/genus pair, except a
     lone genus where the caller uses it (``lone_genus``).
     """
-    literal = cfg.get_str("group")
-    symbolic = cfg.get_bool("symbolic")
-    level = cfg.get_int("level")
-    genus = cfg.get_int("genus")
+    # twisted has no --group or --symbolic, and strata no --symbolic
+    literal = getattr(args, "group", None)
+    symbolic = getattr(args, "symbolic", False)
+    level, genus = args.level, args.genus
     if literal is not None:
         if symbolic:
             raise InvalidParameterError("--group and --symbolic are mutually exclusive")
@@ -345,22 +279,22 @@ def _variant_from(text, allowed=None):
 
 
 # ---------------------------------------------------------------------------
-# Command handlers: each takes the RunConfig and returns a Table.
+# Command handlers: each takes the resolved options and returns a Table.
 # ---------------------------------------------------------------------------
 
 
-def cmd_dims(cfg):
-    variant = _variant_from(cfg.get_str("variant", required=True))
-    r = cfg.get_int("r", required=True)
-    group, m = _deck_group(cfg)
+def cmd_dims(args):
+    variant = _variant_from(args.variant)
+    group, m = _deck_group(args)
     if not variant.twisted:
         group, m = None, 1  # no deck weights: a valid group is read and dropped
     elif group is None:
         raise InvalidParameterError(
             "specify --group <literal>, --level with --genus, or --symbolic"
         )
-    degree = cfg.get_int("degree")
-    max_degree = cfg.get_int("max_degree", minimum=0)
+    degree, max_degree = args.degree, args.max_degree
+    if degree is not None and max_degree is not None:
+        raise InvalidParameterError("--degree and --max-degree are mutually exclusive")
     if degree is None and max_degree is None:
         raise InvalidParameterError("specify --degree or --max-degree")
     if degree is None and max_degree > MAX_DIMS_DEGREE:
@@ -368,13 +302,13 @@ def cmd_dims(cfg):
             "--max-degree %d exceeds cap %d" % (max_degree, MAX_DIMS_DEGREE)
         )
     degrees = [degree] if degree is not None else list(range(max_degree + 1))
-    spec = AlgebraSpec(variant, r, SymbolicOrder())
+    spec = AlgebraSpec(variant, args.r, SymbolicOrder())
 
     def row(n):
-        value = graded_dimension(spec, n)
+        value = graded_dimension(spec, n)  # an int for an untwisted variant
         return {
             "degree": n,
-            "dim_polynomial_in_m": value,
+            "dim_polynomial_in_m": str(value) if variant.twisted else value,
             "dim_at_concrete_m": None if m is None else at_order(value, m),
             "provenance": "formula",
         }
@@ -382,23 +316,18 @@ def cmd_dims(cfg):
     return Table(
         ("degree", "dim_polynomial_in_m", "dim_at_concrete_m", "provenance"),
         _pool_map(row, degrees),
-        {"variant": variant.value, "r": r, "group": str(group) if group else "-"},
+        {"variant": variant.value, "r": args.r, "group": str(group) if group else "-"},
     )
 
 
-def cmd_twisted(cfg):
-    r = cfg.get_int("r", required=True)
-    p = cfg.get_int("p", 0)
-    mode = cfg.get_str("mode", "level")
+def cmd_twisted(args):
     # a lone genus sets the stable-range flags and leaves m unbound
-    deck, _ = _deck_group(cfg, lone_genus=True)
+    deck, _ = _deck_group(args, lone_genus=True)
     level, genus = (deck.level, deck.genus) if deck else (None, None)
-    max_k = cfg.get_int("max_k", required=True)
-    closed = cfg.get_bool("closed")
     table = twisted_cohomology_dims(
-        r, p, mode=mode, level=level, genus=genus, max_k=max_k, closed_surface=closed
+        args.r, args.p, mode=args.mode, level=level, genus=genus, max_k=args.max_k,
+        closed_surface=args.closed,
     )
-    allow = cfg.get_bool("allow_extrapolated")
     base_rows = table.rows()
 
     def annotate(row):
@@ -408,14 +337,14 @@ def cmd_twisted(cfg):
 
     rows = _pool_map(annotate, base_rows)
     omitted = 0
-    if not allow:
+    if not args.allow_extrapolated:
         kept = [row for row in rows if row["in_stable_range"]]
         omitted = len(rows) - len(kept)
         rows = kept
     meta = {
-        "mode": mode,
-        "r": r,
-        "p": p,
+        "mode": args.mode,
+        "r": args.r,
+        "p": args.p,
         "level": level if level is not None else "-",
         "genus": genus if genus is not None else "-",
     }
@@ -436,12 +365,8 @@ def cmd_twisted(cfg):
     return Table(columns, rows, meta, note)
 
 
-def cmd_gap(cfg):
-    r = cfg.get_int("r", required=True)
-    p = cfg.get_int("p", 0)
-    k = cfg.get_int("k", required=True, minimum=0)
-    level = cfg.get_int("level", required=True)
-    genus = cfg.get_int("genus", required=True)
+def cmd_gap(args):
+    r, p, k, level, genus = args.r, args.p, args.k, args.level, args.genus
     lhs, rhs = putman_gap(r, p, k, level, genus)
     differ = lhs != rhs
     if differ:
@@ -464,7 +389,7 @@ def cmd_gap(cfg):
     }
     # the verdict is a row field in json, a header line in pretty and a
     # stderr note in csv
-    fmt = cfg.fmt
+    fmt = args.format
     return Table(
         ("r", "p", "k", "level", "genus", "lhs_dim", "rhs_dim", "differ", "provenance"),
         [row],
@@ -473,15 +398,10 @@ def cmd_gap(cfg):
     )
 
 
-def cmd_character(cfg):
-    variant = _variant_from(
-        cfg.get_str("variant", "level-prime"),
-        allowed=(Variant.LEVEL_PRIME, Variant.LEVEL_FULL),
-    )
-    r = cfg.get_int("r", required=True)
-    degree = cfg.get_int("degree", required=True)
-    literal = cfg.get_str("group", required=True)
-    group = parse_group_literal(literal)
+def cmd_character(args):
+    variant = _variant_from(args.variant, allowed=(Variant.LEVEL_PRIME, Variant.LEVEL_FULL))
+    r, degree = args.r, args.degree
+    group = parse_group_literal(args.group)
     spec = AlgebraSpec(variant, r, group)
     character = counted_character(spec, degree)
     decomposition = decompose(character)
@@ -512,11 +432,9 @@ def cmd_character(cfg):
     )
 
 
-def cmd_commutant(cfg):
-    h = cfg.get_int("h", required=True)
+def cmd_commutant(args):
+    h, fixture, gen_file = args.h, args.fixture, args.generators_file
     check_commutant_h(h)  # before a fixture of size (2h)^2 is built
-    fixture = cfg.get_str("fixture")
-    gen_file = cfg.get_str("generators_file")
     if fixture is not None and gen_file is not None:
         raise InvalidParameterError("--fixture and --generators-file are mutually exclusive")
     if fixture is not None:
@@ -539,7 +457,7 @@ def cmd_commutant(cfg):
         source = "trivial"
     basis = commutant_sp(action)
     payload = {"dimension": len(basis)}
-    if cfg.get_bool("include_basis"):
+    if args.include_basis:
         payload["basis"] = [format_matrix(B) for B in basis]
     row = {"h": h, "generators": source, "dimension": len(basis), "provenance": "formula"}
     return Table(
@@ -554,23 +472,19 @@ def cmd_commutant(cfg):
 _LIST_SEPARATOR = re.compile(r",(?![^()]*\))")
 
 
-def _read_list(cfg, flag, default, parse, noun):
+def _read_list(args, flag, parse, noun):
     """The comma-separated list of flag, each item read by parse; blank
     items are skipped, and a list that names nothing is refused."""
-    text = cfg.get_str(flag, default)
+    text = getattr(args, flag)
     items = [parse(tok.strip()) for tok in _LIST_SEPARATOR.split(text) if tok.strip()]
     if not items:
         raise InvalidParameterError("--%s names no %s: %r" % (flag, noun, text))
     return items
 
 
-def cmd_oracle_check(cfg):
-    max_r = cfg.get_int("max_r", 3, minimum=0)
-    max_degree = cfg.get_int("max_degree", 8, minimum=0)
-    groups = _read_list(cfg, "groups", "Z1,Z2,Z3", parse_group_literal, "group")
-    variants = _read_list(
-        cfg, "variants", ",".join(v.value for v in Variant), _variant_from, "variant"
-    )
+def cmd_oracle_check(args):
+    groups = _read_list(args, "groups", parse_group_literal, "group")
+    variants = _read_list(args, "variants", _variant_from, "variant")
 
     # refuse an oversized grid before computing any of it, checking each
     # cell as it is listed so that a huge grid is never listed whole
@@ -578,9 +492,9 @@ def cmd_oracle_check(cfg):
     for variant in variants:
         variant_groups = groups if variant.twisted else groups[:1]
         for group in variant_groups:
-            for r in range(max_r + 1):
+            for r in range(args.max_r + 1):
                 spec = AlgebraSpec(variant, r, group if variant.twisted else None)
-                for degree in range(max_degree + 1):
+                for degree in range(args.max_degree + 1):
                     check_oracle_cap(spec, degree)
                     cells.append((spec, group, degree))
 
@@ -613,17 +527,17 @@ def cmd_oracle_check(cfg):
     )
 
 
-def cmd_strata(cfg):
-    r = cfg.get_int("r", required=True)
+def cmd_strata(args):
+    r = args.r
     if r < 0:
         raise InvalidParameterError("r must be >= 0")
-    group, m = _deck_group(cfg)
+    group, m = _deck_group(args)
 
     def row(codim):
         poly = stratum_census(r, codim)
         return {
             "codim": codim,
-            "count_polynomial_in_m": poly,
+            "count_polynomial_in_m": str(poly),
             "count_at_concrete_m": None if m is None else at_order(poly, m),
             "provenance": "formula",
         }
@@ -645,45 +559,99 @@ _COMMANDS = {
     "strata": cmd_strata,
 }
 
-# flag -> its add_argument keywords besides dest and default=None; a flag
-# not listed takes a string
-_FLAG_KINDS = {
-    **dict.fromkeys(
-        ("r", "p", "k", "h", "level", "genus", "degree", "max_degree", "max_k", "max_r",
-         "seed", "workers"),
-        {"type": int},
-    ),
-    **dict.fromkeys(
-        ("symbolic", "closed", "include_basis", "allow_extrapolated"),
-        {"action": "store_const", "const": True},
-    ),
-    "mode": {"choices": ("level", "full-mcg")},
-    "format": {"choices": FORMATS},
+_REQUIRED = object()  # the default of a flag that must be given
+
+# how a flag's text is read, from the command line and from --config
+# alike; a flag in none of these is plain text
+_INTEGERS = frozenset((
+    "r", "p", "k", "h", "level", "genus", "degree", "max_degree", "max_k", "max_r",
+    "seed", "workers",
+))
+_SWITCHES = frozenset(("symbolic", "closed", "include_basis", "allow_extrapolated"))
+_CHOICES = {"mode": ("level", "full-mcg"), "format": FORMATS}
+_MINIMUMS = {"k": 0, "max_degree": 0, "max_r": 0, "workers": 1}
+
+_COMMON_FLAGS = {
+    "config": None, "format": "pretty", "seed": 0, "workers": 1, "output": None,
+    "allow_extrapolated": False,
 }
-_COMMON_FLAGS = ("config", "format", "seed", "workers", "output", "allow_extrapolated")
-# subcommand -> (description, its own flags); each also takes _COMMON_FLAGS
+# subcommand -> (description, {flag: default}); each also takes _COMMON_FLAGS
 _SUBCOMMANDS = {
     "dims": (
         "graded dimensions of an algebra variant",
-        ("variant", "r", "group", "symbolic", "level", "genus", "degree", "max_degree"),
+        {"variant": _REQUIRED, "r": _REQUIRED, "group": None, "symbolic": False,
+         "level": None, "genus": None, "degree": None, "max_degree": None},
     ),
     "twisted": (
         "twisted-coefficient dimension tables",
-        ("r", "p", "mode", "level", "genus", "max_k", "closed"),
+        {"r": _REQUIRED, "p": 0, "mode": "level", "level": None, "genus": None,
+         "max_k": _REQUIRED, "closed": False},
     ),
-    "gap": ("stability comparison at one degree", ("r", "p", "k", "level", "genus")),
+    "gap": (
+        "stability comparison at one degree",
+        {"r": _REQUIRED, "p": 0, "k": _REQUIRED, "level": _REQUIRED, "genus": _REQUIRED},
+    ),
     "character": (
-        "permutation character and decomposition", ("variant", "r", "degree", "group")
+        "permutation character and decomposition",
+        {"variant": "level-prime", "r": _REQUIRED, "degree": _REQUIRED, "group": _REQUIRED},
     ),
     "commutant": (
         "symplectic commutant dimension",
-        ("h", "fixture", "generators_file", "include_basis"),
+        {"h": _REQUIRED, "fixture": None, "generators_file": None, "include_basis": False},
     ),
     "oracle-check": (
-        "closed form vs relation-graph oracle", ("max_r", "max_degree", "groups", "variants")
+        "closed form vs relation-graph oracle",
+        {"max_r": 3, "max_degree": 8, "groups": "Z1,Z2,Z3",
+         "variants": ",".join(v.value for v in Variant)},
     ),
-    "strata": ("stratification census by codimension", ("r", "group", "level", "genus")),
+    "strata": (
+        "stratification census by codimension",
+        {"r": _REQUIRED, "group": None, "level": None, "genus": None},
+    ),
 }
+
+
+def _option_value(flag, text):
+    """The value of flag given as text, wherever the text came from."""
+    name = "--" + flag.replace("_", "-")
+    if flag in _SWITCHES:
+        word = text.strip().lower()
+        if word in ("1", "true", "yes", "on"):
+            return True
+        if word in ("0", "false", "no", "off"):
+            return False
+        raise InvalidParameterError("option %s expects a boolean, got %r" % (name, text))
+    if flag in _CHOICES:
+        if text not in _CHOICES[flag]:
+            raise InvalidParameterError("unknown %s %r" % (flag, text))
+        return text
+    if flag not in _INTEGERS:
+        return text
+    try:
+        value = int(text)
+    except ValueError:
+        raise InvalidParameterError("option %s expects an integer, got %r" % (name, text))
+    minimum = _MINIMUMS.get(flag)
+    if minimum is not None and value < minimum:
+        raise InvalidParameterError("option %s must be >= %d, got %d" % (name, minimum, value))
+    return value
+
+
+def _resolve(args):
+    """Set every flag of the subcommand in args to its value: the command
+    line's, else the --config file's, else the default.  A config key that
+    names no flag of the subcommand is ignored."""
+    file_values = _load_config_file(args.config) if args.config else {}
+    for flag, default in {**_SUBCOMMANDS[args.command][1], **_COMMON_FLAGS}.items():
+        text = getattr(args, flag)
+        if text is None:
+            text = file_values.get(flag)
+        if text is not None:
+            setattr(args, flag, _option_value(flag, text))
+        elif default is _REQUIRED:
+            raise InvalidParameterError("missing required option --%s" % flag.replace("_", "-"))
+        else:
+            setattr(args, flag, default)
 
 
 def build_parser():
@@ -691,11 +659,10 @@ def build_parser():
     subs = parser.add_subparsers(dest="command", required=True)
     for name, (description, flags) in _SUBCOMMANDS.items():
         sub = subs.add_parser(name, description=description)
-        for flag in flags + _COMMON_FLAGS:
-            sub.add_argument(
-                "--" + flag.replace("_", "-"), dest=flag, default=None,
-                **_FLAG_KINDS.get(flag, {}),
-            )
+        for flag in {**flags, **_COMMON_FLAGS}:
+            # every value stays text until _resolve reads it
+            switch = {"action": "store_const", "const": "true"} if flag in _SWITCHES else {}
+            sub.add_argument("--" + flag.replace("_", "-"), dest=flag, default=None, **switch)
     return parser
 
 
@@ -710,14 +677,11 @@ def _run(argv):
     try:
         args = parser.parse_args(argv)
         command = args.command
-        cfg = RunConfig(args, _load_config_file(args.config) if args.config else {})
-        cfg.get_int("workers", 1, minimum=1)
-        fmt, seed = cfg.fmt, cfg.get_int("seed", 0)  # checked before any computing
-        table = _COMMANDS[command](cfg)
-        text = _render(fmt, command, seed, table)
-        output = cfg.get_str("output")
-        if output:
-            _write_output(output, text)
+        _resolve(args)  # every option is read and checked before any computing
+        table = _COMMANDS[command](args)
+        text = _render(args.format, command, args.seed, table)
+        if args.output:
+            _write_output(args.output, text)
         else:
             sys.stdout.write(text)
         if table.note:

@@ -431,6 +431,17 @@ def test_dims_past_max_degree_cap_exits_3_at_once():
     assert code == 0 and out.count("\n") == cli.MAX_DIMS_DEGREE + 2
 
 
+def test_dims_refuses_degree_with_max_degree():
+    # one degree or a range of them, never both; a range past the cap is
+    # refused as a contradiction, not printed as one row
+    line = "error: invalid-config: [dims] --degree and --max-degree are mutually exclusive\n"
+    argv = ["dims", "--variant", "level-full", "--r", "2", "--group", "Z2", "--format", "csv"]
+    for max_degree in ("5", "1000000"):
+        assert _main_in_process(argv + ["--degree", "2", "--max-degree", max_degree]) == (
+            2, "", line
+        )
+
+
 def test_oracle_check_refuses_each_cell_as_it_is_listed():
     # a degree past the basis cap and an r past the counting cap are
     # refused at their first cell, before the rest of the grid is listed;
@@ -586,6 +597,69 @@ def test_config_file_flags_win(tmp_path, monkeypatch):
     )
 
 
+# kind -> (argv without the flag, flag, its bad text, the stderr line);
+# None as the text leaves a required flag out
+_BAD_OPTIONS = {
+    "integer": (["twisted", "--r", "1", "--level", "2", "--genus", "30"], "max_k", "abc",
+                "[twisted] option --max-k expects an integer, got 'abc'"),
+    "switch": (["commutant", "--h", "1"], "include_basis", "maybe",
+               "[commutant] option --include-basis expects a boolean, got 'maybe'"),
+    "choice": (["strata", "--r", "2"], "format", "xml", "[strata] unknown format 'xml'"),
+    "required": (["gap", "--r", "2", "--level", "2", "--genus", "24"], "k", None,
+                 "[gap] missing required option --k"),
+    "minimum": (["gap", "--r", "2", "--level", "2", "--genus", "24"], "k", "-2",
+                "[gap] option --k must be >= 0, got -2"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BAD_OPTIONS))
+def test_one_reader_words_a_bad_option_alike_from_either_source(kind, tmp_path):
+    argv, flag, text, line = _BAD_OPTIONS[kind]
+    config = tmp_path / "run.cfg"
+    # the config file always holds a key, so that it is read
+    config.write_text("seed=3\n" + ("" if text is None else "%s=%s\n" % (flag, text)))
+    expected = (2, "", "error: invalid-config: %s\n" % line)
+    assert _main_in_process(argv + ["--config", str(config)]) == expected
+    if kind != "switch":  # a switch on the command line takes no text
+        given = [] if text is None else ["--" + flag.replace("_", "-"), text]
+        assert _main_in_process(argv + given) == expected
+
+
+def test_bad_config_value_exits_2_before_the_handler_runs(tmp_path, monkeypatch):
+    # "maybe" is no integer, switch or choice; "-5" is below every minimum
+    def never(args):
+        raise AssertionError("handler ran")
+
+    config = tmp_path / "run.cfg"
+    for command, (_, flags) in cli._SUBCOMMANDS.items():
+        typed = [
+            flag for flag in {**flags, **cli._COMMON_FLAGS}
+            if flag in cli._INTEGERS or flag in cli._SWITCHES or flag in cli._CHOICES
+        ]
+        assert typed
+        with monkeypatch.context() as patch:
+            patch.setitem(cli._COMMANDS, command, never)
+            for flag in typed:
+                # the run's own flags, but for the one the config file sets
+                argv = [command]
+                for name, value in _PIPELINE_RUNS[command].items():
+                    if name != flag.replace("_", "-"):
+                        argv += ["--" + name] + ([] if value is True else [value])
+                for text in ("maybe",) + (("-5",) if flag in cli._MINIMUMS else ()):
+                    config.write_text("%s=%s\n" % (flag, text))
+                    code, out, err = _main_in_process(argv + ["--config", str(config)])
+                    assert (code, out) == (2, ""), (command, flag, text, err)
+                    assert err.startswith("error: invalid-config: [%s] " % command), err
+                    assert err.count("\n") == 1 and flag.replace("_", "-") in err, err
+    # an option error comes before the cap that the handler would hit
+    config.write_text("include_basis=maybe\n")
+    assert _main_in_process(["commutant", "--h", "99", "--config", str(config)]) == (
+        2, "",
+        "error: invalid-config: [commutant] option --include-basis expects a boolean,"
+        " got 'maybe'\n",
+    )
+
+
 def test_undecodable_input_files_exit_2(tmp_path):
     # bytes that are not UTF-8, and JSON nested past the parser's depth,
     # are refused with one line naming the file
@@ -708,6 +782,57 @@ def test_config_file_and_output_match_flags_for_every_command(tmp_path):
             assert target.read_bytes() == out.encode(), (command, fmt)
 
 
+# valid runs that together give every flag of every subcommand but
+# --closed (refused whatever its value) and --output (it empties stdout)
+# a value; --seed and --workers are added to each, and gens.json is
+# written into the working directory
+_GRID_RUNS = (
+    ("dims", {"variant": "level-prime", "r": "2", "group": "Z3", "max-degree": "4"}),
+    ("dims", {"variant": "level-full", "r": "3", "symbolic": True, "level": "2",
+              "genus": "1", "degree": "4"}),
+    ("dims", {"variant": "looijenga-full", "r": "2", "degree": "2"}),
+    ("twisted", {"r": "2", "p": "1", "mode": "level", "level": "2", "genus": "24",
+                 "max-k": "4", "allow-extrapolated": True}),
+    ("twisted", {"r": "1", "mode": "full-mcg", "genus": "3", "max-k": "4"}),
+    ("gap", {"r": "2", "p": "1", "k": "4", "level": "3", "genus": "200"}),
+    ("character", {"variant": "level-full", "r": "3", "degree": "4", "group": "Z2"}),
+    ("commutant", {"h": "2", "fixture": "plane-swap", "include-basis": True}),
+    ("commutant", {"h": "1", "generators-file": "gens.json"}),
+    ("oracle-check", {"max-r": "1", "max-degree": "2", "groups": "Z1,Z2",
+                      "variants": "level-prime,level-full"}),
+    ("strata", {"r": "3", "level": "3", "genus": "2"}),
+    ("strata", {"r": "3", "group": "Z2"}),
+)
+
+
+def test_every_flag_from_either_source_matches_recorded_digest(tmp_path, monkeypatch):
+    # exit code and stdout of each run in each format, with all flags on
+    # the command line, then with each flag in turn moved into --config
+    monkeypatch.chdir(tmp_path)
+    Path("gens.json").write_text(json.dumps([[["0", "1"], ["-1", "0"]]]))
+    assert sorted({command for command, _ in _GRID_RUNS}) == sorted(cli._COMMANDS)
+    digest = hashlib.sha256()
+    for command, values in _GRID_RUNS:
+        for fmt in cli.FORMATS:
+            settings = dict(values, format=fmt, seed="7", workers="2")
+            for moved in (None, *settings):
+                argv, lines = [command], []
+                for flag, value in settings.items():
+                    if flag == moved:
+                        lines.append("%s=%s\n" % (flag, "true" if value is True else value))
+                    else:
+                        argv += ["--" + flag] if value is True else ["--" + flag, value]
+                if moved:
+                    Path("run.cfg").write_text("".join(lines))
+                    argv += ["--config", "run.cfg"]
+                code, out, err = _main_in_process(argv)
+                assert code == 0 and out, (argv, err)
+                digest.update(repr((code, out)).encode())
+    assert digest.hexdigest() == (
+        "a8a5bfa405f6a03d3faaf514b1262a9c5b32d2aeefb3bf80d87354b96ceeeaee"
+    )
+
+
 def test_byte_determinism_across_workers():
     args = (
         "twisted", "--r", "2", "--p", "1", "--max-k", "8", "--format", "json",
@@ -754,6 +879,25 @@ def _subcommand_flags():
         }
         for name, sub in subs.choices.items()
     }
+
+
+def test_parser_declares_exactly_the_tabled_flags():
+    common = {"--" + flag.replace("_", "-") for flag in cli._COMMON_FLAGS}
+    declared = set()
+    for command, (_, flags) in cli._SUBCOMMANDS.items():
+        own = {"--" + flag.replace("_", "-") for flag in flags}
+        assert set(_FLAGS[command]) == own | common, command
+        declared |= set(flags) | set(cli._COMMON_FLAGS)
+        for flag in {**flags, **cli._COMMON_FLAGS}:
+            action = _FLAGS[command]["--" + flag.replace("_", "-")]
+            # argparse only splits the flags; every value is read in _resolve
+            assert action.type is None and action.choices is None, flag
+            assert (action.nargs == 0) == (flag in cli._SWITCHES), flag
+    kinds = (cli._INTEGERS, cli._SWITCHES, set(cli._CHOICES))
+    for table in kinds + (set(cli._MINIMUMS),):
+        assert set(table) <= declared, set(table) - declared
+    assert sum(len(table) for table in kinds) == len(set().union(*kinds))
+    assert set(cli._MINIMUMS) <= cli._INTEGERS
 
 
 _FLAGS = _subcommand_flags()
