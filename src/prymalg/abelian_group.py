@@ -19,6 +19,13 @@ from .errors import CapExceededError, InvalidParameterError, ParseError, _Value
 
 DEFAULT_ENUMERATION_CAP = 10**6
 MAX_GROUP_RANK = 10**4
+MAX_ORDER_BITS = 2**28
+"""The most bits, 2 genus log2(level), of a bound ``SymbolicOrder``'s
+order, refused before the power is taken.  In one CPython 3.11 process
+on a 2-vCPU Xeon, 2^(2^28) took 1.8 s of CPU and a 124 MB peak, and
+2^(2^30) 5.9 s and 440 MB; a level with no power-of-two shortcut is
+slower (3^(2g) at 2^26 bits took 25 s, at 2^27 bits 78 s).  Under a 1 GB
+address-space limit, level 2 at genus 10^11 raised MemoryError."""
 
 
 def format_element(x):
@@ -94,7 +101,8 @@ class SymbolicOrder(_Value):
 
     Optionally bound to concrete (level, genus); ``concrete_order`` then
     gives the exact integer value.  A genus alone is allowed (it still
-    fixes stable ranges); a level alone names no group and is refused.
+    fixes stable ranges); a level alone names no group and is refused,
+    and so is an order past ``MAX_ORDER_BITS``.
     """
 
     __slots__ = ("level", "genus")
@@ -106,6 +114,11 @@ class SymbolicOrder(_Value):
             raise InvalidParameterError("genus must be >= 0")
         if level is not None:
             check_homology_parameters(genus, level)
+            if 2 * genus > MAX_ORDER_BITS / math.log2(level):
+                raise CapExceededError(
+                    "deck-group order level^(2 genus) exceeds cap of %d bits"
+                    % MAX_ORDER_BITS
+                )
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "genus", genus)
 

@@ -56,11 +56,7 @@ from .series import (
     stratum_census,
     twisted_cohomology_dims,
 )
-from .symmetry import (
-    character_report_json,
-    counted_character,
-    decompose,
-)
+from .symmetry import counted_character, decompose
 
 EXIT_OK = 0
 EXIT_INVALID_CONFIG = 2
@@ -233,19 +229,17 @@ def _render(fmt, command, seed, table):
     return "\n".join(lines) + "\n"
 
 
-def _deck_group(args, lone_genus=False):
+def _deck_group(args):
     """(group, m): the deck group named by the flags and its order
     m = ``concrete_order(group)``, None when unbound.
 
     --group LITERAL gives a finite group.  --level with --genus gives a
     bound ``SymbolicOrder``.  --symbolic alone gives an unbound one, and no
     flag at all gives (None, None).  A literal next to --symbolic, --level
-    or --genus is refused, and so is half of a level/genus pair, except a
-    lone genus where the caller uses it (``lone_genus``).
+    or --genus is refused, and so is half of a level/genus pair.
     """
-    # twisted has no --group or --symbolic, and strata no --symbolic
-    literal = getattr(args, "group", None)
-    symbolic = getattr(args, "symbolic", False)
+    literal = args.group
+    symbolic = getattr(args, "symbolic", False)  # strata has no --symbolic
     level, genus = args.level, args.genus
     if literal is not None:
         if symbolic:
@@ -255,7 +249,7 @@ def _deck_group(args, lone_genus=False):
         group = parse_group_literal(literal)
     elif level is None and genus is None:
         group = SymbolicOrder() if symbolic else None
-    elif level is None and not lone_genus:
+    elif level is None:
         raise InvalidParameterError("a genus needs a level here: alone it names no deck group")
     else:
         group = SymbolicOrder(level=level, genus=genus)  # refuses a lone level
@@ -322,8 +316,7 @@ def cmd_dims(args):
 
 def cmd_twisted(args):
     # a lone genus sets the stable-range flags and leaves m unbound
-    deck, _ = _deck_group(args, lone_genus=True)
-    level, genus = (deck.level, deck.genus) if deck else (None, None)
+    level, genus = args.level, args.genus
     table = twisted_cohomology_dims(
         args.r, args.p, mode=args.mode, level=level, genus=genus, max_k=args.max_k,
         closed_surface=args.closed,
@@ -402,9 +395,12 @@ def cmd_character(args):
     variant = _variant_from(args.variant, allowed=(Variant.LEVEL_PRIME, Variant.LEVEL_FULL))
     r, degree = args.r, args.degree
     group = parse_group_literal(args.group)
-    spec = AlgebraSpec(variant, r, group)
-    character = counted_character(spec, degree)
-    decomposition = decompose(character)
+    character = counted_character(AlgebraSpec(variant, r, group), degree)
+    multiplicities = [
+        (lam, mult)
+        for lam, mult in sorted(decompose(character).items(), reverse=True)
+        if mult != 0
+    ]
     rows = [
         {
             "section": "trace",
@@ -421,14 +417,24 @@ def cmd_character(args):
             "value": mult,
             "provenance": "formula",
         }
-        for lam, mult in sorted(decomposition.items(), reverse=True)
-        if mult != 0
+        for lam, mult in multiplicities
     )
+    payload = {
+        "r": r,
+        "degree": degree,
+        "group": str(group),
+        "values": [
+            {"cycle_type": list(ct), "trace": val} for ct, val in character.items()
+        ],
+        "decomposition": [
+            {"partition": list(lam), "multiplicity": mult} for lam, mult in multiplicities
+        ],
+    }
     return Table(
         ("section", "label", "value", "provenance"),
         rows,
         {"variant": variant.value, "r": r, "degree": degree, "group": str(group)},
-        payload=character_report_json(spec, degree, character, decomposition),
+        payload=payload,
     )
 
 
@@ -655,10 +661,11 @@ def _resolve(args):
 
 
 def build_parser():
-    parser = _Parser(prog="prymalg", description=__doc__)
+    # a flag has one spelling, on the command line as in --config
+    parser = _Parser(prog="prymalg", description=__doc__, allow_abbrev=False)
     subs = parser.add_subparsers(dest="command", required=True)
     for name, (description, flags) in _SUBCOMMANDS.items():
-        sub = subs.add_parser(name, description=description)
+        sub = subs.add_parser(name, description=description, allow_abbrev=False)
         for flag in {**flags, **_COMMON_FLAGS}:
             # every value stays text until _resolve reads it
             switch = {"action": "store_const", "const": "true"} if flag in _SWITCHES else {}

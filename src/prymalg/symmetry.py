@@ -2,14 +2,17 @@
 
 All basis classes have even degree, so the index-permutation action is an
 unsigned permutation of basis monomials and traces are fixed-point
-counts.  ``counted_character`` counts the fixed points without listing a
-basis: ``counted_trace`` builds the sigma-invariant set partitions from
-the set partitions of sigma's cycles, never filtering all Bell(r) of
+counts.  A character is a class function, so it is computed per cycle
+type: ``counted_character`` counts the fixed points without listing a
+basis, by ``_class_trace``, which builds the invariant set partitions
+from the set partitions of the cycles, never filtering all Bell(r) of
 them.  ``permutation_character`` enumerates the basis and is its oracle.
 Characters are taken over a concrete deck group only: the trace of a
 swap, for instance, is a torsion count, which the order alone does not
 determine.  A character is a dict {cycle type: value} in ``cycle_types``
 order; ``decompose`` checks that one it is given covers every cycle type.
+The CLI's ``character`` command renders a character and its
+decomposition.
 """
 
 from __future__ import annotations
@@ -22,11 +25,7 @@ from fractions import Fraction
 from .abelian_group import concrete_order
 from .algebra import DEFAULT_BASIS_DEGREE_CAP, basis, relabel_monomial
 from .errors import CapExceededError, InvalidParameterError, OracleMismatchError
-from .partitions import (
-    enumerate_set_partitions,
-    integer_partitions,
-    validate_permutation,
-)
+from .partitions import enumerate_set_partitions, integer_partitions
 
 MAX_CHARACTER_R = 8
 
@@ -85,24 +84,11 @@ def permutation_character(spec, degree):
     return values
 
 
-def _cycles(step, points):
-    """Cycles of the permutation ``step`` of ``points``, each as a list."""
-    seen = set()
-    cycles = []
-    for p in points:
-        if p in seen:
-            continue
-        cycle = []
-        while p not in seen:
-            seen.add(p)
-            cycle.append(p)
-            p = step(p)
-        cycles.append(cycle)
-    return cycles
-
-
-def counted_trace(spec, degree, sigma):
-    """Number of degree-slice basis monomials fixed by sigma, without a basis.
+def _class_trace(cycle_type, degree, m, torsion, minimum):
+    """Number of degree-slice basis monomials fixed by any permutation
+    sigma of the given cycle type, over a group of order m with
+    ``torsion[g]`` = |D[g]| for g <= r, singleton blocks starting at
+    exponent ``minimum``; no basis is built.
 
     sigma fixes a normal monomial only if it maps the monomial's set
     partition P onto itself.  The blocks of such a P fall into
@@ -130,27 +116,15 @@ def counted_trace(spec, degree, sigma):
     solutions of sum_C L_C x_C = t in nonnegative integers, counted by a
     coin-change table, so the degree is capped like a basis's.
     """
-    if degree < 0:
-        raise InvalidParameterError("degree must be >= 0")
-    if degree > DEFAULT_BASIS_DEGREE_CAP:
-        raise CapExceededError(
-            "degree %d exceeds cap %d" % (degree, DEFAULT_BASIS_DEGREE_CAP)
-        )
-    sigma = validate_permutation(sigma, spec.r)
-    group = spec.concrete_group()
     if degree % 2:
         return 0
-    lengths = [len(c) for c in _cycles(lambda i: sigma[i - 1], range(1, spec.r + 1))]
-    m = concrete_order(group)
-    torsion = {g: group.torsion_count(g) for g in range(1, spec.r + 1)}
-    base = degree // 2 - spec.r
-    minimum = spec.variant.singleton_min_exponent
+    base = degree // 2 - sum(cycle_type)
     total = 0
-    for groups in enumerate_set_partitions(len(lengths)):
+    for groups in enumerate_set_partitions(len(cycle_type)):
         # per group S: (L, weight of its placements, singletons) for each L
         choices = []
         for cycles in groups:
-            ls = [lengths[c - 1] for c in cycles]
+            ls = [cycle_type[c - 1] for c in cycles]
             choices.append([
                 (L, (L * m) ** (len(ls) - 1) * torsion[math.gcd(*(l // L for l in ls))],
                  L if ls == [L] else 0)
@@ -172,56 +146,61 @@ def counted_trace(spec, degree, sigma):
 
 
 def counted_character(spec, degree):
-    """``permutation_character`` computed by ``counted_trace``.
+    """``permutation_character`` computed by ``_class_trace``, one call
+    per cycle type; a single trace is ``counted_character(spec,
+    degree)[cycle_type]``.
 
     The group enters only through its order and torsion counts, so deck
     groups far too large to enumerate work.
     """
     _check_character_r(spec.r)
+    if degree < 0:
+        raise InvalidParameterError("degree must be >= 0")
+    if degree > DEFAULT_BASIS_DEGREE_CAP:
+        raise CapExceededError(
+            "degree %d exceeds cap %d" % (degree, DEFAULT_BASIS_DEGREE_CAP)
+        )
+    group = spec.concrete_group()
+    m = concrete_order(group)
+    torsion = {g: group.torsion_count(g) for g in range(1, spec.r + 1)}
+    minimum = spec.variant.singleton_min_exponent
     return {
-        ct: counted_trace(spec, degree, representative_permutation(ct))
-        for ct in cycle_types(spec.r)
+        ct: _class_trace(ct, degree, m, torsion, minimum) for ct in cycle_types(spec.r)
     }
 
 
-def _beta_to_partition(beta_desc):
-    k = len(beta_desc)
-    parts = tuple(
-        b - (k - 1 - i) for i, b in enumerate(beta_desc) if b - (k - 1 - i) > 0
-    )
-    return parts
-
-
 @functools.lru_cache(maxsize=None)
-def murnaghan_nakayama(lam, mu):
-    """Irreducible character value chi_lam at cycle type mu.
+def _border_strips(beta, mu):
+    """chi at cycle type mu of the partition whose beta-numbers (first
+    column hook lengths) are the frozenset beta.
 
-    Recursive border-strip removal on first-column hook lengths: a strip
-    of size t removes beta -> beta - t when the target is vacant, with
+    A strip of size t moves b -> b - t when the target is vacant, with
     sign (-1)^(number of occupied slots jumped over).
     """
+    if not mu:
+        return 1
+    t, rest = mu[0], mu[1:]
+    total = 0
+    for b in beta:
+        nb = b - t
+        if nb < 0 or nb in beta:
+            continue
+        height = sum(1 for c in beta if nb < c < b)
+        total += (-1) ** height * _border_strips(beta - {b} | {nb}, rest)
+    return total
+
+
+def murnaghan_nakayama(lam, mu):
+    """Irreducible character value chi_lam at cycle type mu, by
+    recursive border-strip removal on lam's beta-numbers; a zero part of
+    lam adds the beta-number 0 and shifts the others by one, which moves
+    no strip and changes no sign."""
     lam = tuple(sorted(lam, reverse=True))
     mu = tuple(mu)
     if sum(lam) != sum(mu):
         raise InvalidParameterError("partition and cycle type sizes differ")
-    if not mu:
-        return 1
-    t = mu[0]
-    rest = mu[1:]
     k = len(lam)
-    beta = [lam[i] + (k - 1 - i) for i in range(k)]
-    occupied = set(beta)
-    total = 0
-    for b in beta:
-        nb = b - t
-        if nb < 0 or nb in occupied:
-            continue
-        height = sum(1 for c in beta if nb < c < b)
-        new_beta = sorted((occupied - {b}) | {nb}, reverse=True)
-        total += (-1) ** height * murnaghan_nakayama(
-            _beta_to_partition(tuple(new_beta)), rest
-        )
-    return total
+    return _border_strips(frozenset(part + k - 1 - i for i, part in enumerate(lam)), mu)
 
 
 def sr_character_table(r):
@@ -239,7 +218,8 @@ def decompose(character):
     """Multiplicities of the irreducibles in a genuine character, given as
     a dict {cycle type: value} that covers every cycle type of one S_r.
 
-    A fractional or negative multiplicity cannot come from an actual
+    Each is sum(chi * psi * r!/z) over the classes, divided by r!.  A
+    fractional or negative multiplicity cannot come from an actual
     representation, so it is treated as an upstream bug and raised, never
     returned.
     """
@@ -248,33 +228,15 @@ def decompose(character):
     classes = cycle_types(r)
     if sorted(character) != classes:
         raise InvalidParameterError("values must cover every cycle type")
+    order = math.factorial(r)
+    weighted = [(ct, character[ct] * (order // centralizer_order(ct))) for ct in classes]
     out = {}
     for lam, irr in table.items():
-        total = Fraction(0)
-        for ct in classes:
-            total += Fraction(character[ct] * irr[ct], centralizer_order(ct))
-        if total.denominator != 1 or total < 0:
+        mult, rest = divmod(sum(value * irr[ct] for ct, value in weighted), order)
+        if rest or mult < 0:
             raise OracleMismatchError(
                 "multiplicity of %r is %s; input is not a genuine character"
-                % (lam, total)
+                % (lam, Fraction(mult * order + rest, order))
             )
-        out[lam] = int(total)
+        out[lam] = mult
     return out
-
-
-def character_report_json(spec, degree, character, decomposition):
-    """JSON shape: values per cycle type plus the irreducible decomposition."""
-    group = spec.concrete_group()
-    return {
-        "r": spec.r,
-        "degree": degree,
-        "group": str(group),
-        "values": [
-            {"cycle_type": list(ct), "trace": val} for ct, val in character.items()
-        ],
-        "decomposition": [
-            {"partition": list(lam), "multiplicity": mult}
-            for lam, mult in sorted(decomposition.items(), reverse=True)
-            if mult != 0
-        ],
-    }

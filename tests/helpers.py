@@ -40,7 +40,7 @@ from prymalg.partitions import (
 )
 from prymalg.polynomial import IntPoly
 from prymalg.series import twisted_cohomology_dims
-from prymalg.symmetry import _cycles, centralizer_order
+from prymalg.symmetry import centralizer_order
 
 
 def prime_factorization(n):
@@ -908,6 +908,22 @@ def permutation_with_cycle_type(cycle_type, rng):
     return tuple(sigma)
 
 
+def _cycles(step, points):
+    """Cycles of the permutation ``step`` of ``points``, each as a list."""
+    seen = set()
+    cycles = []
+    for p in points:
+        if p in seen:
+            continue
+        cycle = []
+        while p not in seen:
+            seen.add(p)
+            cycle.append(p)
+            p = step(p)
+        cycles.append(cycle)
+    return cycles
+
+
 def _block_cycles(blocks, sigma):
     """Cycles of the permutation sigma induces on the blocks, or None.
 
@@ -930,12 +946,12 @@ def _block_cycles(blocks, sigma):
 
 
 def bell_walk_trace(spec, degree, sigma, partitions):
-    """``counted_trace`` by filtering all set partitions of {1..r}.
+    """The trace of sigma by filtering all set partitions of {1..r}.
 
     ``partitions`` is ``enumerate_set_partitions(spec.r)``, shared by the
     caller across traces.  Each set partition sigma maps onto itself
     contributes its block cycles' weights times the coin-change count of
-    their exponents, as the ``counted_trace`` docstring derives; the
+    their exponents, as the ``symmetry._class_trace`` docstring derives; the
     partitions sigma moves are skipped.  No checks: sigma must be a
     permutation of 1..r and the degree at least 0.
     """

@@ -4,6 +4,7 @@ import pytest
 
 from prymalg.abelian_group import (
     MAX_GROUP_RANK,
+    MAX_ORDER_BITS,
     FiniteAbelianGroup,
     SymbolicOrder,
     concrete_order,
@@ -172,3 +173,22 @@ def test_symbolic_order():
     bound = SymbolicOrder(level=3, genus=24)
     assert concrete_order(bound) == 3**48
     assert str(bound) == "m"
+
+
+def test_bound_order_bits_are_capped_before_the_power():
+    # 2 genus log2(level) bits at most; the cap's edge, a level with no
+    # power-of-two shortcut, and values far past any float, none of them
+    # raised to a power
+    assert SymbolicOrder(level=2, genus=MAX_ORDER_BITS // 2).is_bound
+    assert SymbolicOrder(level=2, genus=10**8).is_bound
+    assert SymbolicOrder(level=10**1000, genus=1).is_bound
+    for level, genus in (
+        (2, MAX_ORDER_BITS // 2 + 1),
+        (3, MAX_ORDER_BITS // 3),
+        (2, 10**11),
+        (10**1000, 10**6),
+        (2, 10**400),
+        (10**400, 10**400),
+    ):
+        with pytest.raises(CapExceededError, match="exceeds cap of %d bits" % MAX_ORDER_BITS):
+            SymbolicOrder(level=level, genus=genus)

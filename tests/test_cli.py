@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prymalg import cli, series
+from prymalg.abelian_group import concrete_order
 from prymalg.algebra import Variant
 from prymalg.errors import InvalidParameterError
 from prymalg.polynomial import at_order
@@ -151,6 +152,37 @@ def test_character_json_matches_interface():
     payload = json.loads(proc.stdout)
     assert payload["r"] == 2 and payload["degree"] == 2 and payload["group"] == "Z3"
     assert {"cycle_type": [2], "trace": 1} in payload["values"]
+
+
+def _character_pin_runs():
+    """Both level variants at r 0-6 over degrees that are zero, small,
+    large, past the degree cap and negative, and over groups from trivial
+    to the paper's; then r = 8, the r = 9 refusal and a refused variant."""
+    for variant in ("level-prime", "level-full"):
+        for r in range(7):
+            for degree in (0, 1, 2, 6, 12, 66, -2):
+                for group in ("Z1", "Z3", "Z2xZ2", "H1(g=50,l=3)"):
+                    yield ["character", "--variant", variant, "--r", str(r),
+                           "--degree", str(degree), "--group", group]
+    yield ["character", "--r", "8", "--degree", "20", "--group", "H1(g=50,l=3)"]
+    yield ["character", "--r", "9", "--degree", "2", "--group", "Z2"]
+    yield ["character", "--variant", "looijenga-full", "--r", "2", "--degree", "2",
+           "--group", "Z2"]
+
+
+def test_character_output_matches_recorded_digest():
+    # argv, exit code, stdout and stderr of every run in every format
+    digest = hashlib.sha256()
+    runs = 0
+    for argv in _character_pin_runs():
+        for fmt in cli.FORMATS:
+            argv_fmt = argv + ["--format", fmt]
+            digest.update(repr((argv_fmt, *_main_in_process(argv_fmt))).encode())
+            runs += 1
+    assert runs == 1185
+    assert digest.hexdigest() == (
+        "bf205218c3203dd52c5f89254d24ce48c34a477d86895661eb9d46ae98efb803"
+    )
 
 
 def test_commutant_fixture_and_generators_file(tmp_path):
@@ -429,6 +461,45 @@ def test_dims_past_max_degree_cap_exits_3_at_once():
     argv[-3] = str(cli.MAX_DIMS_DEGREE)
     code, out, _ = _main_in_process(argv)
     assert code == 0 and out.count("\n") == cli.MAX_DIMS_DEGREE + 2
+
+
+def test_huge_genus_exits_3_before_the_power_is_taken():
+    # level^(2 genus) has 2 * 10^11 bits here, which used to run out of
+    # memory and exit 5
+    pair = ["--level", "2", "--genus", "100000000000"]
+    for argv in (
+        ["gap", "--r", "2", "--k", "2"],
+        ["twisted", "--r", "1", "--max-k", "2"],
+        ["dims", "--variant", "level-full", "--r", "2", "--degree", "2"],
+        ["strata", "--r", "2"],
+    ):
+        start = time.perf_counter()
+        code, out, err = _main_in_process(argv + pair)
+        assert time.perf_counter() - start < 0.5, argv
+        assert (code, out) == (cli.EXIT_CAP_EXCEEDED, ""), argv
+        assert err.startswith("error: cap-exceeded:") and err.count("\n") == 1, err
+
+
+def test_twisted_takes_the_deck_order_once(monkeypatch):
+    # the level table's m = level^(2 genus) is computed by series alone
+    calls = []
+
+    def counted(group):
+        calls.append(group)
+        return concrete_order(group)
+
+    monkeypatch.setattr(cli, "concrete_order", counted)
+    monkeypatch.setattr(series, "concrete_order", counted)
+    argv = ["twisted", "--r", "2", "--level", "2", "--genus", "24", "--max-k", "2",
+            "--format", "csv"]
+    code, out, _ = _main_in_process(argv)
+    assert code == 0 and "2,0,m,281474976710656,true,formula" in out
+    assert len(calls) == 1
+    # full-mcg has no deck group, so a level there is refused by series
+    assert _main_in_process(["twisted", "--r", "1", "--mode", "full-mcg", "--level", "2",
+                             "--max-k", "2"]) == (
+        2, "", "error: invalid-config: [twisted] full-mcg mode takes no level\n"
+    )
 
 
 def test_dims_refuses_degree_with_max_degree():
@@ -898,6 +969,26 @@ def test_parser_declares_exactly_the_tabled_flags():
         assert set(table) <= declared, set(table) - declared
     assert sum(len(table) for table in kinds) == len(set().union(*kinds))
     assert set(cli._MINIMUMS) <= cli._INTEGERS
+    # a flag has one spelling: no parser expands a prefix of it
+    parser = cli.build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert not parser.allow_abbrev
+    assert not any(sub.allow_abbrev for sub in subs.choices.values())
+
+
+def test_abbreviated_flags_exit_2_as_config_keys_do(tmp_path):
+    # the same keys in --config are not flags of dims either
+    code, out, err = _main_in_process(
+        ["dims", "--var", "level-prime", "--r", "2", "--gr", "Z3", "--max", "2",
+         "--form", "csv"]
+    )
+    assert (code, out) == (2, "") and err.startswith("error: invalid-config:"), err
+    assert "unrecognized arguments: --var" in err
+    config = tmp_path / "run.cfg"
+    config.write_text("var=level-prime\nr=2\ngr=Z3\nmax=2\nform=csv\n")
+    assert _main_in_process(["dims", "--config", str(config)]) == (
+        2, "", "error: invalid-config: [dims] missing required option --variant\n"
+    )
 
 
 _FLAGS = _subcommand_flags()

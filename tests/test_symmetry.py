@@ -1,9 +1,11 @@
+import json
 import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from prymalg import cli
 from prymalg.abelian_group import FiniteAbelianGroup, parse_group_literal
 from prymalg.algebra import AlgebraSpec, Variant, basis, graded_dimension
 from prymalg.errors import CapExceededError, InvalidParameterError, OracleMismatchError
@@ -11,9 +13,7 @@ from prymalg.partitions import enumerate_set_partitions
 from prymalg.symmetry import (
     MAX_CHARACTER_R,
     centralizer_order,
-    character_report_json,
     counted_character,
-    counted_trace,
     cycle_types,
     decompose,
     fixed_point_count,
@@ -212,10 +212,10 @@ def test_permutation_character_decompositions_are_nonnegative():
                         assert back == chi[ct]
 
 
-def test_character_json_shape():
-    spec = AlgebraSpec(Variant.LEVEL_PRIME, 2, Z3)
-    chi = permutation_character(spec, 2)
-    payload = character_report_json(spec, 2, chi, decompose(chi))
+def test_character_json_shape(capsys):
+    assert cli.main(["character", "--r", "2", "--degree", "2", "--group", "Z3",
+                     "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
     assert payload["r"] == 2 and payload["degree"] == 2
     assert payload["group"] == "Z3"
     assert {"cycle_type": [1, 1], "trace": 3} in payload["values"]
@@ -240,7 +240,9 @@ def test_counted_trace_equals_fixed_point_count(data):
     cycle_type = data.draw(st.sampled_from(cycle_types(r)), label="cycle_type")
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     sigma = permutation_with_cycle_type(cycle_type, random.Random(seed))
-    assert counted_trace(spec, degree, sigma) == fixed_point_count(spec, degree, sigma)
+    assert counted_character(spec, degree)[cycle_type] == fixed_point_count(
+        spec, degree, sigma
+    )
 
 
 WALK_GROUPS = tuple(
@@ -267,10 +269,11 @@ def test_counted_trace_matches_bell_walk():
     rng = random.Random(26)
     partitions = {r: enumerate_set_partitions(r) for r in range(9)}
     for spec, degree in cells:
+        character = counted_character(spec, degree)
         for cycle_type in cycle_types(spec.r):
             sigma = permutation_with_cycle_type(cycle_type, rng)
             expected = bell_walk_trace(spec, degree, sigma, partitions[spec.r])
-            assert counted_trace(spec, degree, sigma) == expected, (spec, degree, sigma)
+            assert character[cycle_type] == expected, (spec, degree, sigma)
 
 
 def test_counted_character_bounds_and_r_cap():
