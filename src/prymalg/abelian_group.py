@@ -6,6 +6,9 @@ ints, one reduced residue per cyclic factor.
 A symbolic-order tag stands in for the genus-g level-l deck group when
 its order l^(2g) is to be carried as the indeterminate m instead of a
 concrete integer; symbolic computations never enumerate elements.
+``check_concrete`` is the one guard that refuses a group without
+elements, and ``concrete_order`` the one place a group becomes the
+integer m; an untwisted ``AlgebraSpec`` holds the trivial group, of order 1.
 """
 
 from __future__ import annotations
@@ -140,6 +143,16 @@ def concrete_order(group):
     if isinstance(group, SymbolicOrder):
         return group.level ** (2 * group.genus) if group.is_bound else None
     return None if group is None else group.order()
+
+
+def check_concrete(group):
+    """group, when it is a FiniteAbelianGroup; a deck group without elements
+    to weight blocks with (a symbolic order, None, anything else) is refused."""
+    if not isinstance(group, FiniteAbelianGroup):
+        raise InvalidParameterError(
+            "operation requires a concrete group, got %r" % (group,)
+        )
+    return group
 
 
 def check_homology_parameters(genus, level):

@@ -21,7 +21,9 @@ The primed variants are graded subspaces (not unital subalgebras) of
 their full counterparts; multiply is exposed on the full variants and
 membership is tested with in_subspace.  These are abstract presented
 algebras: identifications with cohomology rings are only valid inside
-the stable genus ranges tracked by the series module.
+the stable genus ranges tracked by the series module.  An untwisted
+spec holds the trivial group; ``check_basis_degree`` bounds the degree
+of every slice that is enumerated, built by the oracle or traced.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .abelian_group import (
     DEFAULT_ENUMERATION_CAP,
     FiniteAbelianGroup,
     SymbolicOrder,
+    check_concrete,
     concrete_order,
     format_element,
 )
@@ -97,7 +100,7 @@ _SINGLETON_MIN = {
 
 
 class AlgebraSpec(_Value):
-    """Which algebra: variant, number of indices, and deck group if twisted."""
+    """Which algebra: variant, number of indices, deck group (trivial if untwisted)."""
 
     __slots__ = ("variant", "r", "group")
 
@@ -110,7 +113,7 @@ class AlgebraSpec(_Value):
         if r < 0:
             raise InvalidParameterError("r must be >= 0")
         if not variant.twisted:
-            group = None  # untwisted variants ignore the group field
+            group = TRIVIAL_GROUP  # untwisted variants ignore the group field
         elif group is None:
             raise InvalidParameterError(
                 "%s requires a group or symbolic order" % variant.value
@@ -123,25 +126,9 @@ class AlgebraSpec(_Value):
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "group", group)
 
-    @property
-    def is_symbolic(self):
-        return isinstance(self.group, SymbolicOrder)
-
     def concrete_group(self):
-        """The group weights live in; trivial for untwisted variants."""
-        if not self.variant.twisted:
-            return TRIVIAL_GROUP
-        if self.is_symbolic:
-            raise InvalidParameterError(
-                "operation requires a concrete group, got symbolic order"
-            )
-        return self.group
-
-    def order_value(self):
-        """|D| as an int, or None in symbolic mode."""
-        if not self.variant.twisted:
-            return 1
-        return concrete_order(self.group)
+        """The group weights live in; refused while it is a symbolic order."""
+        return check_concrete(self.group)
 
 
 class NormalMonomial(_Value):
@@ -325,17 +312,22 @@ def graded_dimension(spec, degree):
         if degree % 2 == 0 and t >= 0:
             ways = math.comb(t + b - 1, b - 1) if b else int(t == 0)
             coeffs[spec.r - b if spec.variant.twisted else 0] += count * ways
-    return at_order(IntPoly(coeffs), spec.order_value())
+    return at_order(IntPoly(coeffs), concrete_order(spec.group))
 
 
-def basis(spec, degree):
-    """All normal monomials of the given degree, in deterministic order."""
+def check_basis_degree(degree):
+    """Refuse a negative degree, then one past the basis degree cap."""
     if degree < 0:
         raise InvalidParameterError("degree must be >= 0")
     if degree > DEFAULT_BASIS_DEGREE_CAP:
         raise CapExceededError(
             "degree %d exceeds cap %d" % (degree, DEFAULT_BASIS_DEGREE_CAP)
         )
+
+
+def basis(spec, degree):
+    """All normal monomials of the given degree, in deterministic order."""
+    check_basis_degree(degree)
     group = spec.concrete_group()
     if degree % 2 == 1:
         return []
@@ -601,12 +593,10 @@ def _oracle_columns(r, order, degree):
 def check_oracle_cap(spec, degree):
     """Raise CapExceededError when the oracle's degree slice is too large.
 
-    The slice is too large past the basis degree cap, past the closed
-    form's cap on r, or with more than ORACLE_MAX_COLUMNS monomials; the
-    count is made before anything is built.
+    The degree is bounded as a basis's, r by the closed form's cap, and the
+    slice at ORACLE_MAX_COLUMNS monomials, counted before anything is built.
     """
-    if degree > DEFAULT_BASIS_DEGREE_CAP:
-        raise CapExceededError("degree %d exceeds cap %d" % (degree, DEFAULT_BASIS_DEGREE_CAP))
+    check_basis_degree(degree)
     if spec.r > MAX_COUNT_R:
         raise CapExceededError("r=%d exceeds dimension cap %d" % (spec.r, MAX_COUNT_R))
     order = concrete_order(spec.concrete_group())
@@ -638,8 +628,6 @@ def oracle_graded_dimension(spec, degree):
     inside its own a-classes, whose cover it keeps), so only each
     component's root is tested.
     """
-    if degree < 0:
-        raise InvalidParameterError("degree must be >= 0")
     check_oracle_cap(spec, degree)
     components, monomials, gens = _oracle_ideal(
         spec.r, spec.concrete_group(), degree

@@ -230,13 +230,13 @@ def _render(fmt, command, seed, table):
 
 
 def _deck_group(args):
-    """(group, m): the deck group named by the flags and its order
-    m = ``concrete_order(group)``, None when unbound.
+    """The deck group named by the flags, None when no flag names one.
 
     --group LITERAL gives a finite group.  --level with --genus gives a
-    bound ``SymbolicOrder``.  --symbolic alone gives an unbound one, and no
-    flag at all gives (None, None).  A literal next to --symbolic, --level
-    or --genus is refused, and so is half of a level/genus pair.
+    bound ``SymbolicOrder``.  --symbolic alone gives an unbound one.  A
+    literal next to --symbolic, --level or --genus is refused, and so is
+    half of a level/genus pair.  The caller takes m = ``concrete_order``
+    only when a printed count depends on it, a huge power at a large genus.
     """
     literal = args.group
     symbolic = getattr(args, "symbolic", False)  # strata has no --symbolic
@@ -246,14 +246,12 @@ def _deck_group(args):
             raise InvalidParameterError("--group and --symbolic are mutually exclusive")
         if level is not None or genus is not None:
             raise InvalidParameterError("--group and --level/--genus are mutually exclusive")
-        group = parse_group_literal(literal)
-    elif level is None and genus is None:
-        group = SymbolicOrder() if symbolic else None
-    elif level is None:
+        return parse_group_literal(literal)
+    if level is None and genus is None:
+        return SymbolicOrder() if symbolic else None
+    if level is None:
         raise InvalidParameterError("a genus needs a level here: alone it names no deck group")
-    else:
-        group = SymbolicOrder(level=level, genus=genus)  # refuses a lone level
-    return group, concrete_order(group)
+    return SymbolicOrder(level=level, genus=genus)  # refuses a lone level
 
 
 def _variant_from(text, allowed=None):
@@ -279,10 +277,8 @@ def _variant_from(text, allowed=None):
 
 def cmd_dims(args):
     variant = _variant_from(args.variant)
-    group, m = _deck_group(args)
-    if not variant.twisted:
-        group, m = None, 1  # no deck weights: a valid group is read and dropped
-    elif group is None:
+    group = _deck_group(args)  # an untwisted variant reads a valid group and drops it
+    if variant.twisted and group is None:
         raise InvalidParameterError(
             "specify --group <literal>, --level with --genus, or --symbolic"
         )
@@ -297,6 +293,7 @@ def cmd_dims(args):
         )
     degrees = [degree] if degree is not None else list(range(max_degree + 1))
     spec = AlgebraSpec(variant, args.r, SymbolicOrder())
+    m = concrete_order(group) if variant.twisted else 1  # untwisted counts are constants
 
     def row(n):
         value = graded_dimension(spec, n)  # an int for an untwisted variant
@@ -310,7 +307,8 @@ def cmd_dims(args):
     return Table(
         ("degree", "dim_polynomial_in_m", "dim_at_concrete_m", "provenance"),
         _pool_map(row, degrees),
-        {"variant": variant.value, "r": args.r, "group": str(group) if group else "-"},
+        {"variant": variant.value, "r": args.r,
+         "group": str(group) if variant.twisted else "-"},
     )
 
 
@@ -499,20 +497,20 @@ def cmd_oracle_check(args):
         variant_groups = groups if variant.twisted else groups[:1]
         for group in variant_groups:
             for r in range(args.max_r + 1):
-                spec = AlgebraSpec(variant, r, group if variant.twisted else None)
+                spec = AlgebraSpec(variant, r, group)
                 for degree in range(args.max_degree + 1):
                     check_oracle_cap(spec, degree)
-                    cells.append((spec, group, degree))
+                    cells.append((spec, degree))
 
     def check(cell):
-        spec, group, degree = cell
+        spec, degree = cell
         variant, r = spec.variant, spec.r
         closed = graded_dimension(spec, degree)
         orc = oracle_graded_dimension(spec, degree)
         return {
             "variant": variant.value,
             "r": r,
-            "group": str(group) if variant.twisted else "-",
+            "group": str(spec.group) if variant.twisted else "-",
             "degree": degree,
             "closed_form": closed,
             "oracle": orc,
@@ -537,7 +535,9 @@ def cmd_strata(args):
     r = args.r
     if r < 0:
         raise InvalidParameterError("r must be >= 0")
-    group, m = _deck_group(args)
+    group = _deck_group(args)
+    # below r = 2 every count is constant in m, so |D| is not taken there
+    m = concrete_order(group) if r >= 2 or group is None else 1
 
     def row(codim):
         poly = stratum_census(r, codim)
@@ -579,7 +579,6 @@ _MINIMUMS = {"k": 0, "max_degree": 0, "max_r": 0, "workers": 1}
 
 _COMMON_FLAGS = {
     "config": None, "format": "pretty", "seed": 0, "workers": 1, "output": None,
-    "allow_extrapolated": False,
 }
 # subcommand -> (description, {flag: default}); each also takes _COMMON_FLAGS
 _SUBCOMMANDS = {
@@ -591,7 +590,7 @@ _SUBCOMMANDS = {
     "twisted": (
         "twisted-coefficient dimension tables",
         {"r": _REQUIRED, "p": 0, "mode": "level", "level": None, "genus": None,
-         "max_k": _REQUIRED, "closed": False},
+         "max_k": _REQUIRED, "closed": False, "allow_extrapolated": False},
     ),
     "gap": (
         "stability comparison at one degree",
@@ -675,12 +674,13 @@ def build_parser():
 
 def main(argv=None):
     with _exact_integer_text():
-        return _run(argv)
+        return _run(sys.argv[1:] if argv is None else argv)
 
 
 def _run(argv):
     parser = build_parser()
-    command = "prymalg"
+    # an error argparse raises is tagged with the subcommand argv opens with
+    command = argv[0] if argv and argv[0] in _COMMANDS else "prymalg"
     try:
         args = parser.parse_args(argv)
         command = args.command

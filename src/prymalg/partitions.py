@@ -32,6 +32,7 @@ import re
 from .abelian_group import (
     DEFAULT_ENUMERATION_CAP,
     FiniteAbelianGroup,
+    check_concrete,
     concrete_order,
     format_element,
 )
@@ -66,15 +67,6 @@ def _validate_blocks(blocks):
         raise InvalidParameterError("blocks must partition {1..r}")
 
 
-def _check_concrete(group):
-    """Refuse a deck group without elements to weight blocks with: a
-    symbolic order, None, or anything else not a FiniteAbelianGroup."""
-    if not isinstance(group, FiniteAbelianGroup):
-        raise InvalidParameterError(
-            "operation requires a concrete group, got %r" % (group,)
-        )
-
-
 class DWeightedPartition(_Value, fields=("group", "blocks")):
     """Set partition with deck-group weights, one per non-base index.
 
@@ -98,7 +90,7 @@ class DWeightedPartition(_Value, fields=("group", "blocks")):
         classes this stays a second step, because bench/instrument.py times
         it by name as ``partitions.validate``; it folds into ``__init__``
         when ROADMAP item 1 re-points that counter."""
-        _check_concrete(self.group)
+        check_concrete(self.group)
         blocks = tuple(
             (tuple(int(i) for i in idx), tuple(weights)) for idx, weights in self.blocks
         )
@@ -208,7 +200,7 @@ def enumerate_d_weighted_partitions(r, group):
         raise CapExceededError(
             "r=%d exceeds weighted enumeration cap %d" % (r, MAX_WEIGHTED_ENUMERATION_R)
         )
-    _check_concrete(group)
+    check_concrete(group)
     total = at_order(count_d_weighted_partitions(r), concrete_order(group))
     if total > DEFAULT_ENUMERATION_CAP:
         raise CapExceededError(
@@ -366,7 +358,7 @@ _TUPLE_RE = re.compile(r"\(([^()]*)\)")
 
 def parse_block(token, group):
     """Parse one "{i1<i2:d=(..),(..)}" block into (indices, weights)."""
-    _check_concrete(group)
+    check_concrete(group)
     token = token.strip()
     m = _BLOCK_RE.fullmatch(token)
     if not m:

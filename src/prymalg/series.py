@@ -23,7 +23,7 @@ the hypotheses of every twisted table here and is rejected explicitly.
 
 from __future__ import annotations
 
-from .abelian_group import SymbolicOrder, check_homology_parameters, concrete_order
+from .abelian_group import SymbolicOrder, concrete_order
 from .algebra import AlgebraSpec, Variant, graded_dimension
 from .errors import CapExceededError, InvalidParameterError, OracleMismatchError, _Value
 from .partitions import (
@@ -149,11 +149,13 @@ def stable_cohomology_dims(p, max_degree):
 
 def _algebra_factor_spec(mode, r, level, genus):
     """The table's algebra factor with m unbound, and the m = |D| its
-    entries are evaluated at (1 for the untwisted factor)."""
+    entries are evaluated at: 1 for the untwisted factor, and for a level
+    factor at r <= 1, whose entries are constant in m (``_m_degree``)."""
     if mode == "level":
         # only |D| = level^(2 genus) is needed, never the 2 genus factors
-        order = concrete_order(SymbolicOrder(level=level, genus=genus))
-        return AlgebraSpec(Variant.LEVEL_PRIME, r, SymbolicOrder()), order
+        order = SymbolicOrder(level=level, genus=genus)
+        m = concrete_order(order) if r >= 2 or not order.is_bound else 1
+        return AlgebraSpec(Variant.LEVEL_PRIME, r, SymbolicOrder()), m
     if mode == "full-mcg":
         if level is not None:
             raise InvalidParameterError("full-mcg mode takes no level")
@@ -223,7 +225,7 @@ def putman_gap(r, p, k, level, genus):
     mismatch."""
     if r < 0 or p < 0:
         raise InvalidParameterError("r and p must be >= 0")
-    check_homology_parameters(genus, level)
+    order = SymbolicOrder(level=level, genus=genus)
     if k < 0:
         raise InvalidParameterError("k must be >= 0")
     if k % 2 == 1:
@@ -243,7 +245,7 @@ def putman_gap(r, p, k, level, genus):
             "expected m-degree %d for r=%d, k=%d but the level entry has %d"
             % (expected, r, k, poly.degree)
         )
-    m = concrete_order(SymbolicOrder(level=level, genus=genus))
+    m = concrete_order(order) if expected > 0 else 1  # a P_k constant in m needs no |D|
     return at_order(poly, 1), at_order(poly, m)
 
 
@@ -287,10 +289,10 @@ def j_twisted_dims(j_vector, level, genus, max_k=20):
     """Slot-tagged twisted table in the one-marked-point setting."""
     if not isinstance(j_vector, JVector):
         j_vector = JVector(tuple(j_vector))
-    check_homology_parameters(genus, level)
+    order = SymbolicOrder(level=level, genus=genus)
     _check_max_degree("max_k", max_k)
     factor = [j_factor_dimension(j_vector, b) for b in range(max_k + 1)]
-    m = concrete_order(SymbolicOrder(level=level, genus=genus))
+    m = concrete_order(order)
     return _build(0, max_k, factor, m, len(j_vector), genus, StableRangeKind.PUTMAN)
 
 

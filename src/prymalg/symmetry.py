@@ -23,7 +23,7 @@ import math
 from fractions import Fraction
 
 from .abelian_group import concrete_order
-from .algebra import DEFAULT_BASIS_DEGREE_CAP, basis, relabel_monomial
+from .algebra import basis, check_basis_degree, relabel_monomial
 from .errors import CapExceededError, InvalidParameterError, OracleMismatchError
 from .partitions import enumerate_set_partitions, integer_partitions
 
@@ -154,12 +154,7 @@ def counted_character(spec, degree):
     groups far too large to enumerate work.
     """
     _check_character_r(spec.r)
-    if degree < 0:
-        raise InvalidParameterError("degree must be >= 0")
-    if degree > DEFAULT_BASIS_DEGREE_CAP:
-        raise CapExceededError(
-            "degree %d exceeds cap %d" % (degree, DEFAULT_BASIS_DEGREE_CAP)
-        )
+    check_basis_degree(degree)
     group = spec.concrete_group()
     m = concrete_order(group)
     torsion = {g: group.torsion_count(g) for g in range(1, spec.r + 1)}

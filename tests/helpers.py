@@ -331,8 +331,8 @@ def set_partition_shape_count(shape):
 def graded_dimension_by_shapes(spec, degree):
     """Reference graded dimension: one term per integer partition of r,
     the block sizes of the set partitions it counts."""
-    symbolic = spec.is_symbolic and not spec.group.is_bound
-    m_value = None if symbolic else spec.order_value()
+    m_value = concrete_order(spec.group)
+    symbolic = m_value is None
     minimum = spec.variant.singleton_min_exponent
     if degree % 2 == 1:
         return IntPoly.zero() if symbolic else 0

@@ -15,6 +15,7 @@ from prymalg.algebra import (
     NormalMonomial,
     Variant,
     basis,
+    check_oracle_cap,
     format_monomial,
     graded_dimension,
     in_subspace,
@@ -37,6 +38,7 @@ from prymalg.partitions import (
     relabel,
 )
 from prymalg.polynomial import IntPoly
+from prymalg.symmetry import counted_character
 
 from helpers import (
     element_from_json,
@@ -73,8 +75,8 @@ def test_spec_validation():
         AlgebraSpec(Variant.LEVEL_FULL, 2)  # missing group
     # untwisted variants ignore the group field, whatever it holds
     s = AlgebraSpec(Variant.LOOIJENGA_FULL, 2, Z2)
-    assert s.group is None
-    assert AlgebraSpec(Variant.LOOIJENGA_FULL, 2, "Z2").group is None
+    assert s.group == FiniteAbelianGroup(())
+    assert AlgebraSpec(Variant.LOOIJENGA_FULL, 2, "Z2").group == FiniteAbelianGroup(())
     with pytest.raises(InvalidParameterError):
         AlgebraSpec(Variant.LEVEL_FULL, -1, Z2)
     # a twisted variant refuses a literal, an int or None when the spec is
@@ -394,6 +396,18 @@ def test_basis_caps():
         basis(spec, 10)
     assert time.perf_counter() - start < 2.0
     assert str(err.value) == "basis size 1334942 exceeds cap 1000000"
+
+
+def test_one_degree_bound_for_basis_oracle_and_characters():
+    # the same refusals, in the same order, from every bounded slice; the
+    # oracle's cap check once failed on a negative degree with an
+    # UnboundLocalError
+    spec = AlgebraSpec(Variant.LEVEL_FULL, 2, Z2)
+    for bounded in (basis, check_oracle_cap, oracle_graded_dimension, counted_character):
+        with pytest.raises(InvalidParameterError, match="^degree must be >= 0$"):
+            bounded(spec, -2)
+        with pytest.raises(CapExceededError, match="^degree 66 exceeds cap 64$"):
+            bounded(spec, 66)
 
 
 def test_oracle_examples():

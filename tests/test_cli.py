@@ -185,6 +185,69 @@ def test_character_output_matches_recorded_digest():
     )
 
 
+# every way to name a deck group, or to fail to, on the command line
+_DECK_FLAG_SETS = (
+    (), ("--group", "Z3"), ("--group", "Z2xZ2"), ("--group", "H1(g=1,l=2)"),
+    ("--symbolic",), ("--level", "2", "--genus", "1"),
+    ("--level", "3", "--genus", "2", "--symbolic"), ("--genus", "1"), ("--level", "2"),
+    ("--level", "1", "--genus", "1"), ("--group", "Z2", "--symbolic"),
+    ("--group", "Z2", "--level", "2", "--genus", "1"),
+)
+
+
+def _deck_group_pin_runs():
+    """Every variant of dims and strata over every deck-flag set at r 0-3;
+    twisted over r 0-3, both modes and bound, lone-genus and unbound deck
+    groups; gap over valid and refused degrees and pairs; and the degree
+    bounds of character and oracle-check."""
+    for variant in Variant:
+        for flags in _DECK_FLAG_SETS:
+            for r in range(4):
+                yield ["dims", "--variant", variant.value, "--r", str(r),
+                       "--max-degree", "4", *flags]
+    for flags in _DECK_FLAG_SETS:
+        if "--symbolic" not in flags:  # strata has no --symbolic
+            for r in range(4):
+                yield ["strata", "--r", str(r), *flags]
+    pairs = ((), ("--genus", "3"), ("--level", "2", "--genus", "3"),
+             ("--level", "3", "--genus", "40"))
+    for r in range(4):
+        for pair in pairs:
+            for mode in ("level", "full-mcg"):
+                for extra in ((), ("--allow-extrapolated",)):
+                    yield ["twisted", "--r", str(r), "--p", "1", "--mode", mode,
+                           "--max-k", "4", *pair, *extra]
+    yield ["twisted", "--r", "1", "--level", "2", "--max-k", "2"]
+    yield ["twisted", "--r", "1", "--closed", "--max-k", "2"]
+    yield ["twisted", "--r", "1", "--p", "1", "--closed", "--max-k", "2"]
+    for r in range(4):
+        for k in (-2, 0, 2, 3, 4):
+            for level, genus in ((2, 62), (3, 200), (1, 62), (2, -1), (2, 10)):
+                yield ["gap", "--r", str(r), "--k", str(k), "--level", str(level),
+                       "--genus", str(genus)]
+    for variant in ("level-prime", "level-full"):
+        for r in (0, 2, 9):
+            for degree in (-2, 0, 64, 66, 1000):
+                yield ["character", "--variant", variant, "--r", str(r),
+                       "--degree", str(degree), "--group", "Z2"]
+    for max_degree in (-2, 0, 64, 66, 1000):
+        yield ["oracle-check", "--max-r", "0", "--max-degree", str(max_degree)]
+
+
+def test_deck_group_output_matches_recorded_digest():
+    # argv, exit code, stdout and stderr of every run, the formats taken
+    # in turn
+    digest = hashlib.sha256()
+    runs = 0
+    for runs, argv in enumerate(_deck_group_pin_runs(), start=1):
+        argv_fmt = argv + ["--format", cli.FORMATS[runs % 3]]
+        digest.update(repr((argv_fmt, *_main_in_process(argv_fmt))).encode())
+    assert runs == 478
+    assert digest.hexdigest() == (
+        "7b1b5636a9a59f087a79aba1484fc2f9814dd4ef4796e5fce392c1c324c955cc"
+    )
+
+
 def test_commutant_fixture_and_generators_file(tmp_path):
     proc = run_cli("commutant", "--h", "2", "--fixture", "plane-swap", "--format", "json")
     assert json.loads(proc.stdout) == {"dimension": 6}
@@ -500,6 +563,32 @@ def test_twisted_takes_the_deck_order_once(monkeypatch):
                              "--max-k", "2"]) == (
         2, "", "error: invalid-config: [twisted] full-mcg mode takes no level\n"
     )
+
+
+# argv whose every printed count is constant in m, each with the stdout
+# it printed when the order 3^(2 * 21170490), some 30 s of CPU, was taken
+_CONSTANT_IN_M_RUNS = (
+    ("twisted --r 1 --level 3 --genus 21170490 --max-k 2 --format csv",
+     "k,cohomological_degree,dim_polynomial_in_m,dim_at_concrete_m,in_stable_range,"
+     "provenance\n0,-1,0,0,true,formula\n1,0,0,0,true,formula\n2,1,1,1,true,formula\n"),
+    ("gap --r 1 --k 2 --level 3 --genus 21170490 --format csv",
+     "r,p,k,level,genus,lhs_dim,rhs_dim,differ,provenance\n"
+     "1,0,2,3,21170490,1,1,false,formula\n"),
+    ("dims --variant looijenga-full --r 2 --degree 2 --level 3 --genus 21170490"
+     " --format csv",
+     "degree,dim_polynomial_in_m,dim_at_concrete_m,provenance\n2,3,3,formula\n"),
+    ("strata --r 1 --level 3 --genus 21170490 --format csv",
+     "codim,count_polynomial_in_m,count_at_concrete_m,provenance\n"
+     "0,1,1,formula\n1,0,0,formula\n"),
+)
+
+
+def test_order_is_taken_only_when_a_count_depends_on_m():
+    for argv, stdout in _CONSTANT_IN_M_RUNS:
+        start = time.perf_counter()
+        code, out, _ = _main_in_process(argv.split())
+        assert time.perf_counter() - start < 1, argv
+        assert (code, out) == (0, stdout), argv
 
 
 def test_dims_refuses_degree_with_max_degree():
@@ -989,6 +1078,68 @@ def test_abbreviated_flags_exit_2_as_config_keys_do(tmp_path):
     assert _main_in_process(["dims", "--config", str(config)]) == (
         2, "", "error: invalid-config: [dims] missing required option --variant\n"
     )
+
+
+def test_argparse_errors_name_the_subcommand():
+    # the subcommand is named when argv opens with one, as for every other
+    # error; --allow-extrapolated is a flag of twisted alone
+    for argv, tag, message in (
+        (["dims", "--var", "level-prime", "--r", "2"], "dims",
+         "unrecognized arguments: --var level-prime"),
+        (["dims", "--variant", "level-prime", "--r", "2", "--group", "Z3", "--degree",
+          "2", "--allow-extrapolated"], "dims",
+         "unrecognized arguments: --allow-extrapolated"),
+        (["nosuch"], "prymalg", "argument command: invalid choice: 'nosuch'"),
+        ([], "prymalg", "the following arguments are required: command"),
+    ):
+        code, out, err = _main_in_process(argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: invalid-config: [%s] %s" % (tag, message)), err
+        assert err.count("\n") == 1, err
+
+
+class _ReadLog(argparse.Namespace):
+    """A Namespace that, once given a ``_reads`` set, adds to it the name
+    of every attribute read."""
+
+    def __getattribute__(self, name):
+        reads = super().__getattribute__("__dict__").get("_reads")
+        if reads is not None and not name.startswith("_"):
+            reads.add(name)
+        return super().__getattribute__(name)
+
+
+def test_every_declared_flag_is_read(tmp_path, monkeypatch):
+    # each flag is read by its handler or, after it, by _run and _render;
+    # --config is read by _resolve, which reads every flag, so reads are
+    # logged from the handler on.  --workers is exempt: it is checked but
+    # has no effect, since every subcommand runs in order on one thread
+    monkeypatch.chdir(tmp_path)
+    Path("gens.json").write_text(json.dumps([[["0", "1"], ["-1", "0"]]]))
+    build_parser = cli.build_parser
+
+    def logging_parser():
+        parser = build_parser()
+        parse = parser.parse_args
+        parser.parse_args = lambda argv: parse(argv, namespace=_ReadLog())
+        return parser
+
+    read = {command: {"config", "workers"} for command in cli._COMMANDS}
+    for command, handler in cli._COMMANDS.items():
+        def logged(args, handler=handler):
+            args._reads = read[args.command]
+            return handler(args)
+
+        monkeypatch.setitem(cli._COMMANDS, command, logged)
+    monkeypatch.setattr(cli, "build_parser", logging_parser)
+    for command, values in _GRID_RUNS:
+        argv = [command]
+        for flag, value in values.items():
+            argv += ["--" + flag] if value is True else ["--" + flag, value]
+        code, out, err = _main_in_process(argv)
+        assert code == 0 and out, (argv, err)
+    for command, (_, flags) in cli._SUBCOMMANDS.items():
+        assert set(flags) | set(cli._COMMON_FLAGS) <= read[command], command
 
 
 _FLAGS = _subcommand_flags()

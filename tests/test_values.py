@@ -160,8 +160,9 @@ def test_fields_outside_equality():
 
 def test_keyword_construction():
     assert AlgebraSpec(variant=Variant.LEVEL_FULL, r=2, group=Z3).group == Z3
-    # untwisted variants drop the group
-    assert AlgebraSpec(variant=Variant.LOOIJENGA_FULL, r=2, group=Z3).group is None
+    # untwisted variants hold the trivial group in place of the given one
+    untwisted = AlgebraSpec(variant=Variant.LOOIJENGA_FULL, r=2, group=Z3)
+    assert untwisted.group == FiniteAbelianGroup(())
     assert AlgebraSpec(Variant.LOOIJENGA_FULL, 2) == AlgebraSpec(
         variant=Variant.LOOIJENGA_FULL, r=2
     )
