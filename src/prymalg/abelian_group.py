@@ -116,7 +116,8 @@ class SymbolicOrder(_Value):
         if genus is not None and genus < 0:
             raise InvalidParameterError("genus must be >= 0")
         if level is not None:
-            check_homology_parameters(genus, level)
+            if level < 2:
+                raise InvalidParameterError("level must be >= 2")
             if 2 * genus > MAX_ORDER_BITS / math.log2(level):
                 raise CapExceededError(
                     "deck-group order level^(2 genus) exceeds cap of %d bits"
@@ -137,8 +138,9 @@ def concrete_order(group):
     """|D| as an int: the order of a finite group or of a bound symbolic
     order; None for an unbound symbolic order or no group at all.
 
-    This is the one place a deck group becomes the m that a count in m
-    is evaluated at (``polynomial.at_order``).
+    This is the one place a deck group becomes an integer m.  Whether a
+    table of counts needs it at all is decided by ``polynomial.deck_order``,
+    which evaluates them there (``polynomial.at_order``).
     """
     if isinstance(group, SymbolicOrder):
         return group.level ** (2 * group.genus) if group.is_bound else None
@@ -155,17 +157,12 @@ def check_concrete(group):
     return group
 
 
-def check_homology_parameters(genus, level):
-    """Reject a genus or level that names no deck group H1(g; Z/l)."""
+def homology_group(genus, level):
+    """First homology of the closed genus-g surface with Z/l coefficients."""
     if genus < 0:
         raise InvalidParameterError("genus must be >= 0")
     if level < 2:
         raise InvalidParameterError("level must be >= 2")
-
-
-def homology_group(genus, level):
-    """First homology of the closed genus-g surface with Z/l coefficients."""
-    check_homology_parameters(genus, level)
     return FiniteAbelianGroup((level,) * (2 * genus))
 
 

@@ -58,7 +58,7 @@ from .partitions import (
     rebase_offsets,
     relabel,
 )
-from .polynomial import IntPoly, at_order
+from .polynomial import IntPoly, at_order, deck_order
 
 DEFAULT_BASIS_DEGREE_CAP = 64
 ORACLE_MAX_COLUMNS = 10**5
@@ -312,7 +312,9 @@ def graded_dimension(spec, degree):
         if degree % 2 == 0 and t >= 0:
             ways = math.comb(t + b - 1, b - 1) if b else int(t == 0)
             coeffs[spec.r - b if spec.variant.twisted else 0] += count * ways
-    return at_order(IntPoly(coeffs), concrete_order(spec.group))
+    poly = IntPoly(coeffs)
+    m = deck_order(spec.group, [poly])
+    return poly if m is None else at_order(poly, m)
 
 
 def check_basis_degree(degree):

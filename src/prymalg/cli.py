@@ -28,7 +28,7 @@ import shutil
 import sys
 import tempfile
 
-from .abelian_group import SymbolicOrder, concrete_order, parse_group_literal
+from .abelian_group import SymbolicOrder, parse_group_literal
 from .algebra import (
     AlgebraSpec,
     Variant,
@@ -42,7 +42,7 @@ from .errors import (
     OracleMismatchError,
     _Value,
 )
-from .polynomial import at_order
+from .polynomial import at_order, deck_order
 from .rigidity import (
     AbelianSymplecticAction,
     check_commutant_h,
@@ -235,8 +235,8 @@ def _deck_group(args):
     --group LITERAL gives a finite group.  --level with --genus gives a
     bound ``SymbolicOrder``.  --symbolic alone gives an unbound one.  A
     literal next to --symbolic, --level or --genus is refused, and so is
-    half of a level/genus pair.  The caller takes m = ``concrete_order``
-    only when a printed count depends on it, a huge power at a large genus.
+    half of a level/genus pair.  The caller builds its counts first, as
+    ``deck_order`` takes |D|, a huge power, only if one depends on m.
     """
     literal = args.group
     symbolic = getattr(args, "symbolic", False)  # strata has no --symbolic
@@ -293,14 +293,15 @@ def cmd_dims(args):
         )
     degrees = [degree] if degree is not None else list(range(max_degree + 1))
     spec = AlgebraSpec(variant, args.r, SymbolicOrder())
-    m = concrete_order(group) if variant.twisted else 1  # untwisted counts are constants
+    counts = {n: graded_dimension(spec, n) for n in degrees}  # ints for an untwisted variant
+    # an untwisted spec holds the trivial group, so its counts are read at m = 1
+    m = deck_order(group if variant.twisted else spec.group, counts.values())
 
     def row(n):
-        value = graded_dimension(spec, n)  # an int for an untwisted variant
         return {
             "degree": n,
-            "dim_polynomial_in_m": str(value) if variant.twisted else value,
-            "dim_at_concrete_m": None if m is None else at_order(value, m),
+            "dim_polynomial_in_m": str(counts[n]) if variant.twisted else counts[n],
+            "dim_at_concrete_m": at_order(counts[n], m),
             "provenance": "formula",
         }
 
@@ -536,15 +537,14 @@ def cmd_strata(args):
     if r < 0:
         raise InvalidParameterError("r must be >= 0")
     group = _deck_group(args)
-    # below r = 2 every count is constant in m, so |D| is not taken there
-    m = concrete_order(group) if r >= 2 or group is None else 1
+    polys = [stratum_census(r, codim) for codim in range(r + 1)]
+    m = deck_order(group, polys)  # below r = 2 every count is constant in m
 
     def row(codim):
-        poly = stratum_census(r, codim)
         return {
             "codim": codim,
-            "count_polynomial_in_m": str(poly),
-            "count_at_concrete_m": None if m is None else at_order(poly, m),
+            "count_polynomial_in_m": str(polys[codim]),
+            "count_at_concrete_m": at_order(polys[codim], m),
             "provenance": "formula",
         }
 

@@ -1,13 +1,15 @@
 """Univariate integer polynomials in the symbol m (the deck-group order).
 
 Every closed-form count is built one way: as a polynomial in m with
-integer coefficients (an int is a constant one).  ``at_order`` is the
-one place it becomes a number: it evaluates the count at the m that
-``abelian_group.concrete_order`` gives, and passes it through unchanged
-while m is unbound.  Evaluation uses arbitrary-precision integers.
+integer coefficients (an int is a constant one).  ``deck_order`` reads
+off the counts to be printed the m they are read at, and ``at_order`` is
+the one place a count becomes a number there (None while m is unbound).
+Evaluation uses arbitrary-precision integers.
 """
 
 from __future__ import annotations
+
+from .abelian_group import SymbolicOrder, concrete_order
 
 
 class IntPoly:
@@ -132,9 +134,20 @@ class IntPoly:
         return "IntPoly(%r)" % (self.coeffs,)
 
 
+def deck_order(group, counts):
+    """The m that counts are read at: None while the group's order is
+    unbound, 1 when every count is constant in m, else ``concrete_order``,
+    a power that costs seconds at a large genus, so asked once per table."""
+    if group is None or (isinstance(group, SymbolicOrder) and not group.is_bound):
+        return None
+    if all(as_poly(count).degree <= 0 for count in counts):
+        return 1
+    return concrete_order(group)
+
+
 def at_order(count, m):
-    """The count at m = |D|, or the count itself when m is None (unbound)."""
-    return count if m is None else as_poly(count).evaluate(m)
+    """The count at m = |D|, None while m is None (unbound)."""
+    return None if m is None else as_poly(count).evaluate(m)
 
 
 def as_poly(value):

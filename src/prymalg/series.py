@@ -2,14 +2,14 @@
 
 Tables hold exact coefficients, never closed-form rational functions.
 Every count is built as a polynomial in the deck-group order m and kept
-in ``poly_entries``; ``entries`` holds it at m = |D| (``at_order``), or
-None while m is unbound.  Each table is built whole, in one constructor
-call, by ``_build``.  Every entry
-carries an in_stable_range flag; entries outside the proven genus range
-are still computed, because the formulas are total, but consumers must
-treat them as extrapolations.  When the genus is not bound the flag is
-False: an entry is only marked in range when that is provable from the
-given parameters.
+in ``poly_entries``; ``entries`` holds it at the m that ``deck_order``
+reads off those polynomials (``at_order``), or None while m is unbound.
+Each table is built whole, in one constructor call, by ``_build``.  Every
+entry carries an in_stable_range flag; entries outside the proven genus
+range are still computed, because the formulas are total, but consumers
+must treat them as extrapolations.  When the genus is not bound the flag
+is False: an entry is only marked in range when that is provable from
+the given parameters.
 
 The stability comparison ``putman_gap`` reads one level polynomial P_k
 at m = 1 (the untwisted entry) and at m = |D|; ``_m_degree`` owns the
@@ -23,8 +23,8 @@ the hypotheses of every twisted table here and is rejected explicitly.
 
 from __future__ import annotations
 
-from .abelian_group import SymbolicOrder, concrete_order
-from .algebra import AlgebraSpec, Variant, graded_dimension
+from .abelian_group import SymbolicOrder
+from .algebra import TRIVIAL_GROUP, AlgebraSpec, Variant, graded_dimension
 from .errors import CapExceededError, InvalidParameterError, OracleMismatchError, _Value
 from .partitions import (
     MAX_COUNT_R,
@@ -33,7 +33,7 @@ from .partitions import (
     coin_counts,
     count_d_weighted_partitions,
 )
-from .polynomial import M, IntPoly, as_poly, at_order
+from .polynomial import M, IntPoly, as_poly, at_order, deck_order
 
 import enum
 import itertools
@@ -101,14 +101,15 @@ def _check_max_degree(name, value):
         raise InvalidParameterError("%s must lie in [0, %d]" % (name, MAX_STABLE_DEGREE))
 
 
-def _build(p, max_k, factor, m=1, r=None, genus=None, kind=None):
+def _build(p, max_k, factor, group=TRIVIAL_GROUP, r=None, genus=None, kind=None):
     """The table of the stable ring with p punctures convolved with an
     algebra factor, up to degree max_k.
 
     factor[b] is the factor's degree-b dimension as a polynomial in m (an
-    int is a constant one), zero past the end of the list.  Each entry is
-    the convolved polynomial at m (``at_order``), None while m is None;
-    the sums run on coefficient lists, with one IntPoly built per entry.
+    int is a constant one), zero past the end of the list; the sums run
+    on coefficient lists, with one IntPoly built per entry.  After the
+    last one, ``deck_order`` reads the group's m off them all, and each
+    entry is its polynomial there, None while m is unbound.
     The flags are those of ``kind`` at the genus, False while the genus
     is unbound, and all True for kind None (the stable ring itself).
 
@@ -123,7 +124,7 @@ def _build(p, max_k, factor, m=1, r=None, genus=None, kind=None):
     stable = list(itertools.islice(coin_counts(coins), max_q + 1))
     rows = [as_poly(f).coeffs for f in factor]
     width = max(map(len, rows), default=0)
-    poly_entries, entries, in_range = {}, {}, {}
+    poly_entries, in_range = {}, {}
     for k in range(max_k + 1):
         coeffs = [0] * width
         # the stable ring lives in even degrees, so b has k's parity
@@ -131,11 +132,12 @@ def _build(p, max_k, factor, m=1, r=None, genus=None, kind=None):
             c = stable[(k - b) // 2]
             for i, x in enumerate(rows[b]):
                 coeffs[i] += c * x
-        poly = poly_entries[k] = IntPoly(coeffs)
-        entries[k] = None if m is None else at_order(poly, m)
+        poly_entries[k] = IntPoly(coeffs)
         in_range[k] = kind is None or (
             genus is not None and in_stable_range(kind, genus, k)
         )
+    m = deck_order(group, poly_entries.values())
+    entries = {k: at_order(poly, m) for k, poly in poly_entries.items()}
     return DimensionTable(r, genus, poly_entries, entries, in_range)
 
 
@@ -145,22 +147,6 @@ def stable_cohomology_dims(p, max_degree):
         raise InvalidParameterError("p must be >= 0")
     _check_max_degree("max_degree", max_degree)
     return _build(p, max_degree, [1])
-
-
-def _algebra_factor_spec(mode, r, level, genus):
-    """The table's algebra factor with m unbound, and the m = |D| its
-    entries are evaluated at: 1 for the untwisted factor, and for a level
-    factor at r <= 1, whose entries are constant in m (``_m_degree``)."""
-    if mode == "level":
-        # only |D| = level^(2 genus) is needed, never the 2 genus factors
-        order = SymbolicOrder(level=level, genus=genus)
-        m = concrete_order(order) if r >= 2 or not order.is_bound else 1
-        return AlgebraSpec(Variant.LEVEL_PRIME, r, SymbolicOrder()), m
-    if mode == "full-mcg":
-        if level is not None:
-            raise InvalidParameterError("full-mcg mode takes no level")
-        return AlgebraSpec(Variant.KAWAZUMI_DPRIME, r), 1
-    raise InvalidParameterError("mode must be 'level' or 'full-mcg', got %r" % (mode,))
 
 
 def twisted_cohomology_dims(
@@ -197,10 +183,20 @@ def twisted_cohomology_dims(
             "closed_surface contradicts p >= 1 (punctures make the surface open)"
         )
     _check_max_degree("max_k", max_k)
-    spec, m = _algebra_factor_spec(mode, r, level, genus)
+    if mode == "level":
+        # only |D| = level^(2 genus) is needed, never the 2 genus factors
+        group = SymbolicOrder(level=level, genus=genus)
+        spec = AlgebraSpec(Variant.LEVEL_PRIME, r, SymbolicOrder())
+    elif mode == "full-mcg":
+        if level is not None:
+            raise InvalidParameterError("full-mcg mode takes no level")
+        group = TRIVIAL_GROUP
+        spec = AlgebraSpec(Variant.KAWAZUMI_DPRIME, r)
+    else:
+        raise InvalidParameterError("mode must be 'level' or 'full-mcg', got %r" % (mode,))
     alg = [graded_dimension(spec, b) for b in range(max_k + 1)]
     kind = StableRangeKind.PUTMAN if mode == "level" else StableRangeKind.LOOIJENGA
-    return _build(p, max_k, alg, m, r, genus, kind)
+    return _build(p, max_k, alg, group, r, genus, kind)
 
 
 def _m_degree(r, k):
@@ -220,9 +216,9 @@ def _m_degree(r, k):
 def putman_gap(r, p, k, level, genus):
     """(lhs_dim, rhs_dim) at degree k: the k-entry P_k of one level table
     with m unbound, read at m = 1, where every deck weight is trivial and
-    P_k is the untwisted entry, and at m = |D| = level^(2 genus).  P_k
-    must have the m-degree ``_m_degree`` gives; any other is an oracle
-    mismatch."""
+    P_k is the untwisted entry, and at m = |D| = level^(2 genus), taken
+    only when P_k depends on m (``deck_order``).  P_k must have the
+    m-degree ``_m_degree`` gives; any other is an oracle mismatch."""
     if r < 0 or p < 0:
         raise InvalidParameterError("r and p must be >= 0")
     order = SymbolicOrder(level=level, genus=genus)
@@ -245,8 +241,7 @@ def putman_gap(r, p, k, level, genus):
             "expected m-degree %d for r=%d, k=%d but the level entry has %d"
             % (expected, r, k, poly.degree)
         )
-    m = concrete_order(order) if expected > 0 else 1  # a P_k constant in m needs no |D|
-    return at_order(poly, 1), at_order(poly, m)
+    return at_order(poly, 1), at_order(poly, deck_order(order, [poly]))
 
 
 def j_factor_dimension(j_vector, degree):
@@ -292,8 +287,7 @@ def j_twisted_dims(j_vector, level, genus, max_k=20):
     order = SymbolicOrder(level=level, genus=genus)
     _check_max_degree("max_k", max_k)
     factor = [j_factor_dimension(j_vector, b) for b in range(max_k + 1)]
-    m = concrete_order(order)
-    return _build(0, max_k, factor, m, len(j_vector), genus, StableRangeKind.PUTMAN)
+    return _build(0, max_k, factor, order, len(j_vector), genus, StableRangeKind.PUTMAN)
 
 
 def stratum_census(r, codim):

@@ -1,4 +1,6 @@
+import ast
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -173,6 +175,41 @@ def test_symbolic_order():
     bound = SymbolicOrder(level=3, genus=24)
     assert concrete_order(bound) == 3**48
     assert str(bound) == "m"
+
+
+class _ConcreteOrderCalls(ast.NodeVisitor):
+    """(innermost enclosing function, line) of each call to concrete_order."""
+
+    def __init__(self):
+        self.where, self.calls = "<module>", []
+
+    def visit_FunctionDef(self, node):
+        outer, self.where = self.where, node.name
+        self.generic_visit(node)
+        self.where = outer
+
+    def visit_Call(self, node):
+        if getattr(node.func, "id", getattr(node.func, "attr", None)) == "concrete_order":
+            self.calls.append((self.where, node.lineno))
+        self.generic_visit(node)
+
+
+def test_concrete_order_has_one_deciding_caller():
+    # deck_order alone decides whether a table's counts need |D|; the
+    # other three hold a concrete group already, whose order is cheap
+    allowed = {
+        "deck_order",
+        "check_oracle_cap",
+        "counted_character",
+        "enumerate_d_weighted_partitions",
+    }
+    src = Path(__file__).resolve().parent.parent / "src" / "prymalg"
+    stray = []
+    for path in sorted(src.glob("*.py")):
+        visitor = _ConcreteOrderCalls()
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+        stray += [(path.name, *call) for call in visitor.calls if call[0] not in allowed]
+    assert stray == []
 
 
 def test_bound_order_bits_are_capped_before_the_power():

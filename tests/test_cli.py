@@ -14,12 +14,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prymalg import cli, series
-from prymalg.abelian_group import concrete_order
-from prymalg.algebra import Variant
+from prymalg import cli, polynomial, series
+from prymalg.abelian_group import SymbolicOrder, concrete_order
+from prymalg.algebra import AlgebraSpec, Variant, graded_dimension
 from prymalg.errors import InvalidParameterError
+from prymalg.partitions import JVector
 from prymalg.polynomial import at_order
-from prymalg.series import putman_gap
+from prymalg.series import j_twisted_dims, putman_gap
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -543,28 +544,6 @@ def test_huge_genus_exits_3_before_the_power_is_taken():
         assert err.startswith("error: cap-exceeded:") and err.count("\n") == 1, err
 
 
-def test_twisted_takes_the_deck_order_once(monkeypatch):
-    # the level table's m = level^(2 genus) is computed by series alone
-    calls = []
-
-    def counted(group):
-        calls.append(group)
-        return concrete_order(group)
-
-    monkeypatch.setattr(cli, "concrete_order", counted)
-    monkeypatch.setattr(series, "concrete_order", counted)
-    argv = ["twisted", "--r", "2", "--level", "2", "--genus", "24", "--max-k", "2",
-            "--format", "csv"]
-    code, out, _ = _main_in_process(argv)
-    assert code == 0 and "2,0,m,281474976710656,true,formula" in out
-    assert len(calls) == 1
-    # full-mcg has no deck group, so a level there is refused by series
-    assert _main_in_process(["twisted", "--r", "1", "--mode", "full-mcg", "--level", "2",
-                             "--max-k", "2"]) == (
-        2, "", "error: invalid-config: [twisted] full-mcg mode takes no level\n"
-    )
-
-
 # argv whose every printed count is constant in m, each with the stdout
 # it printed when the order 3^(2 * 21170490), some 30 s of CPU, was taken
 _CONSTANT_IN_M_RUNS = (
@@ -580,6 +559,15 @@ _CONSTANT_IN_M_RUNS = (
     ("strata --r 1 --level 3 --genus 21170490 --format csv",
      "codim,count_polynomial_in_m,count_at_concrete_m,provenance\n"
      "0,1,1,formula\n1,0,0,formula\n"),
+    ("dims --variant level-full --r 1 --degree 2 --level 3 --genus 21170490"
+     " --format csv",
+     "degree,dim_polynomial_in_m,dim_at_concrete_m,provenance\n2,1,1,formula\n"),
+    ("dims --variant level-full --r 2 --degree 0 --level 3 --genus 21170490"
+     " --format csv",
+     "degree,dim_polynomial_in_m,dim_at_concrete_m,provenance\n0,1,1,formula\n"),
+    ("twisted --r 4 --max-k 2 --level 3 --genus 21170490 --format csv",
+     "k,cohomological_degree,dim_polynomial_in_m,dim_at_concrete_m,in_stable_range,"
+     "provenance\n0,-4,0,0,true,formula\n1,-3,0,0,true,formula\n2,-2,0,0,true,formula\n"),
 )
 
 
@@ -589,6 +577,47 @@ def test_order_is_taken_only_when_a_count_depends_on_m():
         code, out, _ = _main_in_process(argv.split())
         assert time.perf_counter() - start < 1, argv
         assert (code, out) == (0, stdout), argv
+
+
+def test_twisted_takes_the_deck_order_once(monkeypatch):
+    # polynomial.deck_order alone takes m = level^(2 genus): once for a
+    # table where a printed count depends on m, never where all are constant
+    calls = []
+
+    def counted(group):
+        calls.append(group)
+        return concrete_order(group)
+
+    monkeypatch.setattr(polynomial, "concrete_order", counted)
+    pair = ["--level", "2", "--genus", "24", "--format", "csv"]
+    for argv, line in (
+        (["twisted", "--r", "2", "--max-k", "2"], "2,0,m,281474976710656,true,formula"),
+        (["dims", "--variant", "level-full", "--r", "2", "--degree", "2"],
+         "2,m+2,281474976710658,formula"),
+        (["strata", "--r", "2"], "1,m,281474976710656,formula"),
+        (["gap", "--r", "2", "--k", "2"], "2,0,2,2,24,1,281474976710656,true,formula"),
+    ):
+        calls.clear()
+        code, out, _ = _main_in_process(argv + pair)
+        assert code == 0 and line in out, argv
+        assert len(calls) == 1, argv
+    calls.clear()
+    assert j_twisted_dims(JVector((1, 0)), 2, 24, max_k=4).entries[4] == 4 * 2**48
+    assert len(calls) == 1
+    calls.clear()
+    for argv, stdout in _CONSTANT_IN_M_RUNS:
+        assert _main_in_process(argv.split())[:2] == (0, stdout), argv
+    start = time.perf_counter()
+    order = SymbolicOrder(level=3, genus=21170490)
+    assert graded_dimension(AlgebraSpec(Variant.LEVEL_FULL, 1, order), 2) == 1
+    assert j_twisted_dims(JVector((1,)), order.level, order.genus, max_k=2).entries[2] == 1
+    assert time.perf_counter() - start < 1
+    assert calls == []
+    # full-mcg has no deck group, so a level there is refused by series
+    assert _main_in_process(["twisted", "--r", "1", "--mode", "full-mcg", "--level", "2",
+                             "--max-k", "2"]) == (
+        2, "", "error: invalid-config: [twisted] full-mcg mode takes no level\n"
+    )
 
 
 def test_dims_refuses_degree_with_max_degree():

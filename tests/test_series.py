@@ -21,7 +21,6 @@ from prymalg.partitions import (
 from prymalg.polynomial import M, IntPoly, at_order
 from prymalg.series import (
     StableRangeKind,
-    _algebra_factor_spec,
     _m_degree,
     in_stable_range,
     j_factor_dimension,
@@ -156,14 +155,14 @@ def test_symbolic_twisted_table_evaluates_to_concrete(r, p, level, genus, max_k)
 
 def test_large_genus_order_is_one_power():
     start = time.perf_counter()
-    spec, m = _algebra_factor_spec("level", 2, 2, 10**6)
-    assert m == 2 ** (2 * 10**6)
-    assert concrete_order(spec.group) is None  # the factor itself keeps m unbound
+    table = twisted_cohomology_dims(2, 0, level=2, genus=10**6, max_k=2)
+    assert table.entries[2] == 2 ** (2 * 10**6)  # the 2-entry is m itself
+    assert table.poly_entries[2] == M  # the factor itself keeps m unbound
     assert time.perf_counter() - start < 0.5
     with pytest.raises(InvalidParameterError, match="level must be >= 2"):
-        _algebra_factor_spec("level", 1, 1, 24)
+        twisted_cohomology_dims(1, 0, level=1, genus=24)
     with pytest.raises(InvalidParameterError, match="genus must be >= 0"):
-        _algebra_factor_spec("level", 1, 2, -1)
+        twisted_cohomology_dims(1, 0, level=2, genus=-1)
 
 
 def test_level_and_genus_are_checked_in_one_place():
@@ -171,7 +170,7 @@ def test_level_and_genus_are_checked_in_one_place():
     with pytest.raises(InvalidParameterError, match="level needs a genus"):
         twisted_cohomology_dims(1, 0, level=3)
     with pytest.raises(InvalidParameterError, match="level needs a genus"):
-        _algebra_factor_spec("level", 1, 3, None)
+        j_twisted_dims(JVector((1,)), 3, None, max_k=2)
     with pytest.raises(InvalidParameterError, match="level needs a genus"):
         SymbolicOrder(level=3)
     # a negative genus is refused by name, with or without a level
@@ -184,7 +183,7 @@ def test_level_and_genus_are_checked_in_one_place():
     table = twisted_cohomology_dims(1, 0, genus=3, max_k=4)
     assert table.entries[2] is None and table.in_range[2] is False
     assert twisted_cohomology_dims(1, 0, mode="full-mcg", genus=3, max_k=4).in_range[0]
-    # j_twisted_dims and putman_gap share check_homology_parameters' texts
+    # j_twisted_dims and putman_gap share SymbolicOrder's texts
     for level, genus, text in ((1, 3, "level must be >= 2"), (2, -1, "genus must be >= 0")):
         with pytest.raises(InvalidParameterError, match=text):
             j_twisted_dims(JVector((1,)), level, genus, max_k=2)
